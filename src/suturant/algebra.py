@@ -1,22 +1,22 @@
 """Finite-dimensional involutive Hopf superalgebras given by structure constants.
 
 An algebra is presented by an integer basis: multiplication, comultiplication,
-antipode and counit are sparse integer structure-constant tables, and every
-axiom is checked exhaustively over basis tuples (dimensions stay small, at
-most a few dozen).  Two families ship with the package:
-
-* ``build_hn(n)`` -- the 2n-dimensional superalgebra on K, X with K^n = 1,
-  X^2 = 0, |K| = 0, |X| = 1, together with its relative integral (onto the
-  group-like span of K) and relative cointegral.  The cointegral is stored
-  unnormalized, (1 + K + ... + K^{n-1})X, with the rational prefactor 1/n
-  carried separately so all structure constants stay integral.
-* ``build_cyclic_group_algebra(m)`` -- the group algebra of Z/m, purely even
-  and unimodular, with integral "coefficient of the identity" and cointegral
-  the sum of all group elements.
+antipode and counit are sparse integer structure-constant tables.  Two
+families ship with the package, ``build_hn(n)`` (2n-dimensional, on K and
+an odd X) and ``build_cyclic_group_algebra(m)`` (the group algebra of Z/m),
+each with its relative integral and cointegral.
 
 Elements are dicts ``{basis index: integer coefficient}``; tensors are dicts
-keyed by index tuples.  The Koszul sign convention is
-``tau(v (x) w) = (-1)^{|v||w|} w (x) v``.
+keyed by index tuples, one index per leg, ``()`` being the ground ring.  A
+linear map is a table ``{input key: {output key: coefficient}}``, and one
+sparse linear-map core acts on them: ``apply`` (the image of an element),
+``compose`` (one map after another, possibly on a few legs only),
+``tensor``, ``koszul`` (the signed flip of two legs) and
+``first_difference``.  ``check_axioms`` states every axiom as equations
+``lhs == rhs`` between composites of the structure maps, exhaustive over
+the basis (dimensions stay small, at most a few dozen), and a failing
+equation is witnessed by the least key on which its sides differ.  The
+Koszul sign convention is ``tau(v (x) w) = (-1)^{|v||w|} w (x) v``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,76 @@ def _add_term(d, key, coeff):
         del d[key]
 
 
+# ---------------------------------------------------------------------------
+# the sparse linear-map core
+# ---------------------------------------------------------------------------
+
+def apply(table, x):
+    """The image of the element x under the linear map ``table``."""
+    out = {}
+    for i, ci in x.items():
+        for j, c in table.get(i, {}).items():
+            _add_term(out, j, ci * c)
+    return out
+
+
+def legged(table):
+    """The table with every key a tuple of legs, a basis index i becoming
+    (i,); ``compose`` and ``tensor`` take tables in this form."""
+    def legs(k):
+        return k if isinstance(k, tuple) else (k,)
+    return {legs(k): {legs(o): c for o, c in col.items() if c}
+            for k, col in table.items()}
+
+
+def compose(f, g, at=0):
+    """f after g, with f acting on the legs of g's outputs from position
+    ``at`` on and the identity on the others, over the nonzero entries of
+    g; inputs that the composite sends to 0 are left out."""
+    n = len(next(iter(f))) if f else 1
+    out = {}
+    for key, col in g.items():
+        view = f
+        if at or any(len(k) != n for k in col):    # f re-keyed to col's legs
+            view = {k: {k[:at] + o + k[at + n:]: c
+                        for o, c in f.get(k[at:at + n], {}).items()}
+                    for k in col}
+        y = apply(view, col)
+        if y:
+            out[key] = y
+    return out
+
+
+def tensor(f, g):
+    """f (x) g, over the nonzero entries of both."""
+    out = {}
+    for a, fa in f.items():
+        for b, gb in g.items():
+            col = {}
+            for o, c in fa.items():
+                for p, d in gb.items():
+                    if c * d:
+                        col[o + p] = c * d
+            if col:
+                out[a + b] = col
+    return out
+
+
+def koszul(par_v, par_w):
+    """The flip V (x) W -> W (x) V, v (x) w -> (-1)^{|v||w|} w (x) v, for
+    bases of the given parities."""
+    return {(i, j): {(j, i): -1 if pi and pj else 1}
+            for i, pi in enumerate(par_v) for j, pj in enumerate(par_w)}
+
+
+def first_difference(f, g):
+    """The least input key on which the maps f and g differ, or None."""
+    if f == g:
+        return None
+    return min((k for k in f.keys() | g.keys()
+                if f.get(k, {}) != g.get(k, {})), default=None)
+
+
 @dataclass(frozen=True)
 class PresentedAlgebra:
     """A Hopf superalgebra presented by integer structure constants."""
@@ -49,7 +119,6 @@ class PresentedAlgebra:
     antipode_sc: dict     # i -> {j: c}
     counit_vec: tuple
     unit_index: int
-    coeff_modulus: int = 0   # 0 means coefficients in Z
 
     # -- elementwise operations -------------------------------------------
 
@@ -65,28 +134,13 @@ class PresentedAlgebra:
         return out
 
     def comul(self, x):
-        out = {}
-        for i, ci in x.items():
-            for jk, c in self.comul_sc.get(i, {}).items():
-                _add_term(out, jk, ci * c)
-        return out
+        return apply(self.comul_sc, x)
 
     def antipode(self, x):
-        out = {}
-        for i, ci in x.items():
-            for j, c in self.antipode_sc.get(i, {}).items():
-                _add_term(out, j, ci * c)
-        return out
+        return apply(self.antipode_sc, x)
 
     def counit(self, x):
         return sum(c * self.counit_vec[i] for i, c in x.items())
-
-    def elem_parity(self, x):
-        """Parity of a homogeneous element; None for 0 or mixed."""
-        ps = {self.parity[i] for i in x}
-        if len(ps) == 1:
-            return ps.pop()
-        return None
 
     def label(self, i):
         return self.basis_labels[i]
@@ -112,13 +166,6 @@ class RelativeIntegralData:
     b_dlog: tuple
     mu_parity: int
 
-    def apply(self, table, x):
-        out = {}
-        for i, ci in x.items():
-            for j, c in table.get(i, {}).items():
-                _add_term(out, j, ci * c)
-        return out
-
 
 @dataclass(frozen=True)
 class RelativeCointegralData:
@@ -139,17 +186,6 @@ class RelativeCointegralData:
     iota_prefactor: Fraction
     iota_parity: int
 
-    def apply(self, table, x):
-        out = {}
-        for i, ci in x.items():
-            for j, c in table.get(i, {}).items():
-                _add_term(out, j, ci * c)
-        return out
-
-    @property
-    def astar_trivial(self):
-        return all(e % self.astar_order == 0 for e in self.astar_exps)
-
 
 @dataclass(frozen=True)
 class HopfPackage:
@@ -158,13 +194,22 @@ class HopfPackage:
     cointegral: RelativeCointegralData
     name: str
 
+    @property
+    def unit_a(self):
+        """Position of the unit of A: the first whose image under i_A is
+        the unit of H, else 0."""
+        return next((p for p in range(len(self.cointegral.a_basis))
+                     if apply(self.cointegral.i_a, {p: 1})
+                     == self.algebra.unit()), 0)
+
 
 # ---------------------------------------------------------------------------
 # shipped instances
 # ---------------------------------------------------------------------------
 
 def build_hn(n):
-    """The 2n-dimensional quotient with basis K^i, K^i X for 0 <= i < n.
+    """The 2n-dimensional superalgebra on an even K and an odd X with
+    K^n = 1, X^2 = 0; basis K^i, K^i X for 0 <= i < n.
 
     Coproducts: Delta(K) = K (x) K and Delta(X) = K (x) X + X (x) 1;
     antipode S(X) = -K^{-1} X; relative integral mu(K^i X) = K^i,
@@ -292,489 +337,171 @@ def coproduct_power(pkg, x, k):
 # exhaustive axiom verification
 # ---------------------------------------------------------------------------
 
-def _b_coords(pkg, x):
-    """Express an H-element supported on b_basis in B coordinates."""
-    pos_of = {h: p for p, h in enumerate(pkg.integral.b_basis)}
-    out = {}
-    for i, c in x.items():
-        if i not in pos_of:
-            return None
-        _add_term(out, pos_of[i], c)
-    return out
+def _names(*kinds, head=""):
+    """Witness text for a key, one name per leg: ``(b_0,X)``, ``S(K)``."""
+    def fmt(key):
+        text = ",".join(kind(leg) for kind, leg in zip(kinds, key))
+        return f"{head}({text})" if head or len(kinds) > 1 else text
+    return fmt
 
 
-def _a_coords(pkg, x):
-    pos_of = {h: p for p, h in enumerate(pkg.cointegral.a_basis)}
-    out = {}
-    for i, c in x.items():
-        if i not in pos_of:
-            return None
-        _add_term(out, pos_of[i], c)
-    return out
-
-
-def _tensor_of_pair(x, y, sign=1):
-    out = {}
-    for i, ci in x.items():
-        for j, cj in y.items():
-            _add_term(out, (i, j), sign * ci * cj)
-    return out
+def _check(rep, name, *equations):
+    """One report line: every (lhs, rhs, witness) equation must hold.  The
+    witness, a formatter of the key or fixed text, is that of the least
+    failing key, the earlier equation first on a tie."""
+    fails = []
+    for n, (lhs, rhs, wit) in enumerate(equations):
+        k = first_difference(lhs, rhs)
+        if k is not None:
+            fails.append((k, n, wit))
+    if fails:
+        k, _, wit = min(fails)
+        rep.add(name, False, wit if isinstance(wit, str) else wit(k))
+    else:
+        rep.add(name, True)
 
 
 def check_axioms(pkg):
-    """Run every Hopf, relative-(co)integral, compatibility and handleslide
-    identity exhaustively over the basis.  Failures carry a witness tuple."""
-    alg = pkg.algebra
-    rep = Report()
-    D = alg.dim
-    idx = range(D)
-    par = alg.parity
-
-    def basis(i):
-        return {i: 1}
-
-    # parity compatibility of the structure maps
-    ok, wit = True, ""
-    for i in idx:
-        for j in idx:
-            for k, c in alg.mul_sc.get((i, j), {}).items():
-                if c and par[k] != (par[i] + par[j]) % 2:
-                    ok, wit = False, f"m({alg.label(i)},{alg.label(j)})"
-        for (j, k), c in alg.comul_sc.get(i, {}).items():
-            if c and (par[j] + par[k]) % 2 != par[i]:
-                ok, wit = False, f"Delta({alg.label(i)})"
-        for j, c in alg.antipode_sc.get(i, {}).items():
-            if c and par[j] != par[i]:
-                ok, wit = False, f"S({alg.label(i)})"
-        if par[i] == 1 and alg.counit_vec[i] != 0:
-            ok, wit = False, f"eps({alg.label(i)})"
-    rep.add("parity-compatibility", ok, wit)
-
-    # associativity / unitality
-    ok, wit = True, ""
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                lhs = alg.mul(alg.mul(basis(i), basis(j)), basis(k))
-                rhs = alg.mul(basis(i), alg.mul(basis(j), basis(k)))
-                if lhs != rhs:
-                    ok, wit = False, f"({alg.label(i)},{alg.label(j)},{alg.label(k)})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("associativity", ok, wit)
-
-    ok = all(alg.mul(alg.unit(), basis(i)) == basis(i)
-             and alg.mul(basis(i), alg.unit()) == basis(i) for i in idx)
-    rep.add("unitality", ok)
-
-    # coassociativity / counitality
-    ok, wit = True, ""
-    for i in idx:
-        lhs, rhs = {}, {}
-        for (j, k), c in alg.comul_sc.get(i, {}).items():
-            for (a, b), d in alg.comul_sc.get(j, {}).items():
-                _add_term(lhs, (a, b, k), c * d)
-            for (a, b), d in alg.comul_sc.get(k, {}).items():
-                _add_term(rhs, (j, a, b), c * d)
-        if lhs != rhs:
-            ok, wit = False, alg.label(i)
-            break
-    rep.add("coassociativity", ok, wit)
-
-    ok, wit = True, ""
-    for i in idx:
-        left, right = {}, {}
-        for (j, k), c in alg.comul_sc.get(i, {}).items():
-            _add_term(left, k, c * alg.counit_vec[j])
-            _add_term(right, j, c * alg.counit_vec[k])
-        if left != basis(i) or right != basis(i):
-            ok, wit = False, alg.label(i)
-            break
-    rep.add("counitality", ok, wit)
-
-    # bialgebra axiom with the Koszul sign:
-    # Delta(xy) = sum (-1)^{|x2||y1|} x1*y1 (x) x2*y2
-    ok, wit = True, ""
-    for i in idx:
-        for j in idx:
-            lhs = alg.comul(alg.mul(basis(i), basis(j)))
-            rhs = {}
-            for (i1, i2), c in alg.comul_sc.get(i, {}).items():
-                for (j1, j2), d in alg.comul_sc.get(j, {}).items():
-                    sign = -1 if par[i2] and par[j1] else 1
-                    first = alg.mul(basis(i1), basis(j1))
-                    second = alg.mul(basis(i2), basis(j2))
-                    for (a, ca) in first.items():
-                        for (b, cb) in second.items():
-                            _add_term(rhs, (a, b), sign * c * d * ca * cb)
-            if lhs != rhs:
-                ok, wit = False, f"({alg.label(i)},{alg.label(j)})"
-                break
-        if not ok:
-            break
-    rep.add("bialgebra", ok, wit)
-
-    # counit and unit are (co)algebra morphisms
-    ok = all(alg.counit(alg.mul(basis(i), basis(j)))
-             == alg.counit_vec[i] * alg.counit_vec[j]
-             for i in idx for j in idx)
-    ok = ok and alg.comul(alg.unit()) == {(alg.unit_index, alg.unit_index): 1}
-    ok = ok and alg.counit(alg.unit()) == 1
-    rep.add("unit/counit morphisms", ok)
-
-    # antipode axiom and involutivity
-    ok, wit = True, ""
-    for i in idx:
-        left, right = {}, {}
-        for (j, k), c in alg.comul_sc.get(i, {}).items():
-            for (a, ca) in alg.antipode(basis(j)).items():
-                for b, cb in alg.mul(basis(a), basis(k)).items():
-                    _add_term(left, b, c * ca * cb)
-            for (a, ca) in alg.antipode(basis(k)).items():
-                for b, cb in alg.mul(basis(j), basis(a)).items():
-                    _add_term(right, b, c * ca * cb)
-        target = {alg.unit_index: alg.counit_vec[i]} if alg.counit_vec[i] else {}
-        if left != target or right != target:
-            ok, wit = False, alg.label(i)
-            break
-    rep.add("antipode", ok, wit)
-
-    ok, wit = True, ""
-    for i in idx:
-        if alg.antipode(alg.antipode(basis(i))) != basis(i):
-            ok, wit = False, alg.label(i)
-            break
-    rep.add("involutivity S^2 = id", ok, wit)
-
-    _check_integral(pkg, rep)
-    _check_cointegral(pkg, rep)
-    _check_compatibility(pkg, rep)
-    _check_handleslide_identities(pkg, rep)
-    return rep
-
-
-def _check_integral(pkg, rep):
-    alg, integ = pkg.algebra, pkg.integral
-    D, par = alg.dim, alg.parity
-    nb = len(integ.b_basis)
-
-    ok = all(_b_coords(pkg, integ.apply(integ.i_b, {p: 1})) is not None
-             for p in range(nb))
-    ok = ok and all(
-        integ.apply(integ.pi_b, integ.apply(integ.i_b, {p: 1})) == {p: 1}
-        for p in range(nb))
-    rep.add("pi_B o i_B = id_B", ok)
-
-    # centrality of i_B(B):  i_B(b) x = (-1)^{|b||x|} x i_B(b)
-    ok, wit = True, ""
-    for p in range(nb):
-        eb = integ.apply(integ.i_b, {p: 1})
-        pb = alg.elem_parity(eb) or 0
-        for i in range(D):
-            sign = -1 if pb and par[i] else 1
-            lhs = alg.mul(eb, {i: 1})
-            rhs = {k: sign * c for k, c in alg.mul({i: 1}, eb).items()}
-            if lhs != rhs:
-                ok, wit = False, f"(b_{p},{alg.label(i)})"
-                break
-        if not ok:
-            break
-    rep.add("i_B(B) central", ok, wit)
-
-    # B-linearity:  mu(i_B(b) x) = b * mu(x) in B
-    ok, wit = True, ""
-    for p in range(nb):
-        eb = integ.apply(integ.i_b, {p: 1})
-        for i in range(D):
-            lhs = integ.apply(integ.mu, alg.mul(eb, {i: 1}))
-            rhs = {}
-            for q, c in integ.apply(integ.mu, {i: 1}).items():
-                prod = alg.mul(eb, integ.apply(integ.i_b, {q: 1}))
-                bc = _b_coords(pkg, prod)
-                if bc is None:
-                    ok, wit = False, "product left B"
-                    break
-                for r, d in bc.items():
-                    _add_term(rhs, r, c * d)
-            if not ok or lhs != rhs:
-                ok = ok and lhs == rhs
-                wit = wit or f"(b_{p},{alg.label(i)})"
-                break
-        if not ok:
-            break
-    rep.add("mu is B-linear", ok, wit)
-
-    # relative integral relation: (mu (x) id) Delta = (id (x) i_B) Delta_B mu
-    ok, wit = True, ""
-    for i in range(D):
-        lhs = {}
-        for (j, k), c in alg.comul_sc.get(i, {}).items():
-            for q, d in integ.apply(integ.mu, {j: 1}).items():
-                _add_term(lhs, (q, k), c * d)
-        rhs = {}
-        for q, c in integ.apply(integ.mu, {i: 1}).items():
-            hb = integ.apply(integ.i_b, {q: 1})
-            for (j, k), d in alg.comul(hb).items():
-                jb = _b_coords(pkg, {j: 1})
-                if jb is None:
-                    ok, wit = False, "Delta_B left B (x) B"
-                    break
-                for r, e in jb.items():
-                    _add_term(rhs, (r, k), c * d * e)
-        if not ok or lhs != rhs:
-            ok = ok and lhs == rhs
-            wit = wit or pkg.algebra.label(i)
-            break
-    rep.add("relative integral relation", ok, wit)
-
-
-def _check_cointegral(pkg, rep):
-    alg, coint = pkg.algebra, pkg.cointegral
-    D = alg.dim
-    na = len(coint.a_basis)
-
-    ok = all(
-        coint.apply(coint.pi_a, coint.apply(coint.i_a, {p: 1})) == {p: 1}
-        for p in range(na))
-    rep.add("pi_A o i_A = id_A", ok)
-
-    # cocentrality: (pi_A (x) id) Delta = (pi_A (x) id) Delta^op
-    ok, wit = True, ""
-    for i in range(D):
-        lhs, rhs = {}, {}
-        for (j, k), c in alg.comul_sc.get(i, {}).items():
-            for p, d in coint.apply(coint.pi_a, {j: 1}).items():
-                _add_term(lhs, (p, k), c * d)
-            sign = -1 if alg.parity[j] and alg.parity[k] else 1
-            for p, d in coint.apply(coint.pi_a, {k: 1}).items():
-                _add_term(rhs, (p, j), sign * c * d)
-        if lhs != rhs:
-            ok, wit = False, alg.label(i)
-            break
-    rep.add("pi_A cocentral", ok, wit)
-
-    # A-colinearity: (pi_A (x) id) Delta iota = (id (x) iota) Delta_A
-    ok, wit = True, ""
-    for p in range(na):
-        lhs = {}
-        for i, c in coint.apply(coint.iota, {p: 1}).items():
-            for (j, k), d in alg.comul_sc.get(i, {}).items():
-                for q, e in coint.apply(coint.pi_a, {j: 1}).items():
-                    _add_term(lhs, (q, k), c * d * e)
-        rhs = {}
-        ha = coint.apply(coint.i_a, {p: 1})
-        for (j, k), c in alg.comul(ha).items():
-            ja = _a_coords(pkg, {j: 1})
-            ka = _a_coords(pkg, {k: 1})
-            if ja is None or ka is None:
-                ok, wit = False, "Delta_A left A (x) A"
-                break
-            for q, d in ja.items():
-                for r, e in ka.items():
-                    for h, f in coint.apply(coint.iota, {r: 1}).items():
-                        _add_term(rhs, (q, h), c * d * e * f)
-        if not ok or lhs != rhs:
-            ok = ok and lhs == rhs
-            wit = wit or f"a_{p}"
-            break
-    rep.add("iota is A-colinear", ok, wit)
-
-    # relative cointegral relation: iota(a) x = iota(a * pi_A(x))
-    ok, wit = True, ""
-    for p in range(na):
-        ia = coint.apply(coint.iota, {p: 1})
-        for i in range(D):
-            lhs = alg.mul(ia, {i: 1})
-            rhs = {}
-            ea = coint.apply(coint.i_a, {p: 1})
-            for q, c in coint.apply(coint.pi_a, {i: 1}).items():
-                prod = alg.mul(ea, coint.apply(coint.i_a, {q: 1}))
-                ac = _a_coords(pkg, prod)
-                if ac is None:
-                    ok, wit = False, "product left A"
-                    break
-                for r, d in ac.items():
-                    for h, e in coint.apply(coint.iota, {r: 1}).items():
-                        _add_term(rhs, h, c * d * e)
-            if not ok or lhs != rhs:
-                ok = ok and lhs == rhs
-                wit = wit or f"(a_{p},{alg.label(i)})"
-                break
-        if not ok:
-            break
-    rep.add("relative cointegral relation", ok, wit)
-
-
-def _delta_astar(pkg, x):
-    """Delta_{a*}(x) = sum a*(pi_A(x_(1))) x_(2), as {(exponent, idx): c}.
-
-    The a*-value is kept as a formal exponent in Z/astar_order, so the
-    comparison stays integer-exact.
-    """
-    alg, coint = pkg.algebra, pkg.cointegral
-    out = {}
-    for i, ci in x.items():
-        for (j, k), c in alg.comul_sc.get(i, {}).items():
-            for p, d in coint.apply(coint.pi_a, {j: 1}).items():
-                e = coint.astar_exps[p] % coint.astar_order
-                _add_term(out, (e, k), ci * c * d)
-    return out
-
-
-def _check_compatibility(pkg, rep):
+    """Every Hopf, relative-(co)integral, compatibility and handleslide
+    identity as equations between composites of the structure maps, over
+    the whole basis.  A map into B or A is read in coordinates there; that
+    it lands in B or A is one more equation, with a fixed witness."""
     alg, integ, coint = pkg.algebra, pkg.integral, pkg.cointegral
-    D, par = alg.dim, alg.parity
-    eb = integ.apply(integ.i_b, {integ.glike_b: 1})
+    rep, par = Report(), alg.parity
+    m, dl, s, i_b, mu, pi_b, iota, i_a, pi_a = map(legged, (
+        alg.mul_sc, alg.comul_sc, alg.antipode_sc, integ.i_b, integ.mu,
+        integ.pi_b, coint.iota, coint.i_a, coint.pi_a))
+    ident = {(i,): {(i,): 1} for i in range(alg.dim)}
+    grade = {(i,): {(i,): -1 if p else 1} for i, p in enumerate(par)}
+    eps = {(i,): {(): c} for i, c in enumerate(alg.counit_vec) if c}
+    eta = {(): {(alg.unit_index,): 1}}
+    tau = koszul(par, par)
+    # coordinates cB, cA on B and A, projections PB, PA onto their spans
+    cB = {(h,): {(p,): 1} for p, h in enumerate(integ.b_basis)}
+    cA = {(h,): {(p,): 1} for p, h in enumerate(coint.a_basis)}
+    PB, PA = ({(h,): {(h,): 1} for (h,) in c} for c in (cB, cA))
+    id_b, id_a = ({(p,): {(p,): 1} for p in range(len(basis))}
+                  for basis in (integ.b_basis, coint.a_basis))
+    H, A, B = alg.label, (lambda p: f"a_{p}"), (lambda p: f"b_{p}")
 
-    def s_b(x):
-        bc = _b_coords(pkg, alg.antipode(integ.apply(integ.i_b, x)))
-        return bc
-
-    # (1)  mu(b x) = (-1)^{deg mu} S_B mu S_H(x)
-    ok, wit = True, ""
-    sign = -1 if integ.mu_parity else 1
-    for i in range(D):
-        lhs = integ.apply(integ.mu, alg.mul(eb, {i: 1}))
-        rhs0 = integ.apply(integ.mu, alg.antipode({i: 1}))
-        rhs = s_b(rhs0)
-        if rhs is None:
-            ok, wit = False, "S_B left B"
+    _check(rep, "parity-compatibility",
+           (compose(grade, m), compose(m, tensor(grade, grade)),
+            _names(H, H, head="m")),
+           (compose(grade, compose(grade, dl), 1), compose(dl, grade),
+            _names(H, head="Delta")),
+           (compose(grade, s), compose(s, grade), _names(H, head="S")),
+           (compose(eps, grade), eps, _names(H, head="eps")))
+    # associativity as m (L_i (x) id) = L_i m for each left multiplication
+    # L_i = m (e_i (x) -), one i at a time: an equation over all triples
+    # would hold D^3 columns, tens of MiB at D = 32
+    wit = ""
+    for i in range(alg.dim):
+        l_i = compose(m, tensor({(): {(i,): 1}}, ident))
+        k = first_difference(compose(m, tensor(l_i, ident)), compose(l_i, m))
+        if k is not None:
+            wit = _names(H, H, H)((i,) + k)
             break
-        rhs = {k: sign * c for k, c in rhs.items()}
-        if lhs != rhs:
-            ok, wit = False, alg.label(i)
-            break
-    rep.add("compatibility (1): mu o m_b = (-1)^{|mu|} S_B mu S_H", ok, wit)
+    rep.add("associativity", not wit, wit)
+    _check(rep, "unitality", (compose(m, tensor(eta, ident)), ident, ""),
+           (compose(m, tensor(ident, eta)), ident, ""))
+    _check(rep, "coassociativity",
+           (compose(dl, dl), compose(dl, dl, 1), _names(H)))
+    _check(rep, "counitality", (compose(eps, dl), ident, _names(H)),
+           (compose(eps, dl, 1), ident, _names(H)))
+    # Delta(xy) = sum (-1)^{|x2||y1|} x1*y1 (x) x2*y2
+    _check(rep, "bialgebra", (compose(dl, m), compose(m, compose(
+        m, compose(tau, tensor(dl, dl), 1), 2)), _names(H, H)))
+    _check(rep, "unit/counit morphisms",
+           (compose(eps, m), tensor(eps, eps), ""),
+           (compose(dl, eta), tensor(eta, eta), ""),
+           (compose(eps, eta), {(): {(): 1}}, ""))
+    _check(rep, "antipode",
+           (compose(m, compose(s, dl)), compose(eta, eps), _names(H)),
+           (compose(m, compose(s, dl, 1)), compose(eta, eps), _names(H)))
+    _check(rep, "involutivity S^2 = id", (compose(s, s), ident, _names(H)))
 
-    # (2)  Delta_{a*} iota = (-1)^{deg iota} S_H iota S_A     (maps A -> H)
-    ok, wit = True, ""
-    sign = -1 if coint.iota_parity else 1
-    for p in range(len(coint.a_basis)):
-        lhs = _delta_astar(pkg, coint.apply(coint.iota, {p: 1}))
-        sa = _a_coords(pkg, alg.antipode(coint.apply(coint.i_a, {p: 1})))
-        if sa is None:
-            ok, wit = False, "S_A left A"
-            break
-        rhs = {}
-        for q, c in sa.items():
-            for h, d in alg.antipode(coint.apply(coint.iota, {q: 1})).items():
-                _add_term(rhs, (0, h), sign * c * d)
-        if lhs != rhs:
-            ok, wit = False, f"a_{p}"
-            break
-    rep.add("compatibility (2): Delta_a* iota = (-1)^{|iota|} S iota S_A",
-            ok, wit)
+    _check(rep, "pi_B o i_B = id_B", (compose(PB, i_b), i_b, ""),
+           (compose(pi_b, i_b), id_b, ""))
+    # i_B(b) x = (-1)^{|b||x|} x i_B(b) and mu(i_B(b) x) = b * mu(x) in B
+    b_x = tensor(i_b, ident)
+    _check(rep, "i_B(B) central",
+           (compose(m, b_x), compose(m, compose(tau, b_x)), _names(B, H)))
+    prod = compose(m, tensor(i_b, compose(i_b, mu)))
+    _check(rep, "mu is B-linear", (compose(PB, prod), prod, "product left B"),
+           (compose(mu, compose(m, b_x)), compose(cB, prod), _names(B, H)))
+    # (mu (x) id) Delta = (id (x) i_B) Delta_B mu
+    d_b = compose(dl, compose(i_b, mu))
+    _check(rep, "relative integral relation",
+           (compose(PB, d_b), d_b, "Delta_B left B (x) B"),
+           (compose(mu, dl), compose(cB, d_b), _names(H)))
 
-    # (3)  mu m^op = mu m (id (x) Delta_{a*})     (maps H (x) H -> B)
-    ok, wit = True, ""
-    for i in range(D):
-        for j in range(D):
-            sgn = -1 if par[i] and par[j] else 1
-            lhs = {(0, k): sgn * c for k, c in
-                   integ.apply(integ.mu, alg.mul({j: 1}, {i: 1})).items()}
-            rhs = {}
-            for (e, k), c in _delta_astar(pkg, {j: 1}).items():
-                for q, d in integ.apply(integ.mu,
-                                        alg.mul({i: 1}, {k: 1})).items():
-                    _add_term(rhs, (e, q), c * d)
-            if lhs != rhs:
-                ok, wit = False, f"({alg.label(i)},{alg.label(j)})"
-                break
-        if not ok:
-            break
-    rep.add("compatibility (3): trace property of mu", ok, wit)
+    _check(rep, "pi_A o i_A = id_A", (compose(pi_a, i_a), id_a, ""))
+    _check(rep, "pi_A cocentral",
+           (compose(pi_a, dl), compose(pi_a, compose(tau, dl)), _names(H)))
+    # (pi_A (x) id) Delta iota = (id (x) iota) Delta_A
+    d_a = compose(dl, i_a)
+    _check(rep, "iota is A-colinear",
+           (compose(PA, compose(PA, d_a), 1), d_a, "Delta_A left A (x) A"),
+           (compose(pi_a, compose(dl, iota)),
+            compose(iota, compose(cA, compose(cA, d_a), 1), 1), _names(A)))
+    # iota(a) x = iota(a * pi_A(x))
+    prod = compose(m, tensor(i_a, compose(i_a, pi_a)))
+    _check(rep, "relative cointegral relation",
+           (compose(PA, prod), prod, "product left A"),
+           (compose(m, tensor(iota, ident)), compose(iota, compose(cA, prod)),
+            _names(A, H)))
 
-    # (4)  Delta^op iota = (id (x) m_b) Delta iota    (maps A -> H (x) H)
-    ok, wit = True, ""
-    for p in range(len(coint.a_basis)):
-        it = coint.apply(coint.iota, {p: 1})
-        lhs, rhs = {}, {}
-        for i, ci in it.items():
-            for (j, k), c in alg.comul_sc.get(i, {}).items():
-                sgn = -1 if par[j] and par[k] else 1
-                _add_term(lhs, (k, j), sgn * ci * c)
-                for q, d in alg.mul(eb, {k: 1}).items():
-                    _add_term(rhs, (j, q), ci * c * d)
-        if lhs != rhs:
-            ok, wit = False, f"a_{p}"
-            break
-    rep.add("compatibility (4): cotrace property of iota", ok, wit)
+    # b is the distinguished group-like of B; the values of the character
+    # a* of A are kept as exponents in Z/astar_order, (0,) being 1
+    b = compose(i_b, {(): {(integ.glike_b,): 1}})
+    left_b = compose(m, tensor(b, ident))
+    dl_astar = compose({(p,): {(e % coint.astar_order,): 1}
+                        for p, e in enumerate(coint.astar_exps)},
+                       compose(pi_a, dl))
+    sign_mu = {(): {(): -1 if integ.mu_parity else 1}}
+    sign_iota = {(): {(0,): -1 if coint.iota_parity else 1}}
+    s_b = compose(s, compose(i_b, compose(mu, s)))
+    _check(rep, "compatibility (1): mu o m_b = (-1)^{|mu|} S_B mu S_H",
+           (compose(PB, s_b), s_b, "S_B left B"),
+           (compose(mu, left_b), tensor(sign_mu, compose(cB, s_b)),
+            _names(H)))
+    s_a = compose(s, i_a)
+    _check(rep, "compatibility (2): Delta_a* iota = (-1)^{|iota|} S iota S_A",
+           (compose(PA, s_a), s_a, "S_A left A"),
+           (compose(dl_astar, iota), tensor(sign_iota, compose(
+               s, compose(iota, compose(cA, s_a)))), _names(A)))
+    # mu m^op = mu m (id (x) Delta_a*), the a* exponent flipped to the front
+    mu_m = compose(mu, m)
+    flip = koszul(par, (0,) * coint.astar_order)
+    _check(rep, "compatibility (3): trace property of mu",
+           (tensor({(): {(0,): 1}}, compose(mu_m, tau)),
+            compose(mu_m, compose(flip, tensor(ident, dl_astar)), 1),
+            _names(H, H)))
+    # Delta^op iota = (id (x) m_b) Delta iota
+    dl_iota = compose(dl, iota)
+    _check(rep, "compatibility (4): cotrace property of iota",
+           (compose(tau, dl_iota), compose(left_b, dl_iota, 1), _names(A)))
+    _check(rep, "compatibility (5): pi_B i_A = eta_B eps_A",
+           (compose(pi_b, i_a),
+            compose(cB, compose(eta, compose(eps, i_a))), _names(A)))
+    unit_a = {(): {(pkg.unit_a,): 1}}
+    value = tensor({(): {(): coint.iota_prefactor}}, compose(
+        eps, compose(i_b, compose(mu, compose(iota, unit_a)))))
+    _check(rep, "compatibility (6): eps_B mu iota eta_A = 1",
+           (value, {(): {(): 1}}, f"value {value.get((), {}).get((), 0)}"))
 
-    # (5)  pi_B i_A = eta_B eps_A
-    ok, wit = True, ""
-    for p in range(len(coint.a_basis)):
-        lhs = integ.apply(integ.pi_b, coint.apply(coint.i_a, {p: 1}))
-        ea = alg.counit(coint.apply(coint.i_a, {p: 1}))
-        unit_b = _b_coords(pkg, alg.unit())
-        rhs = {k: ea * c for k, c in unit_b.items()} if ea else {}
-        if lhs != rhs:
-            ok, wit = False, f"a_{p}"
-            break
-    rep.add("compatibility (5): pi_B i_A = eta_B eps_A", ok, wit)
-
-    # (6)  eps_B mu iota eta_A = 1   (with the iota prefactor applied)
-    unit_a = 0   # position of 1_A: i_A(pos) = unit of H
-    for p in range(len(coint.a_basis)):
-        if coint.apply(coint.i_a, {p: 1}) == alg.unit():
-            unit_a = p
-            break
-    val = 0
-    for q, c in integ.apply(
-            integ.mu, coint.apply(coint.iota, {unit_a: 1})).items():
-        val += c * alg.counit(integ.apply(integ.i_b, {q: 1}))
-    rep.add("compatibility (6): eps_B mu iota eta_A = 1",
-            val * coint.iota_prefactor == 1,
-            f"value {val * coint.iota_prefactor}")
-
-
-def _check_handleslide_identities(pkg, rep):
-    """The three identities behind curve-curve, arc-curve and arc-arc
-    handlesliding, checked on all pairs of A-basis elements."""
-    alg, coint = pkg.algebra, pkg.cointegral
-    na = len(coint.a_basis)
-
-    def f_map(tag):
-        return coint.iota if tag == "iota" else coint.i_a
-
+    # (m (x) id)(f1 (x) Delta f2) = (f1 (x) f2)(m_A (x) id)(id (x) Delta_A)
+    # on A (x) A, for f1, f2 among iota and i_A
+    pairs = tensor(id_a, d_a)
+    prod = compose(m, compose(i_a, compose(i_a, compose(cA, pairs, 1), 1)))
+    maps = {"iota": iota, "i_A": i_a}
     for tag1, tag2 in (("iota", "iota"), ("iota", "i_A"), ("i_A", "i_A")):
-        f1, f2 = f_map(tag1), f_map(tag2)
-        ok, wit = True, ""
-        for p in range(na):
-            for q in range(na):
-                lhs = {}
-                x1 = coint.apply(f1, {p: 1})
-                for i, ci in coint.apply(f2, {q: 1}).items():
-                    for (j, k), c in alg.comul_sc.get(i, {}).items():
-                        for h, d in alg.mul(x1, {j: 1}).items():
-                            _add_term(lhs, (h, k), ci * c * d)
-                rhs = {}
-                ha = coint.apply(coint.i_a, {q: 1})
-                for (j, k), c in alg.comul(ha).items():
-                    ja, ka = _a_coords(pkg, {j: 1}), _a_coords(pkg, {k: 1})
-                    if ja is None or ka is None:
-                        ok, wit = False, "Delta_A left A (x) A"
-                        break
-                    for r, d in ja.items():
-                        prod = alg.mul(coint.apply(coint.i_a, {p: 1}),
-                                       coint.apply(coint.i_a, {r: 1}))
-                        pa = _a_coords(pkg, prod)
-                        if pa is None:
-                            ok, wit = False, "m_A left A"
-                            break
-                        for s, e in pa.items():
-                            for h, f in coint.apply(f1, {s: 1}).items():
-                                for t, g in ka.items():
-                                    for h2, f2c in coint.apply(
-                                            f2, {t: 1}).items():
-                                        _add_term(rhs, (h, h2),
-                                                  c * d * e * f * g * f2c)
-                if not ok or lhs != rhs:
-                    ok = ok and lhs == rhs
-                    wit = wit or f"(a_{p},a_{q})"
-                    break
-            if not ok:
-                break
-        rep.add(f"handleslide identity ({tag1},{tag2})", ok, wit)
+        f1, f2 = maps[tag1], maps[tag2]
+        _check(rep, f"handleslide identity ({tag1},{tag2})",
+               (compose(PA, compose(PA, pairs, 1), 2), pairs,
+                "Delta_A left A (x) A"),
+               (compose(PA, prod), prod, "m_A left A"),
+               (compose(m, tensor(f1, compose(dl, f2))), compose(
+                   f2, compose(cA, compose(f1, compose(cA, prod)), 1), 1),
+                _names(A, A)))
+    return rep

@@ -15,7 +15,8 @@ from .algebra import build_cyclic_group_algebra, build_hn, check_axioms
 from .diagram import (enumerate_multipoints, multipoint_permutation,
                       parse_diagram, serialize_diagram, validate)
 from .errors import SuturantError
-from .foxcalc import GroupRingElement, all_characters, homology
+from .foxcalc import (GroupRingElement, all_characters, class_equal,
+                      homology)
 from .invariant import (OrientationSign, SpincRelative, invariant_hn,
                         torsion_class)
 from .kuperberg import CharacterAssignment, contract
@@ -25,6 +26,17 @@ from .moves import apply_move, parse_move_script
 def _load(path):
     with open(path, encoding="utf-8") as fh:
         return parse_diagram(fh.read())
+
+
+def _load_valid(path):
+    """The parsed diagram, or None after its failed validation report has
+    gone to stderr."""
+    diag = _load(path)
+    rep = validate(diag)
+    if rep.passed:
+        return diag
+    print(rep, file=sys.stderr)
+    return None
 
 
 def _coord_name(group, t):
@@ -111,10 +123,8 @@ def cmd_multipoints(args):
 
 
 def cmd_compute(args):
-    diag = _load(args.file)
-    rep = validate(diag)
-    if not rep.passed:
-        print(rep, file=sys.stderr)
+    diag = _load_valid(args.file)
+    if diag is None:
         return 1
     group = homology(diag)
 
@@ -184,20 +194,19 @@ def _emit(value, args):
 
 
 def cmd_class(args):
-    diag = _load(args.file)
-    rep = validate(diag)
-    if not rep.passed:
-        print(rep, file=sys.stderr)
+    diag = _load_valid(args.file)
+    if diag is None:
         return 1
     print(f"class: {torsion_class(diag)}")
     return 0
 
 
 def cmd_compare(args):
-    a = torsion_class(_load(args.file1))
-    b = torsion_class(_load(args.file2))
-    if a.group.same_shape(b.group) and \
-            a.representative.terms == b.representative.terms:
+    da, db = _load_valid(args.file1), _load_valid(args.file2)
+    if da is None or db is None:
+        return 1
+    a, b = torsion_class(da), torsion_class(db)
+    if a.group.same_shape(b.group) and class_equal(a, b):
         print("EQUAL")
         return 0
     print("DIFFER")

@@ -20,8 +20,8 @@ File format (UTF-8, line oriented, ``#`` starts a comment):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import (DuplicateIdError, InvalidMultipointError,
                      ParseError, UnknownCurveError)
@@ -93,17 +93,28 @@ class ExtendedDiagram:
 
     # -- lookups ----------------------------------------------------------
 
+    @cached_property
+    def curve_index(self):
+        """id -> curve, built on first use (not a field: equality and
+        hashing stay those of the fields)."""
+        return {c.id: c for c in self.curves}
+
+    @cached_property
+    def crossing_index(self):
+        """id -> crossing, built on first use."""
+        return {x.id: x for x in self.crossings}
+
     def curve(self, cid):
-        for c in self.curves:
-            if c.id == cid:
-                return c
-        raise UnknownCurveError(cid)
+        try:
+            return self.curve_index[cid]
+        except KeyError:
+            raise UnknownCurveError(cid) from None
 
     def crossing(self, xid):
-        for x in self.crossings:
-            if x.id == xid:
-                return x
-        raise UnknownCurveError(f"crossing {xid}")
+        try:
+            return self.crossing_index[xid]
+        except KeyError:
+            raise UnknownCurveError(f"crossing {xid}") from None
 
     def family(self, fam, topology=None):
         return tuple(c for c in self.curves if c.family == fam
@@ -214,7 +225,6 @@ def serialize_diagram(diag):
 
 def validate(diag):
     rep = Report()
-    xmap = {x.id: x for x in diag.crossings}
 
     rep.add("Balanced", len(diag.closed_alphas) == len(diag.closed_betas),
             f"{len(diag.closed_alphas)} closed alpha vs "
@@ -237,10 +247,10 @@ def validate(diag):
         for c in diag.family(fam):
             seen = set()
             for xid in c.order:
-                if xid not in xmap:
+                if xid not in diag.crossing_index:
                     ok_membership, wit = False, f"{xid} on {c.id}"
                     continue
-                if getattr(xmap[xid], side) != c.id:
+                if getattr(diag.crossing(xid), side) != c.id:
                     ok_membership, wit = False, f"{xid} not on {c.id}"
                 if xid in seen:
                     ok_membership, wit = False, f"{xid} repeated on {c.id}"
@@ -270,7 +280,6 @@ def validate(diag):
 # ---------------------------------------------------------------------------
 
 def _check_multipoint(diag, mp):
-    xmap = {x.id: x for x in diag.crossings}
     alphas = [c.id for c in diag.closed_alphas]
     betas = {c.id for c in diag.closed_betas}
     if len(mp.picks) != len(alphas):
@@ -278,9 +287,9 @@ def _check_multipoint(diag, mp):
             f"{len(mp.picks)} picks for {len(alphas)} closed alpha curves")
     seen_a, seen_b = set(), set()
     for xid in mp.picks:
-        if xid not in xmap:
+        if xid not in diag.crossing_index:
             raise InvalidMultipointError(f"unknown crossing {xid}")
-        x = xmap[xid]
+        x = diag.crossing(xid)
         if x.alpha not in alphas or x.beta not in betas:
             raise InvalidMultipointError(f"{xid} not on closed curves")
         if x.alpha in seen_a or x.beta in seen_b:
@@ -291,12 +300,11 @@ def _check_multipoint(diag, mp):
 
 def multipoint_permutation(diag, mp):
     """The induced map: closed-alpha position -> closed-beta position."""
-    xmap = {x.id: x for x in diag.crossings}
     apos = {c.id: i for i, c in enumerate(diag.closed_alphas)}
     bpos = {c.id: i for i, c in enumerate(diag.closed_betas)}
     sigma = [None] * len(apos)
     for xid in mp.picks:
-        x = xmap[xid]
+        x = diag.crossing(xid)
         sigma[apos[x.alpha]] = bpos[x.beta]
     return tuple(sigma)
 
@@ -328,15 +336,20 @@ def enumerate_multipoints(diag):
 def multipoint_sign(diag, mp):
     """Product of the pick signs times the sign of the induced permutation."""
     _check_multipoint(diag, mp)
-    xmap = {x.id: x for x in diag.crossings}
-    sgn = 1
+    sgn = perm_sign(multipoint_permutation(diag, mp))
     for xid in mp.picks:
-        sgn *= xmap[xid].sign
-    sigma = multipoint_permutation(diag, mp)
-    for i, j in itertools.combinations(range(len(sigma)), 2):
-        if sigma[i] > sigma[j]:
-            sgn = -sgn
+        sgn *= diag.crossing(xid).sign
     return sgn
+
+
+def perm_sign(seq):
+    """(-1) to the number of inversions of a sequence of distinct values."""
+    sign = 1
+    for i, a in enumerate(seq):
+        for b in seq[i + 1:]:
+            if a > b:
+                sign = -sign
+    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +370,9 @@ def rebase(diag, mp):
     """Diagram rotated so each closed curve's list starts at the basepoint
     determined by the multipoint.  Idempotent for the same multipoint."""
     _check_multipoint(diag, mp)
-    xmap = {x.id: x for x in diag.crossings}
     pick_of = {}
     for xid in mp.picks:
-        x = xmap[xid]
+        x = diag.crossing(xid)
         pick_of[x.alpha] = x
         pick_of[x.beta] = x
     curves = []
@@ -383,9 +395,8 @@ def alpha_word(diag, alpha_id):
     c = diag.curve(alpha_id)
     if c.family != "alpha":
         raise UnknownCurveError(f"{alpha_id} is not an alpha curve")
-    xmap = {x.id: x for x in diag.crossings}
-    return FreeWord(tuple((xmap[xid].beta, xmap[xid].sign)
-                          for xid in c.order))
+    xs = [diag.crossing(xid) for xid in c.order]
+    return FreeWord(tuple((x.beta, x.sign) for x in xs))
 
 
 def beta_word(diag, beta_id):
@@ -393,9 +404,8 @@ def beta_word(diag, beta_id):
     c = diag.curve(beta_id)
     if c.family != "beta":
         raise UnknownCurveError(f"{beta_id} is not a beta curve")
-    xmap = {x.id: x for x in diag.crossings}
-    return FreeWord(tuple((xmap[xid].alpha, -xmap[xid].sign)
-                          for xid in c.order))
+    xs = [diag.crossing(xid) for xid in c.order]
+    return FreeWord(tuple((x.alpha, -x.sign) for x in xs))
 
 
 def epsilon_class(diag, mp_x, mp_y):
@@ -405,11 +415,11 @@ def epsilon_class(diag, mp_x, mp_y):
     relative classes."""
     _check_multipoint(diag, mp_x)
     _check_multipoint(diag, mp_y)
-    xmap = {x.id: x for x in diag.crossings}
     pick_on = {}
     for mp, slot in ((mp_x, 0), (mp_y, 1)):
         for xid in mp.picks:
-            pick_on.setdefault(xmap[xid].alpha, [None, None])[slot] = xmap[xid]
+            x = diag.crossing(xid)
+            pick_on.setdefault(x.alpha, [None, None])[slot] = x
     letters = []
     for c in diag.closed_alphas:
         px, py = pick_on[c.id]
@@ -418,7 +428,7 @@ def epsilon_class(diag, mp_x, mp_y):
         stop = c.order.index(py.id) + (0 if py.sign > 0 else 1)
         k = len(c.order)
         for t in range(start, start + (stop - start) % k):
-            x = xmap[c.order[t % k]]
+            x = diag.crossing(c.order[t % k])
             letters.append((x.beta, x.sign))
     return FreeWord(tuple(letters))
 
@@ -441,20 +451,22 @@ def intersection_matrix(diag):
 
 
 def _int_det(mat):
-    n = len(mat)
-    if n == 0:
-        return 1
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sgn = 1
-        for i, j in itertools.combinations(range(n), 2):
-            if perm[i] > perm[j]:
-                sgn = -sgn
-        prod = sgn
-        for i in range(n):
-            prod *= mat[i][perm[i]]
-        total += prod
-    return total
+    """Fraction-free Gaussian elimination (Bareiss 1968): every division
+    is exact, and a zero pivot is swapped with a lower row."""
+    a = [list(row) for row in mat]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 def canonical_sign(diag):

@@ -19,6 +19,7 @@ recursive product rule lives in the test suite as an independent oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .cyclotomic import CyclotomicScalar
@@ -463,17 +464,16 @@ def multipoint_expansion(diag, group=None):
     """
     from .diagram import enumerate_multipoints, multipoint_sign
     group = group or homology(diag)
-    xmap = {x.id: x for x in diag.crossings}
     total = GroupRingElement.zero(group)
     for mp in enumerate_multipoints(diag):
         exps = [0] * len(group.gens)
         pos = {g: i for i, g in enumerate(group.gens)}
         for xid in mp.picks:
-            x = xmap[xid]
+            x = diag.crossing(xid)
             order = diag.curve(x.alpha).order
             upto = order.index(xid) + (0 if x.sign > 0 else 1)
             for t in range(upto):
-                y = xmap[order[t]]
+                y = diag.crossing(order[t])
                 exps[pos[y.beta]] += y.sign
         total = total + GroupRingElement.monomial(
             group, group.project(exps), multipoint_sign(diag, mp))
@@ -524,18 +524,12 @@ def all_characters(group, order):
     for _ in range(group.rank):
         choices.append(range(order))
     for d in group.torsion:
-        step = order // _gcd(d, order)
+        step = order // math.gcd(d, order)
         choices.append(range(0, order, step))
     out = []
     for exps in itertools.product(*choices):
         out.append(Character(group, order, tuple(exps)))
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def evaluate(el, chi):

@@ -16,8 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .algebra import apply
 from .cyclotomic import CyclotomicScalar
-from .diagram import beta_word
+from .diagram import beta_word, perm_sign
 from .errors import (ArcCurveError, CharacterMismatchError, OddScalarError)
 from .foxcalc import Character
 
@@ -73,17 +74,11 @@ def _check_assignment(diag, pkg, chars):
 def _alpha_seed(pkg, curve, chars):
     """The element fed into the iterated coproduct of an alpha curve."""
     coint = pkg.cointegral
-    pos = chars.phi.get(curve.id, None)
+    pos = chars.phi.get(curve.id)
     if pos is None:
-        # the unit of A
-        for p in range(len(coint.a_basis)):
-            if coint.apply(coint.i_a, {p: 1}) == pkg.algebra.unit():
-                pos = p
-                break
-        else:
-            pos = 0
+        pos = pkg.unit_a
     table = coint.iota if curve.closed else coint.i_a
-    return coint.apply(table, {pos: 1})
+    return apply(table, {pos: 1})
 
 
 def _expand_alpha(pkg, curve, chars):
@@ -110,12 +105,12 @@ def contract(based, pkg, chars):
     _check_assignment(based, pkg, chars)
     alg = pkg.algebra
     integ, coint = pkg.integral, pkg.cointegral
-    xmap = {x.id: x for x in based.crossings}
 
     alphas = based.family("alpha")
     betas = based.family("beta")
     alpha_slots = [xid for c in alphas for xid in c.order]
     slot_pos = {xid: i for i, xid in enumerate(alpha_slots)}
+    negative = [based.crossing(xid).sign < 0 for xid in alpha_slots]
 
     expansions = [_expand_alpha(pkg, c, chars) for c in alphas]
     n_closed_alpha = sum(1 for c in alphas if c.closed)
@@ -137,8 +132,8 @@ def contract(based, pkg, chars):
             continue
         # antipodes at negative crossings; S may spread a basis element
         slot_options = []
-        for xid, idx in zip(alpha_slots, assignment):
-            if xmap[xid].sign < 0:
+        for neg, idx in zip(negative, assignment):
+            if neg:
                 slot_options.append(list(alg.antipode_sc.get(idx, {}).items()))
             else:
                 slot_options.append([(idx, 1)])
@@ -150,8 +145,7 @@ def contract(based, pkg, chars):
                 slots.append(idx)
             if c2 == 0:
                 continue
-            value = _contract_term(based, pkg, chars, slots, slot_pos,
-                                   beta_plan, xmap)
+            value = _contract_term(pkg, chars, slots, beta_plan)
             if value is None or value.is_zero():
                 continue
             term_parity = (sum(alg.parity[i] for i in slots)
@@ -164,7 +158,7 @@ def contract(based, pkg, chars):
     return total.scale(prefactor)
 
 
-def _contract_term(based, pkg, chars, slots, slot_pos, beta_plan, xmap):
+def _contract_term(pkg, chars, slots, beta_plan):
     alg, integ = pkg.algebra, pkg.integral
 
     # Koszul sign: inversion parity among odd slots along the beta traversal
@@ -173,12 +167,7 @@ def _contract_term(based, pkg, chars, slots, slot_pos, beta_plan, xmap):
         for p in positions:
             if alg.parity[slots[p]]:
                 odd_positions.append(p)
-    sign = 1
-    for i in range(len(odd_positions)):
-        for j in range(i + 1, len(odd_positions)):
-            if odd_positions[i] > odd_positions[j]:
-                sign = -sign
-    value = CyclotomicScalar.integer(sign, chars.order)
+    value = CyclotomicScalar.integer(perm_sign(odd_positions), chars.order)
 
     for c, positions in beta_plan:
         prod = alg.unit()
@@ -187,7 +176,7 @@ def _contract_term(based, pkg, chars, slots, slot_pos, beta_plan, xmap):
             if not prod:
                 return None
         table = integ.mu if c.closed else integ.pi_b
-        b_elem = integ.apply(table, prod)
+        b_elem = apply(table, prod)
         if not b_elem:
             return None
         value = value * _char_value_on_b(pkg, chars, c.id, b_elem)
@@ -208,11 +197,10 @@ def basepoint_shift(based, curve_id, new_start, pkg, chars):
         return CyclotomicScalar.one(chars.order)
     if not 0 <= new_start < k:
         raise ArcCurveError(f"position {new_start} out of range")
-    xmap = {x.id: x for x in based.crossings}
     if c.family == "alpha":
         exp = 0
         for xid in c.order[new_start:]:
-            x = xmap[xid]
+            x = based.crossing(xid)
             exp += x.sign * chars.psi_exponent(x.beta)
         return CyclotomicScalar.root_power(exp, chars.order)
     # beta curve: the unit is <a*, phi(segment word)>

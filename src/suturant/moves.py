@@ -22,7 +22,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 
-from .diagram import Crossing, Curve
+from .diagram import Crossing, Curve, perm_sign
 from .errors import IllegalMoveError, ParseError
 
 
@@ -297,7 +297,6 @@ def _apply_handleslide(diag, move):
     fam = slid.family
     other_side = "beta" if fam == "alpha" else "alpha"
 
-    xmap = {x.id: x for x in diag.crossings}
     n_delta = len(move.delta)
     copies = list(over.order)
     fresh = _fresh_ids(diag, "x", 2 * n_delta + len(copies))
@@ -321,7 +320,7 @@ def _apply_handleslide(diag, move):
         new_xs.append(crossing_for(d_out[t], other_id, sign))
         new_xs.append(crossing_for(d_ret[t], other_id, -sign))
     for t, orig_id in enumerate(copies):
-        x = xmap[orig_id]
+        x = diag.crossing(orig_id)
         other_id = x.beta if fam == "alpha" else x.alpha
         new_xs.append(crossing_for(c_new[t], other_id, x.sign))
 
@@ -342,7 +341,7 @@ def _apply_handleslide(diag, move):
     # crossing and just before it at a negative one; only this sign rule is
     # the free-group substitution over -> over * slid on every dual word.
     for t, orig_id in enumerate(copies):
-        x = xmap[orig_id]
+        x = diag.crossing(orig_id)
         other_id = x.beta if fam == "alpha" else x.alpha
         oc = new.curve(other_id)
         at = oc.order.index(orig_id) + (1 if x.sign > 0 else 0)
@@ -400,13 +399,7 @@ def orientation_flip(diag, move):
         if move.topology != "closed":
             return 1
         block = [c.id for c in diag.family(move.family, "closed")]
-        perm = [block.index(i) for i in move.new_order]
-        sgn = 1
-        for i in range(len(perm)):
-            for j in range(i + 1, len(perm)):
-                if perm[i] > perm[j]:
-                    sgn = -sgn
-        return sgn
+        return perm_sign([block.index(i) for i in move.new_order])
     return 1
 
 

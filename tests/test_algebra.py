@@ -4,6 +4,7 @@ import pytest
 
 from suturant import (build_cyclic_group_algebra, build_hn, check_axioms,
                       coproduct_power)
+from suturant.algebra import apply
 
 
 def labels(pkg, terms):
@@ -63,8 +64,7 @@ def test_iterated_coproduct_of_x():
 def test_cyclic_integral_and_cointegral():
     pkg = build_cyclic_group_algebra(3)
     # mu picks the coefficient of the identity out of the cointegral
-    val = pkg.integral.apply(pkg.integral.mu,
-                             pkg.cointegral.apply(pkg.cointegral.iota, {0: 1}))
+    val = apply(pkg.integral.mu, apply(pkg.cointegral.iota, {0: 1}))
     assert val == {0: 1}
 
 

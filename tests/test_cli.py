@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
+from suturant import serialize_diagram
 from suturant.cli import run
 
-from conftest import corpus_names, corpus_path
+from conftest import corpus_names, corpus_path, load
 
 
 def out_of(capsys):
@@ -83,6 +86,20 @@ def test_compare(capsys):
     assert run(["compare", str(corpus_path("trefoil")),
                 str(corpus_path("figure8"))]) == 1
     assert out_of(capsys).strip() == "DIFFER"
+
+
+def test_compare_rejects_an_invalid_diagram(tmp_path, capsys):
+    trefoil = load("trefoil")
+    alpha = trefoil.closed_alphas[0]
+    for gone in alpha.order:
+        broken = trefoil.with_curves(
+            replace(c, order=tuple(x for x in c.order if x != gone))
+            if c.id == alpha.id else c for c in trefoil.curves)
+        path = tmp_path / f"without_{gone}.hd"
+        path.write_text(serialize_diagram(broken))
+        assert run(["compare", str(path), str(corpus_path("trefoil"))]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "FAIL" in err, gone
 
 
 def test_axioms(capsys):

@@ -140,6 +140,20 @@ def _int_det(mat):
     return total
 
 
+def test_bareiss_determinant_matches_the_permutation_expansion():
+    from suturant.diagram import _int_det as bareiss
+    rng = random.Random(SEED + 9)
+    assert bareiss([]) == 1
+    for n in range(1, 8):
+        for trial in range(12):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 1:              # a zero leading pivot
+                rows[0][0] = 0
+            if trial % 3 == 2 and n > 1:    # singular: a row repeats
+                rows[-1] = list(rows[rng.randrange(n - 1)])
+            assert bareiss(rows) == _int_det(rows), rows
+
+
 def test_section_lifts_normal_forms():
     for name in corpus_names():
         g = homology(load(name))
