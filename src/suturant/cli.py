@@ -13,12 +13,12 @@ import sys
 
 from .algebra import build_cyclic_group_algebra, build_hn, check_axioms
 from .diagram import (enumerate_multipoints, multipoint_permutation,
-                      parse_diagram, serialize_diagram, validate)
+                      parse_diagram, rebase, serialize_diagram, validate)
 from .errors import SuturantError
 from .foxcalc import (GroupRingElement, all_characters, class_equal,
-                      homology)
-from .invariant import (OrientationSign, SpincRelative, invariant_hn,
-                        torsion_class)
+                      coordinate_name, evaluate, homology)
+from .invariant import (OrientationSign, SpincRelative, anchor_multipoint,
+                        invariant_h0, invariant_hn, torsion_class)
 from .kuperberg import CharacterAssignment, contract
 from .moves import apply_move, parse_move_script
 
@@ -39,14 +39,6 @@ def _load_valid(path):
     return None
 
 
-def _coord_name(group, t):
-    if group.ncoords == 1:
-        return "t"
-    if t < group.rank:
-        return f"t{t + 1}"
-    return f"s{t - group.rank + 1}"
-
-
 def _resolve_characters(group, order, spec_text):
     """Characters of the given order matching ``k=v`` constraints; keys are
     normal-form names (t, t1, s1, ...) or beta-curve ids."""
@@ -57,7 +49,7 @@ def _resolve_characters(group, order, spec_text):
                 raise SuturantError(f"bad --char entry {item!r}")
             k, v = item.split("=", 1)
             constraints.append((k.strip(), int(v) % order))
-    names = {_coord_name(group, t): t for t in range(group.ncoords)}
+    names = {coordinate_name(group, t): t for t in range(group.ncoords)}
     out = []
     for chi in all_characters(group, order):
         ok = True
@@ -79,7 +71,7 @@ def _resolve_characters(group, order, spec_text):
 def _resolve_offset(group, text):
     if not text:
         return None
-    names = {_coord_name(group, t): t for t in range(group.ncoords)}
+    names = {coordinate_name(group, t): t for t in range(group.ncoords)}
     coords = [0] * group.ncoords
     for tok in text.replace("*", " ").split():
         if "^" in tok:
@@ -100,7 +92,8 @@ def _resolve_offset(group, text):
 
 
 def _chi_label(group, chi):
-    bits = [f"{_coord_name(group, t)}={e}" for t, e in enumerate(chi.exps)]
+    bits = [f"{coordinate_name(group, t)}={e}"
+            for t, e in enumerate(chi.exps)]
     return ",".join(bits) if bits else "trivial"
 
 
@@ -127,62 +120,57 @@ def cmd_compute(args):
     if diag is None:
         return 1
     group = homology(diag)
-
-    if args.algebra == "cyclic":
-        if args.m is None:
-            raise SuturantError("--algebra cyclic needs --m")
-        mps = enumerate_multipoints(diag)
-        based = diag
-        if mps:
-            from .diagram import rebase
-            based = rebase(diag, _pick_reference(diag, mps, args.multipoint))
-        value = contract(based, build_cyclic_group_algebra(args.m),
+    cyclic = args.algebra == "cyclic"
+    if cyclic and args.m is None:
+        raise SuturantError("--algebra cyclic needs --m")
+    if not cyclic and args.n is None:
+        raise SuturantError("--algebra hn needs --n")
+    anchor = anchor_multipoint(diag)
+    ref = None if anchor is None else _pick_reference(diag, anchor,
+                                                      args.multipoint)
+    if cyclic:
+        value = contract(diag if ref is None else rebase(diag, ref),
+                         build_cyclic_group_algebra(args.m),
                          CharacterAssignment.trivial())
         _emit(value, args)
         return 0
 
-    if args.n is None:
-        raise SuturantError("--algebra hn needs --n")
-    order = args.order or args.n
-    mps = enumerate_multipoints(diag)
-    if not mps and diag.d > 0:
+    if ref is None:
         print("no multipoints: unnormalized determinant is 0")
         return 1
-    ref = _pick_reference(diag, mps, args.multipoint)
     spinc = SpincRelative(ref, _resolve_offset(group, args.offset))
     orient = OrientationSign(
         "canonical" if args.sign == "canonical" else int(args.sign))
 
+    order = args.n if args.order is None else args.order
     chis = _resolve_characters(group, order, args.char)
     if not chis:
         raise SuturantError(
             "no character of H_1 matches the given constraints")
-    if args.all_chars:
-        for chi in chis:
-            val = invariant_hn(diag, args.n,
-                               CharacterAssignment.from_character(chi),
-                               spinc, orient, engine=args.engine)
-            print(f"chi[{_chi_label(group, chi)}]: ", end="")
-            _emit(val, args)
-        return 0
-    if len(chis) > 1:
+    if len(chis) > 1 and not args.all_chars:
         raise SuturantError(
             f"{len(chis)} characters match; add constraints or --all-chars")
-    val = invariant_hn(diag, args.n,
-                       CharacterAssignment.from_character(chis[0]),
-                       spinc, orient, engine=args.engine)
-    _emit(val, args)
+    if args.engine == "fox":
+        h0 = invariant_h0(diag, spinc, orient)
+    for chi in chis:
+        if args.engine == "fox":
+            val = evaluate(h0, chi)
+        else:
+            val = invariant_hn(diag, args.n,
+                               CharacterAssignment.from_character(chi),
+                               spinc, orient, engine="tensor")
+        if args.all_chars:
+            print(f"chi[{_chi_label(group, chi)}]: ", end="")
+        _emit(val, args)
     return 0
 
 
-def _pick_reference(diag, mps, name):
-    if name:
-        if name not in diag.named_multipoints:
-            raise SuturantError(f"no multipoint named {name!r}")
-        return diag.named_multipoints[name]
-    if not mps:
-        raise SuturantError("diagram has no multipoints")
-    return mps[0]
+def _pick_reference(diag, anchor, name):
+    if not name:
+        return anchor
+    if name not in diag.named_multipoints:
+        raise SuturantError(f"no multipoint named {name!r}")
+    return diag.named_multipoints[name]
 
 
 def _emit(value, args):
@@ -242,6 +230,13 @@ def cmd_move(args):
     return 0
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="suturant",
@@ -261,10 +256,10 @@ def build_parser():
     q.add_argument("file")
     q.add_argument("--engine", choices=("fox", "tensor"), default="fox")
     q.add_argument("--algebra", choices=("hn", "cyclic"), default="hn")
-    q.add_argument("--n", type=int)
-    q.add_argument("--m", type=int)
+    q.add_argument("--n", type=positive_int)
+    q.add_argument("--m", type=positive_int)
     q.add_argument("--char", default="")
-    q.add_argument("--order", type=int)
+    q.add_argument("--order", type=positive_int)
     q.add_argument("--multipoint")
     q.add_argument("--offset", default="")
     q.add_argument("--sign", choices=("+1", "-1", "canonical"), default="+1")
@@ -283,8 +278,8 @@ def build_parser():
 
     q = sub.add_parser("axioms", help="exhaustive algebra axiom suite")
     q.add_argument("--algebra", choices=("hn", "cyclic"), required=True)
-    q.add_argument("--n", type=int)
-    q.add_argument("--m", type=int)
+    q.add_argument("--n", type=positive_int)
+    q.add_argument("--m", type=positive_int)
     q.set_defaults(fn=cmd_axioms)
 
     q = sub.add_parser("move", help="apply a move script")

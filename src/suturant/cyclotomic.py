@@ -106,11 +106,9 @@ class CyclotomicScalar:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return CyclotomicScalar.from_coeffs(
-            [x + y for x, y in zip(a, b)], self.order)
+        return CyclotomicScalar(
+            tuple(x + y for x, y in zip(self.coeffs, other.coeffs)),
+            self.order)
 
     def __neg__(self):
         return CyclotomicScalar(tuple(-c for c in self.coeffs), self.order)

@@ -363,30 +363,33 @@ def abelianize(word_or_terms, group):
     return out
 
 
+def coordinate_name(group, t):
+    """Name of the t-th normal-form coordinate: ``t`` in a single-generator
+    group, otherwise t1, t2, ... for the free and s1, s2, ... for the
+    torsion coordinates."""
+    if group.ncoords == 1:
+        return "t"
+    if t < group.rank:
+        return f"t{t + 1}"
+    return f"s{t - group.rank + 1}"
+
+
 def render_group_ring(el):
-    """Deterministic text form.  Single-generator groups use the variable
-    ``t``; otherwise free generators are t1, t2, ... and torsion generators
-    s1, s2, ... with torsion exponents bracketed."""
+    """Deterministic text form in the :func:`coordinate_name` variables,
+    torsion exponents bracketed unless the group has a single generator."""
     g = el.group
-    single = g.ncoords == 1
     if not el.terms:
         return "0"
     parts = []
     for key, coeff in el.sorted_terms():
-        frees = []
-        for i in range(g.rank):
-            e = key[i]
+        pieces = []
+        for t, e in enumerate(key):
             if e:
-                nm = "t" if single else f"t{i + 1}"
-                frees.append(nm if e == 1 else f"{nm}^{e}")
-        tors = []
-        for k in range(len(g.torsion)):
-            e = key[g.rank + k]
-            if e:
-                nm = "t" if single else f"s{k + 1}"
+                nm = coordinate_name(g, t)
                 piece = nm if e == 1 else f"{nm}^{e}"
-                tors.append(piece if single else f"[{piece}]")
-        mono = " ".join(frees + tors)
+                bracket = t >= g.rank and g.ncoords > 1
+                pieces.append(f"[{piece}]" if bracket else piece)
+        mono = " ".join(pieces)
         if not mono:
             body = f"{abs(coeff)}"
         elif abs(coeff) == 1:

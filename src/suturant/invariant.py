@@ -2,15 +2,16 @@
 
 The relative spin-c structure is a reference multipoint plus an offset in
 H_1 (differences of multipoints are change-of-basepoint words, so this
-relative representation is complete for everything computed here).  The
-orientation input is a bare sign, with a canonical mode available exactly
-when the closed intersection determinant does not vanish.
+relative representation is complete for everything computed here).  Every
+offset is anchored at one multipoint, the one :func:`anchor_multipoint`
+returns.  The orientation input is a bare sign, with a canonical mode
+available exactly when the closed intersection determinant does not vanish.
 
 Two computation paths exist for the character-evaluated invariant: the
 tensor engine contracts the diagram against the 2n-dimensional package, the
-Fox engine evaluates the determinant of the Fox matrix.  The group-ring
-valued invariant and the torsion class always go through the Fox engine,
-which is symbolic by construction.
+Fox engine evaluates the group-ring valued invariant at the character.  The
+group-ring valued invariant and the torsion class always go through the Fox
+engine, which is symbolic by construction.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from .cyclotomic import CyclotomicScalar
 from .diagram import (canonical_sign, enumerate_multipoints,
                       epsilon_class, rebase)
 from .errors import (AmbiguousOrientationError, InvalidCharacterError,
-                     InvalidReferenceError, NotDivisibleError)
+                     InvalidMultipointError, InvalidReferenceError,
+                     NotDivisibleError)
 from .foxcalc import (GroupRingElement, InvariantClass, canonical_class,
                       class_equal, divide_by_element_minus_one, evaluate,
                       fox_determinant, homology, smith_normal_form)
-from .kuperberg import CharacterAssignment, contract
+from .kuperberg import contract
 
 
 @dataclass(frozen=True)
@@ -34,10 +36,10 @@ class SpincRelative:
     """Reference multipoint plus an H_1 offset (a single group element).
 
     The structure described is the offset-translate of the class attached
-    to the diagram's first enumerated multipoint; the reference only says
-    where to rebase for the computation, and the normalization absorbs the
-    change-of-basepoint class between the two, so the computed value does
-    not depend on it.
+    to the diagram's anchor multipoint (:func:`anchor_multipoint`); the
+    reference only says where to rebase for the computation, and the
+    normalization absorbs the change-of-basepoint class between the two, so
+    the computed value does not depend on it.
     """
 
     reference: object           # Multipoint
@@ -69,17 +71,21 @@ class OrientationSign:
         raise ValueError(f"bad orientation {self.value!r}")
 
 
-def _delta_sign(diag, orient, mu_parity):
-    s = orient.resolve(diag)
-    return s if mu_parity % 2 else 1
-
-
-def _checked_reference(diag, spinc):
+def anchor_multipoint(diag):
+    """The multipoint every spin-c offset is anchored at: the least one in
+    sorted-pick order, or None when the diagram has none."""
     mps = enumerate_multipoints(diag)
-    if spinc.reference not in mps:
+    return mps[0] if mps else None
+
+
+def _rebased(diag, spinc):
+    """The diagram rebased at the reference multipoint; ``rebase`` checks
+    that the reference is a multipoint of the diagram."""
+    try:
+        return rebase(diag, spinc.reference)
+    except InvalidMultipointError:
         raise InvalidReferenceError(
-            f"{spinc.reference} is not a multipoint of the diagram")
-    return spinc.reference
+            f"{spinc.reference} is not a multipoint of the diagram") from None
 
 
 def _anchored_offset(diag, group, spinc):
@@ -87,7 +93,7 @@ def _anchored_offset(diag, group, spinc):
     offset plus the change-of-basepoint class from the anchor to the
     reference."""
     coords = spinc.offset_coords(group)
-    anchor = enumerate_multipoints(diag)[0]
+    anchor = anchor_multipoint(diag)
     if anchor != spinc.reference:
         eps = group.project_word(epsilon_class(diag, anchor, spinc.reference))
         coords = group.normalize(tuple(a + b for a, b in zip(coords, eps)))
@@ -96,25 +102,21 @@ def _anchored_offset(diag, group, spinc):
 
 def invariant_hn(diag, n, chars, spinc, orient=OrientationSign(),
                  engine="fox"):
-    """The character-evaluated invariant: delta * zeta * Z on the diagram
-    rebased at the reference multipoint."""
-    group = homology(diag)
-    ref = _checked_reference(diag, spinc)
-    based = rebase(diag, ref)
-    if engine == "tensor":
-        pkg = build_hn(n)
-        z = contract(based, pkg, chars)
-    elif engine == "fox":
+    """The character-evaluated invariant delta * zeta * Z.  The Fox engine
+    evaluates :func:`invariant_h0` at the character; the tensor engine
+    contracts the diagram rebased at the reference multipoint."""
+    if engine == "fox":
         if chars.h1 is None:
             raise InvalidCharacterError(
                 "the fox engine needs a character of H_1 "
                 "(use CharacterAssignment.from_character)")
-        z = evaluate(fox_determinant(based, group), chars.h1)
-    else:
+        return evaluate(invariant_h0(diag, spinc, orient), chars.h1)
+    if engine != "tensor":
         raise ValueError(f"unknown engine {engine!r}")
+    group = homology(diag)
+    z = contract(_rebased(diag, spinc), build_hn(n), chars)
     zeta = _zeta_factor(group, chars, _anchored_offset(diag, group, spinc))
-    delta = _delta_sign(diag, orient, mu_parity=1)
-    return delta * (zeta * z)
+    return orient.resolve(diag) * (zeta * z)
 
 
 def _zeta_factor(group, chars, coords):
@@ -129,27 +131,22 @@ def _zeta_factor(group, chars, coords):
 
 
 def invariant_h0(diag, spinc, orient=OrientationSign()):
-    """The group-ring valued invariant delta * h * det over Z[H_1]."""
+    """The group-ring valued invariant delta * h * det over Z[H_1].  The
+    integral of H_n is odd, so delta is the orientation sign itself."""
     group = homology(diag)
-    ref = _checked_reference(diag, spinc)
-    based = rebase(diag, ref)
-    det = fox_determinant(based, group)
-    delta = _delta_sign(diag, orient, mu_parity=1)
+    det = fox_determinant(_rebased(diag, spinc), group)
+    delta = orient.resolve(diag)
     return det.translate(_anchored_offset(diag, group, spinc), delta)
 
 
 def torsion_class(diag):
     """The class of the group-ring invariant up to +-(group element); it is
-    independent of the reference, offset and orientation.  A diagram with
-    closed curves but no multipoint has vanishing determinant and the class
-    is zero."""
-    group = homology(diag)
-    mps = enumerate_multipoints(diag)
-    if not mps:
-        # d > 0 with an empty multipoint set forces det = 0
-        return canonical_class(fox_determinant(diag, group))
-    based = rebase(diag, mps[0])
-    return canonical_class(fox_determinant(based, group))
+    independent of the reference, offset and orientation, so no basepoint
+    is chosen: rotating a closed alpha curve conjugates its relator, which
+    multiplies its Fox row by a group element.  A diagram with closed
+    curves but no multipoint has vanishing determinant and the class is
+    zero."""
+    return canonical_class(fox_determinant(diag, homology(diag)))
 
 
 def alexander_from_torsion(cls_, meridians):
@@ -179,7 +176,7 @@ def alexander_from_torsion(cls_, meridians):
 
 
 __all__ = [
-    "SpincRelative", "OrientationSign", "invariant_hn", "invariant_h0",
-    "torsion_class", "alexander_from_torsion", "class_equal",
+    "SpincRelative", "OrientationSign", "anchor_multipoint", "invariant_hn",
+    "invariant_h0", "torsion_class", "alexander_from_torsion", "class_equal",
     "canonical_class", "InvariantClass",
 ]

@@ -49,11 +49,6 @@ class CharacterAssignment:
     def psi_exponent(self, beta_id):
         return self.psi.get(beta_id, 0) % self.order
 
-    def word_exponent(self, word):
-        """Exponent of psi evaluated on a word in beta duals at b."""
-        return sum(e * self.psi_exponent(g) for g, e in word.letters) \
-            % self.order
-
 
 def _check_assignment(diag, pkg, chars):
     nb = pkg.integral.glike_b_order

@@ -119,10 +119,21 @@ def test_move_script(tmp_path, capsys):
     assert out_of(capsys).strip() == "EQUAL"
 
 
-def test_usage_error_exits_two():
-    with pytest.raises(SystemExit) as exc:
-        run(["compute"])      # missing file
-    assert exc.value.code == 2
+def test_usage_error_exits_two(capsys):
+    trefoil = str(corpus_path("trefoil"))
+    for argv in (["compute"],      # missing file
+                 ["compute", trefoil, "--algebra", "cyclic", "--m", "0"],
+                 ["compute", trefoil, "--n", "0"],
+                 ["compute", trefoil, "--n", "-2"],
+                 ["compute", trefoil, "--n", "3", "--order", "0"],
+                 ["compute", trefoil, "--n", "x"],
+                 ["axioms", "--algebra", "hn", "--n", "0"],
+                 ["axioms", "--algebra", "cyclic", "--m", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "usage:" in err, argv
 
 
 def test_missing_file_is_a_failure(capsys):

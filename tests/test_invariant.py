@@ -1,17 +1,18 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from suturant import (Character, CharacterAssignment, CyclotomicScalar,
                       GroupRingElement, all_characters, alexander_from_torsion,
-                      canonical_class, class_equal, enumerate_multipoints,
-                      evaluate, homology, invariant_h0, invariant_hn,
-                      torsion_class)
+                      apply_move, canonical_class, class_equal,
+                      enumerate_multipoints, evaluate, homology, invariant_h0,
+                      invariant_hn, random_move_sequence, torsion_class)
 from suturant.errors import (AmbiguousOrientationError, InvalidReferenceError,
                              NotDivisibleError)
 from suturant.invariant import OrientationSign, SpincRelative
 
-from conftest import load
+from conftest import SEED, corpus_names, load
 
 
 def meridian_character(group, n):
@@ -103,16 +104,43 @@ def test_invalid_reference_rejected(trefoil):
         invariant_h0(trefoil, SpincRelative(Multipoint(("x2",))))
 
 
-def test_torsion_class_is_choice_independent(figure8):
-    mps = enumerate_multipoints(figure8)
-    g = homology(figure8)
-    cls = torsion_class(figure8)
-    for ref in mps:
-        for sign in (1, -1):
-            for off in (None, GroupRingElement.monomial(g, g.project([0, 1]))):
-                el = invariant_h0(figure8, SpincRelative(ref, off),
-                                  OrientationSign(sign))
-                assert class_equal(canonical_class(el), cls)
+def _choice_independence_cases():
+    """Every corpus diagram and seeded move-sequence copies of it, each also
+    with the basepoint of every closed curve moved one crossing on."""
+    for name in corpus_names():
+        diag = load(name)
+        copies = [(name, diag)]
+        for seed in range(SEED, SEED + 2):
+            cur = diag
+            for mv in random_move_sequence(diag, seed, 4):
+                cur = apply_move(cur, mv)
+            copies.append((f"{name} seed {seed}", cur))
+        for label, cur in copies:
+            yield label, cur
+            yield f"{label} rotated", cur.with_curves(
+                replace(c, order=c.order[1:] + c.order[:1]) if c.closed
+                else c for c in cur.curves)
+
+
+def test_torsion_class_is_choice_independent():
+    """The torsion class, computed without any basepoint, is the class of
+    invariant_h0 at every reference multipoint, sign and offset."""
+    for label, diag in _choice_independence_cases():
+        mps = enumerate_multipoints(diag)
+        g = homology(diag)
+        cls = torsion_class(diag)
+        if not mps:
+            assert cls.representative.is_zero(), label
+        offsets = [None]
+        if g.gens:
+            last = [0] * (len(g.gens) - 1) + [1]
+            offsets.append(GroupRingElement.monomial(g, g.project(last)))
+        for ref in mps:
+            for sign in (1, -1):
+                for off in offsets:
+                    el = invariant_h0(diag, SpincRelative(ref, off),
+                                      OrientationSign(sign))
+                    assert class_equal(canonical_class(el), cls), label
 
 
 def test_s1s2_torsion_class_is_zero():
