@@ -39,6 +39,15 @@ def _load_valid(path):
     return None
 
 
+def _integer(text, entry, flag):
+    """The integer ``text`` read from one entry of a flag's value."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SuturantError(f"bad {flag} entry {entry!r}: "
+                            f"{text.strip()!r} is not an integer") from None
+
+
 def _resolve_characters(group, order, spec_text):
     """Characters of the given order matching ``k=v`` constraints; keys are
     normal-form names (t, t1, s1, ...) or beta-curve ids."""
@@ -48,7 +57,8 @@ def _resolve_characters(group, order, spec_text):
             if "=" not in item:
                 raise SuturantError(f"bad --char entry {item!r}")
             k, v = item.split("=", 1)
-            constraints.append((k.strip(), int(v) % order))
+            constraints.append((k.strip(),
+                                _integer(v, item, "--char") % order))
     names = {coordinate_name(group, t): t for t in range(group.ncoords)}
     out = []
     for chi in all_characters(group, order):
@@ -76,7 +86,7 @@ def _resolve_offset(group, text):
     for tok in text.replace("*", " ").split():
         if "^" in tok:
             name, e = tok.split("^", 1)
-            e = int(e)
+            e = _integer(e, tok, "--offset")
         else:
             name, e = tok, 1
         if name in names:

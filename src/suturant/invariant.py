@@ -4,8 +4,12 @@ The relative spin-c structure is a reference multipoint plus an offset in
 H_1 (differences of multipoints are change-of-basepoint words, so this
 relative representation is complete for everything computed here).  Every
 offset is anchored at one multipoint, the one :func:`anchor_multipoint`
-returns.  The orientation input is a bare sign, with a canonical mode
-available exactly when the closed intersection determinant does not vanish.
+returns: the least multipoint in sorted-pick order.  It is built one pick
+at a time, each candidate pick tested by bipartite matching with augmenting
+paths, in polynomial time and without listing the multipoints, whose number
+grows like the permanent of the crossing-count matrix.  The orientation
+input is a bare sign, with a canonical mode available exactly when the
+closed intersection determinant does not vanish.
 
 Two computation paths exist for the character-evaluated invariant: the
 tensor engine contracts the diagram against the 2n-dimensional package, the
@@ -20,8 +24,10 @@ from dataclasses import dataclass
 
 from .algebra import build_hn
 from .cyclotomic import CyclotomicScalar
-from .diagram import (canonical_sign, enumerate_multipoints,
-                      epsilon_class, rebase)
+from .diagram import Multipoint, canonical_sign, epsilon_class, rebase
+# Not called here: kept as a module attribute because the benchmark tracer
+# (perfbench/tracing.py) wraps suturant.invariant.enumerate_multipoints.
+from .diagram import enumerate_multipoints  # noqa: F401
 from .errors import (AmbiguousOrientationError, InvalidCharacterError,
                      InvalidMultipointError, InvalidReferenceError,
                      NotDivisibleError)
@@ -73,9 +79,54 @@ class OrientationSign:
 
 def anchor_multipoint(diag):
     """The multipoint every spin-c offset is anchored at: the least one in
-    sorted-pick order, or None when the diagram has none."""
-    mps = enumerate_multipoints(diag)
-    return mps[0] if mps else None
+    sorted-pick order (the first one ``enumerate_multipoints`` lists), or
+    None when the diagram has none.
+
+    A greedy lexicographic matching: the crossings between closed alphas
+    and closed betas are taken in sorted id order, and one is accepted when
+    its alpha and beta are unused and the closed alphas left over can still
+    be matched to distinct unused closed betas.  A skipped crossing lies in
+    no multipoint that contains the picks accepted before it.  So the
+    multipoints containing the first k picks have no other pick below the
+    k-th, and the next accepted crossing is the least further pick among
+    them.  Each test is Kuhn's augmenting-path matching, O(d * E) for E
+    such crossings."""
+    alphas = [c.id for c in diag.closed_alphas]
+    betas = {c.id for c in diag.closed_betas}
+    options = {a: [] for a in alphas}
+    edges = sorted((x for x in diag.crossings
+                    if x.alpha in options and x.beta in betas),
+                   key=lambda x: x.id)
+    for x in edges:
+        options[x.alpha].append(x.beta)
+    picks, used_a, used_b = [], set(), set()
+    for x in edges:
+        if x.alpha in used_a or x.beta in used_b:
+            continue
+        rest = [a for a in alphas if a not in used_a and a != x.alpha]
+        if _matchable(rest, options, used_b | {x.beta}):
+            picks.append(x.id)
+            used_a.add(x.alpha)
+            used_b.add(x.beta)
+    return Multipoint(tuple(picks)) if len(picks) == len(alphas) else None
+
+
+def _matchable(alphas, options, taken):
+    """Whether the alphas can be matched to distinct betas outside
+    ``taken``, ``options[a]`` listing the betas alpha ``a`` crosses: one
+    augmenting-path search per alpha (Kuhn)."""
+    owner = {}                  # beta -> alpha matched to it
+
+    def augment(a, seen):
+        for b in options[a]:
+            if b not in taken and b not in seen:
+                seen.add(b)
+                if b not in owner or augment(owner[b], seen):
+                    owner[b] = a
+                    return True
+        return False
+
+    return all(augment(a, set()) for a in alphas)
 
 
 def _rebased(diag, spinc):

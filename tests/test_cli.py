@@ -136,5 +136,17 @@ def test_usage_error_exits_two(capsys):
         assert out == "" and "usage:" in err, argv
 
 
+def test_non_integer_char_or_offset_is_an_error(capsys):
+    trefoil = str(corpus_path("trefoil"))
+    for argv, entry in (
+            (["compute", trefoil, "--n", "3", "--char", "t=x"], "'t=x'"),
+            (["compute", trefoil, "--n", "3", "--all-chars",
+              "--offset", "t^x"], "'t^x'")):
+        assert run(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and entry in err, argv
+        assert "Traceback" not in err, argv
+
+
 def test_missing_file_is_a_failure(capsys):
     assert run(["validate", "no-such-file.hd"]) == 1

@@ -7,10 +7,13 @@ from suturant import (Character, CharacterAssignment, CyclotomicScalar,
                       GroupRingElement, all_characters, alexander_from_torsion,
                       apply_move, canonical_class, class_equal,
                       enumerate_multipoints, evaluate, homology, invariant_h0,
-                      invariant_hn, random_move_sequence, torsion_class)
+                      invariant_hn, parse_diagram, random_move_sequence,
+                      rebase, torsion_class)
 from suturant.errors import (AmbiguousOrientationError, InvalidReferenceError,
                              NotDivisibleError)
-from suturant.invariant import OrientationSign, SpincRelative
+from suturant.invariant import (OrientationSign, SpincRelative,
+                                anchor_multipoint)
+from suturant.moves import HandleslideCurve, Stabilize
 
 from conftest import SEED, corpus_names, load
 
@@ -104,11 +107,41 @@ def test_invalid_reference_rejected(trefoil):
         invariant_h0(trefoil, SpincRelative(Multipoint(("x2",))))
 
 
+# Crossing ids that sort differently as strings and as numbers, listed in
+# numeric order.  The least crossing, x1, lies in no multipoint (a3 needs
+# b3).  The least multipoint in sorted-pick order is {x10, x3, x5}; the
+# numeric or the listed order would give {x2, x4, x5}, and accepting x1
+# would leave a3 unmatched.
+STRING_ORDER = parse_diagram("""
+diagram string_order
+alpha a1 closed
+alpha a2 closed
+alpha a3 closed
+beta b1 closed
+beta b2 closed
+beta b3 closed
+crossing x1 a1 b3 +
+crossing x2 a2 b1 +
+crossing x3 a2 b2 +
+crossing x4 a1 b2 -
+crossing x5 a3 b3 +
+crossing x10 a1 b1 +
+order alpha a1 : x1 x10 x4
+order alpha a2 : x2 x3
+order alpha a3 : x5
+order beta b1 : x10 x2
+order beta b2 : x4 x3
+order beta b3 : x1 x5
+""")
+
+
 def _choice_independence_cases():
-    """Every corpus diagram and seeded move-sequence copies of it, each also
-    with the basepoint of every closed curve moved one crossing on."""
-    for name in corpus_names():
-        diag = load(name)
+    """Every corpus diagram and the string-order diagram, seeded
+    move-sequence copies of each, and each of these also with the basepoint
+    of every closed curve moved one crossing on."""
+    bases = [(name, load(name)) for name in corpus_names()]
+    bases.append(("string_order", STRING_ORDER))
+    for name, diag in bases:
         copies = [(name, diag)]
         for seed in range(SEED, SEED + 2):
             cur = diag
@@ -120,6 +153,40 @@ def _choice_independence_cases():
             yield f"{label} rotated", cur.with_curves(
                 replace(c, order=c.order[1:] + c.order[:1]) if c.closed
                 else c for c in cur.curves)
+
+
+def test_anchor_is_the_least_multipoint():
+    """The matching-built anchor is the first multipoint in enumeration
+    order, or None when there is none (s1s2); at d = 0 (unknot) it is the
+    empty multipoint."""
+    assert anchor_multipoint(STRING_ORDER).picks == ("x10", "x3", "x5")
+    assert anchor_multipoint(load("s1s2")) is None
+    assert anchor_multipoint(load("unknot")).picks == ()
+    for label, diag in _choice_independence_cases():
+        mps = enumerate_multipoints(diag)
+        assert anchor_multipoint(diag) == (mps[0] if mps else None), label
+
+
+def test_anchor_at_d10():
+    """Hopf stabilized to d = 10, each new closed curve slid over the
+    shortest old one of its family and back: about 2.5 * 10^13 multipoints,
+    far beyond enumeration, and the anchor is still a valid reference."""
+    diag = load("hopf")
+    while diag.d < 10:
+        before = {c.id for c in diag.curves}
+        diag = apply_move(diag, Stabilize())
+        for fam in ("alpha", "beta"):
+            closed = diag.family(fam, "closed")
+            new = next(c.id for c in closed if c.id not in before)
+            over = min((c for c in closed if c.id != new),
+                       key=lambda c: len(c.order)).id
+            diag = apply_move(diag, HandleslideCurve(new, over))
+            diag = apply_move(diag, HandleslideCurve(over, new))
+    assert diag.d == 10
+    anchor = anchor_multipoint(diag)
+    rebase(diag, anchor)
+    assert class_equal(torsion_class(diag), canonical_class(
+        invariant_h0(diag, SpincRelative(anchor))))
 
 
 def test_torsion_class_is_choice_independent():
