@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import CyclotomicArithmeticError
+
 
 def _poly_trim(coeffs):
     c = list(coeffs)
@@ -35,7 +37,8 @@ def _poly_mul(a, b):
 
 def _poly_divmod(a, b):
     """Division of integer polynomials; b must be monic."""
-    assert b and b[-1] == 1
+    if not b or b[-1] != 1:
+        raise CyclotomicArithmeticError(f"divisor {b} is not monic")
     a = list(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
     for i in range(len(a) - len(b), -1, -1):
@@ -132,7 +135,7 @@ class CyclotomicScalar:
         for c in self.coeffs:
             v = c * q
             if v.denominator != 1:
-                raise ArithmeticError(
+                raise CyclotomicArithmeticError(
                     f"non-integral coefficient {v} after rational scaling")
             out.append(int(v))
         return CyclotomicScalar(tuple(out), self.order)

@@ -67,3 +67,8 @@ class AmbiguousOrientationError(SuturantError):
 
 class InvalidReferenceError(SuturantError):
     pass
+
+
+class CyclotomicArithmeticError(SuturantError, ArithmeticError):
+    """An exact result that leaves the integers: a non-integral coefficient
+    after rational scaling, or division by a non-monic polynomial."""

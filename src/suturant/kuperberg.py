@@ -1,24 +1,45 @@
 """The super-tensor-network engine.
 
-Contraction of a based diagram against a Hopf package proceeds term by term
-over the monomials of the iterated coproducts: every alpha curve expands its
-(co)integral seed into homogeneous basis monomials, one per crossing slot;
-negative crossings apply the antipode; the slots are rerouted from alpha
-order to beta order at the cost of the Koszul sign (inversion parity among
-the odd slots); every beta curve multiplies its inputs left to right, maps
-them into B by the integral (closed) or the projection (arc), and evaluates
-its character there.  Everything is exact: scalars live in Z[x]/Phi_N and
-the single rational cointegral prefactor is applied once at the end.
+The network of a based, ordered, oriented diagram has one vertex per
+crossing.  Every alpha curve feeds its (co)integral seed into an iterated
+coproduct with one slot per crossing, in the curve's order; a negative
+crossing applies the antipode to its slot; every beta curve multiplies its
+slots in its own order, maps the product into B by the integral (closed)
+or the projection (arc), and evaluates its character there.
+
+``contract`` evaluates the network in one fixed order, a sweep over the
+alpha curves in family order and each alpha's crossings in its own order,
+and merges equal frontier states after every crossing.  A state is keyed
+by the basis index of the current alpha's not-yet-split coproduct factor
+and, per beta curve, the basis indices of its maximal runs of placed
+slots, or only the parity of its product once the beta is complete.  At a
+crossing the factor is split by the coproduct (the last crossing of an
+alpha takes it whole, an alpha without crossings contributes the counit of
+its seed), the antipode acts if the crossing is negative, and the slot is
+multiplied into its beta as left run * slot * right run.  Completing a
+beta evaluates it; a beta without crossings is evaluated on the unit at
+the start.
+
+Koszul sign: rerouting the slots from alpha order to beta-traversal order
+(the betas in family order, each in its own order) costs the inversion
+parity of the odd slots.  The sweep pays it as it goes: placing an odd
+slot flips the sign by the parity of the content already placed later in
+traversal order, the runs after it on its own beta and everything placed
+on later betas.
+
+Scalars: every character value on B is a power of x, so a state's value
+is an integer vector over exponents mod N, an element of Z[x]/(x^N - 1).
+The sum over the final states is reduced modulo Phi_N once, then the
+single rational cointegral prefactor is applied.  Everything is exact.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .algebra import apply
 from .cyclotomic import CyclotomicScalar
-from .diagram import beta_word, perm_sign
+from .diagram import beta_word
 from .errors import (ArcCurveError, CharacterMismatchError, OddScalarError)
 from .foxcalc import Character
 
@@ -76,108 +97,133 @@ def _alpha_seed(pkg, curve, chars):
     return apply(table, {pos: 1})
 
 
-def _expand_alpha(pkg, curve, chars):
-    """All (coefficient, slot basis tuple) terms for one alpha curve."""
-    from .algebra import coproduct_power
-    seed = _alpha_seed(pkg, curve, chars)
-    return coproduct_power(pkg, seed, len(curve.order))
-
-
-def _char_value_on_b(pkg, chars, beta_id, b_elem):
-    """Evaluate psi(beta*) on an element of B (given in B coordinates)."""
+def _closing(pkg, chars, curve):
+    """Per basis index i of H, the character of a beta curve on mu(e_i)
+    (closed) or pi_B(e_i) (arc), as {exponent of x: coefficient}."""
     integ = pkg.integral
-    e = chars.psi_exponent(beta_id)
-    out = CyclotomicScalar.zero(chars.order)
-    for pos, coeff in b_elem.items():
-        t = integ.b_dlog[pos]
-        out = out + coeff * CyclotomicScalar.root_power(
-            e * t, chars.order)
+    e = chars.psi_exponent(curve.id)
+    table = integ.mu if curve.closed else integ.pi_b
+    out = {}
+    for i in range(pkg.algebra.dim):
+        poly = out[i] = {}
+        for pos, c in apply(table, {i: 1}).items():
+            t = e * integ.b_dlog[pos] % chars.order
+            poly[t] = poly.get(t, 0) + c
     return out
+
+
+def _times(vec, poly):
+    """vec * sum(c x^t), exponents taken mod len(vec)."""
+    n = len(vec)
+    out = [0] * n
+    for t, c in poly.items():
+        for k, v in enumerate(vec):
+            out[(k + t) % n] += c * v
+    return out
+
+
+def _add(states, key, vec, c):
+    """states[key] += c * vec."""
+    cur = states.get(key)
+    if cur is None:
+        states[key] = [c * v for v in vec]
+    else:
+        for k, v in enumerate(vec):
+            cur[k] += c * v
+
+
+def _parity(part, par):
+    """The parity of a beta's part of a state key: runs, or a parity."""
+    return part if isinstance(part, int) else sum(par[i] for i in part)
+
+
+def _cross(states, alg, b, j, placed, neg, last, closing):
+    """The frontier after placing the next slot of the current alpha at
+    position j of beta b, where ``placed`` holds the positions of b filled
+    before and ``closing`` is b's character table if this completes b."""
+    par, comul, antipode = alg.parity, alg.comul_sc, alg.antipode_sc
+    r = sum(1 for p in placed if p < j and p + 1 not in placed)
+    left, right = j - 1 in placed, j + 1 in placed
+    lo, hi = r - left, r + right     # the runs this slot joins
+    out = {}
+    for key, vec in states.items():
+        rem, runs, later = key[0], key[1 + b], key[2 + b:]
+        tail = (sum(par[i] for i in runs[r:])
+                + sum(_parity(p, par) for p in later)) % 2
+        splits = (((rem, None), 1),) if last else comul.get(rem, {}).items()
+        for (slot, rest), c in splits:
+            images = antipode.get(slot, {}).items() if neg else ((slot, 1),)
+            for s, cs in images:
+                sign = -1 if par[s] and tail else 1
+                prod = {s: 1}
+                if left:
+                    prod = alg.mul({runs[lo]: 1}, prod)
+                if right:
+                    prod = alg.mul(prod, {runs[r]: 1})
+                for m, cm in prod.items():
+                    if closing is None:
+                        part, value = runs[:lo] + (m,) + runs[hi:], vec
+                    elif closing[m]:
+                        part, value = par[m], _times(vec, closing[m])
+                    else:
+                        continue
+                    _add(out, (rest,) + key[1:1 + b] + (part,) + later,
+                         value, sign * c * cs * cm)
+    return {key: vec for key, vec in out.items() if any(vec)}
 
 
 def contract(based, pkg, chars):
     """The unnormalized scalar of a based, ordered, oriented diagram."""
     _check_assignment(based, pkg, chars)
-    alg = pkg.algebra
-    integ, coint = pkg.integral, pkg.cointegral
+    alg, integ, coint = pkg.algebra, pkg.integral, pkg.cointegral
+    alphas, betas = based.family("alpha"), based.family("beta")
+    home = {xid: (b, j) for b, c in enumerate(betas)
+            for j, xid in enumerate(c.order)}
+    closing = [_closing(pkg, chars, c) for c in betas]
 
-    alphas = based.family("alpha")
-    betas = based.family("beta")
-    alpha_slots = [xid for c in alphas for xid in c.order]
-    slot_pos = {xid: i for i, xid in enumerate(alpha_slots)}
-    negative = [based.crossing(xid).sign < 0 for xid in alpha_slots]
-
-    expansions = [_expand_alpha(pkg, c, chars) for c in alphas]
-    n_closed_alpha = sum(1 for c in alphas if c.closed)
-    prefactor = coint.iota_prefactor ** n_closed_alpha
-
-    # beta traversal: for each beta curve, its slots in multiplication order
-    beta_plan = [(c, [slot_pos[xid] for xid in c.order]) for c in betas]
-    functional_parity = sum(
-        integ.mu_parity for c in betas if c.closed) % 2
-
-    total = CyclotomicScalar.zero(chars.order)
-    for combo in itertools.product(*expansions):
-        coeff = 1
-        assignment = []
-        for c, (term_coeff, monomial) in zip(alphas, combo):
-            coeff *= term_coeff
-            assignment.extend(monomial)
-        if coeff == 0:
+    vec, parts = [1] + [0] * (chars.order - 1), []
+    for b, c in enumerate(betas):
+        if c.order:
+            parts.append(())
+        else:
+            vec = _times(vec, closing[b][alg.unit_index])
+            parts.append(alg.parity[alg.unit_index])
+    states = {(None, *parts): vec}
+    placed = [set() for _ in betas]
+    for c in alphas:
+        seed = _alpha_seed(pkg, c, chars)
+        if not c.order:
+            k = alg.counit(seed)
+            states = {key: [k * v for v in vec]
+                      for key, vec in states.items()}
             continue
-        # antipodes at negative crossings; S may spread a basis element
-        slot_options = []
-        for neg, idx in zip(negative, assignment):
-            if neg:
-                slot_options.append(list(alg.antipode_sc.get(idx, {}).items()))
-            else:
-                slot_options.append([(idx, 1)])
-        for picked in itertools.product(*slot_options):
-            c2 = coeff
-            slots = []
-            for idx, s_coeff in picked:
-                c2 *= s_coeff
-                slots.append(idx)
-            if c2 == 0:
-                continue
-            value = _contract_term(pkg, chars, slots, beta_plan)
-            if value is None or value.is_zero():
-                continue
-            term_parity = (sum(alg.parity[i] for i in slots)
-                           + functional_parity) % 2
-            if term_parity:
-                raise OddScalarError(
-                    "nonzero contribution with odd total parity; "
-                    "the package data is corrupt")
-            total = total + c2 * value
-    return total.scale(prefactor)
+        seeded = {}
+        for key, vec in states.items():
+            for i, ci in seed.items():
+                _add(seeded, (i,) + key[1:], vec, ci)
+        states = seeded
+        for t, xid in enumerate(c.order):
+            b, j = home[xid]
+            done = len(placed[b]) + 1 == len(betas[b].order)
+            states = _cross(states, alg, b, j, placed[b],
+                            based.crossing(xid).sign < 0,
+                            t == len(c.order) - 1,
+                            closing[b] if done else None)
+            placed[b].add(j)
 
-
-def _contract_term(pkg, chars, slots, beta_plan):
-    alg, integ = pkg.algebra, pkg.integral
-
-    # Koszul sign: inversion parity among odd slots along the beta traversal
-    odd_positions = []
-    for c, positions in beta_plan:
-        for p in positions:
-            if alg.parity[slots[p]]:
-                odd_positions.append(p)
-    value = CyclotomicScalar.integer(perm_sign(odd_positions), chars.order)
-
-    for c, positions in beta_plan:
-        prod = alg.unit()
-        for p in positions:
-            prod = alg.mul(prod, {slots[p]: 1})
-            if not prod:
-                return None
-        table = integ.mu if c.closed else integ.pi_b
-        b_elem = apply(table, prod)
-        if not b_elem:
-            return None
-        value = value * _char_value_on_b(pkg, chars, c.id, b_elem)
-        if value.is_zero():
-            return None
-    return value
+    functional_parity = sum(integ.mu_parity for c in betas if c.closed)
+    total = [0] * chars.order
+    for key, vec in states.items():
+        parity = functional_parity + sum(_parity(p, alg.parity)
+                                         for p in key[1:])
+        if parity % 2 == 0:
+            total = [a + v for a, v in zip(total, vec)]
+        elif not CyclotomicScalar.from_coeffs(vec, chars.order).is_zero():
+            raise OddScalarError(
+                "nonzero contribution with odd total parity; "
+                "the package data is corrupt")
+    prefactor = coint.iota_prefactor ** sum(1 for c in alphas if c.closed)
+    return CyclotomicScalar.from_coeffs(total, chars.order).scale(prefactor)
 
 
 def basepoint_shift(based, curve_id, new_start, pkg, chars):

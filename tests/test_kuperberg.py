@@ -1,17 +1,27 @@
 import dataclasses
+import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from suturant import (Character, CharacterAssignment, CyclotomicScalar,
-                      ReorderCurves, all_characters, apply_move,
-                      basepoint_shift, build_cyclic_group_algebra, build_hn,
-                      contract, enumerate_multipoints, evaluate,
-                      fox_determinant, homology, rebase)
+                      HandleslideCurve, HopfPackage, PresentedAlgebra,
+                      ReorderCurves, ReverseCurve, Stabilize, all_characters,
+                      apply_move, basepoint_shift, build_cyclic_group_algebra,
+                      build_hn, contract, coproduct_power,
+                      enumerate_multipoints, evaluate, fox_determinant,
+                      homology, rebase)
+from suturant.algebra import (RelativeCointegralData, RelativeIntegralData,
+                              apply)
+from suturant.diagram import perm_sign
 from suturant.errors import (ArcCurveError, CharacterMismatchError,
-                             OddScalarError)
+                             CyclotomicArithmeticError, OddScalarError,
+                             SuturantError)
+from suturant.invariant import anchor_multipoint
 
-from conftest import load
+from conftest import SEED, load
 
 
 def meridian_assignment(diag, n):
@@ -144,3 +154,154 @@ def test_swapping_closed_curves_flips_sign_by_mu_parity(hopf):
     triv = CharacterAssignment.trivial()
     zc = contract(based, build_cyclic_group_algebra(3), triv)
     assert contract(swapped, build_cyclic_group_algebra(3), triv) == zc
+
+
+def grown(diag, d, rng):
+    """The diagram stabilized until it has d closed alphas.  After each
+    stabilization the shortest older closed curve of each family, reversed
+    or not at random, is slid over the new one; the manifold is kept."""
+    while diag.d < d:
+        before = {c.id for c in diag.curves}
+        diag = apply_move(diag, Stabilize())
+        for fam in ("alpha", "beta"):
+            closed = diag.family(fam, "closed")
+            new = next(c.id for c in closed if c.id not in before)
+            old = min((c for c in closed if c.id != new),
+                      key=lambda c: (len(c.order), c.id)).id
+            if rng.random() < 0.5:
+                diag = apply_move(diag, ReverseCurve(old))
+            diag = apply_move(diag, HandleslideCurve(old, new))
+    return diag
+
+
+def anchored(diag):
+    return rebase(diag, anchor_multipoint(diag))
+
+
+@pytest.mark.parametrize("name", ["hopf", "trefoil", "lens_3_1"])
+def test_engines_agree_on_grown_diagrams(name):
+    """The contraction equals the evaluated Fox determinant at d = 4..6,
+    also with one closed alpha's basepoint moved one crossing on."""
+    rng = random.Random(SEED)
+    diag = load(name)
+    for d in (4, 5, 6):
+        diag = grown(diag, d, rng)
+        g = homology(diag)
+        based = anchored(diag)
+        turn = next(c.id for c in based.family("alpha", "closed")
+                    if len(c.order) > 1)
+        rotated = based.with_curves(
+            dataclasses.replace(c, order=c.order[1:] + c.order[:1])
+            if c.id == turn else c for c in based.curves)
+        for copy in (based, rotated):
+            det = fox_determinant(copy, g)
+            for n in (2, 3):
+                chars = all_characters(g, n)
+                for chi in rng.sample(chars, min(3, len(chars))):
+                    ca = CharacterAssignment.from_character(chi)
+                    assert contract(copy, build_hn(n), ca) == \
+                        evaluate(det, chi), (name, d, n, chi.exps)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_grown_lens_group_algebra_counts_homomorphisms(p):
+    """Stabilization and handleslides keep L(p, 1), so the group algebra of
+    Z/m still counts the homomorphisms Z/p -> Z/m."""
+    rng = random.Random(SEED + p)
+    diag = load(f"lens_{p}_1")
+    for d in (3, 4, 5):
+        diag = grown(diag, d, rng)
+        based = anchored(diag)
+        for m in range(1, 6):
+            z = contract(based, build_cyclic_group_algebra(m),
+                         CharacterAssignment.trivial())
+            assert z == CyclotomicScalar.integer(math.gcd(p, m), 1), (d, m)
+
+
+def test_odd_scalar_guard_on_a_grown_diagram():
+    # three closed betas keep the corrupt functional parity odd
+    diag = grown(load("lens_2_1"), 3, random.Random(SEED))
+    pkg = build_cyclic_group_algebra(2)
+    bad_integral = dataclasses.replace(pkg.integral, mu_parity=1)
+    bad = dataclasses.replace(pkg, integral=bad_integral)
+    with pytest.raises(OddScalarError):
+        contract(anchored(diag), bad, CharacterAssignment.trivial())
+
+
+def test_non_integral_prefactor_is_a_suturant_error(trefoil):
+    pkg = build_hn(2)
+    bad = dataclasses.replace(pkg, cointegral=dataclasses.replace(
+        pkg.cointegral, iota_prefactor=Fraction(1, 7)))
+    with pytest.raises(CyclotomicArithmeticError) as err:
+        contract(based_at_first(trefoil), bad, meridian_assignment(trefoil, 2))
+    assert isinstance(err.value, SuturantError)
+
+
+def exterior_package():
+    """The exterior algebra on odd primitive x, y (basis 1, x, y, xy), with
+    mu = the xy coefficient, pi_B = the counit and iota(1) = 1 + x + xy.
+    No axiom is claimed: the data only has to feed both evaluations of the
+    contraction, and here, unlike in the shipped packages, two odd slots
+    on one beta multiply to a nonzero element."""
+    mul_sc = {(0, i): {i: 1} for i in range(4)}
+    mul_sc.update({(i, 0): {i: 1} for i in range(1, 4)})
+    mul_sc.update({(1, 2): {3: 1}, (2, 1): {3: -1}})
+    comul_sc = {0: {(0, 0): 1}, 1: {(1, 0): 1, (0, 1): 1},
+                2: {(2, 0): 1, (0, 2): 1},
+                3: {(3, 0): 1, (1, 2): 1, (2, 1): -1, (0, 3): 1}}
+    alg = PresentedAlgebra(4, ("1", "x", "y", "xy"), (0, 1, 1, 0), mul_sc,
+                           comul_sc, {0: {0: 1}, 1: {1: -1}, 2: {2: -1},
+                                      3: {3: 1}}, (1, 0, 0, 0), 0)
+    integral = RelativeIntegralData(
+        b_basis=(0,), i_b={0: {0: 1}}, pi_b={0: {0: 1}}, mu={3: {0: 1}},
+        glike_b=0, glike_b_order=1, b_dlog=(0,), mu_parity=0)
+    cointegral = RelativeCointegralData(
+        a_basis=(0,), pi_a={0: {0: 1}}, i_a={0: {0: 1}},
+        iota={0: {0: 1, 1: 1, 3: 1}}, astar_exps=(0,), astar_order=1,
+        iota_prefactor=Fraction(1), iota_parity=0)
+    return HopfPackage(alg, integral, cointegral, name="exterior")
+
+
+def walked(based, pkg):
+    """The contraction at the trivial character by its definition: a sum
+    over every term of the iterated coproducts and antipodes, the slots
+    rerouted from alpha order to beta order at the Koszul sign of the odd
+    ones, each beta's product mapped by mu or pi_B."""
+    alg, integ, coint = pkg.algebra, pkg.integral, pkg.cointegral
+    alphas, betas = based.family("alpha"), based.family("beta")
+    order = [xid for c in alphas for xid in c.order]
+    where = {xid: i for i, xid in enumerate(order)}
+    choices = [list(alg.antipode_sc[i].items()) for i in range(alg.dim)]
+    total = 0
+    for combo in itertools.product(*(coproduct_power(
+            pkg, apply(coint.iota if c.closed else coint.i_a, {0: 1}),
+            len(c.order)) for c in alphas)):
+        coeff, slots = 1, []
+        for c, key in combo:
+            coeff, slots = coeff * c, slots + list(key)
+        for picks in itertools.product(*(
+                choices[i] if based.crossing(xid).sign < 0 else [(i, 1)]
+                for i, xid in zip(slots, order))):
+            term = math.prod(c for _, c in picks) * coeff
+            odd = [where[x] for c in betas for x in c.order
+                   if alg.parity[picks[where[x]][0]]]
+            term *= perm_sign(odd)
+            for c in betas:
+                prod = alg.unit()
+                for xid in c.order:
+                    prod = alg.mul(prod, {picks[where[xid]][0]: 1})
+                b_elem = apply(integ.mu if c.closed else integ.pi_b, prod)
+                term *= b_elem.get(0, 0)
+            total += term
+    return total
+
+
+@pytest.mark.parametrize("name", ["hopf", "trefoil", "figure8", "lens_2_1"])
+def test_sweep_matches_the_term_walk_with_odd_products(name):
+    """Also with b1 reversed, and after growth to d = 3."""
+    based = based_at_first(load(name))
+    for diag in (based, apply_move(based, ReverseCurve("b1")),
+                 anchored(grown(load(name), 3, random.Random(SEED)))):
+        assert contract(diag, exterior_package(),
+                        CharacterAssignment.trivial()) == \
+            CyclotomicScalar.integer(walked(diag, exterior_package()), 1)
