@@ -92,9 +92,7 @@ def _resolve_offset(group, text):
         if name in names:
             coords[names[name]] += e
         elif name in group.gens:
-            i = group.gens.index(name)
-            unit = [1 if t == i else 0 for t in range(len(group.gens))]
-            for t, c in enumerate(group.project(unit)):
+            for t, c in enumerate(group.projection[group.gens.index(name)]):
                 coords[t] += e * c
         else:
             raise SuturantError(f"unknown generator {name!r} in offset")

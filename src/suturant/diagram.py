@@ -450,29 +450,31 @@ def intersection_matrix(diag):
     return mat
 
 
-def _int_det(mat):
-    """Fraction-free Gaussian elimination (Bareiss 1968): every division
-    is exact, and a zero pivot is swapped with a lower row."""
+def fraction_free_det(mat):
+    """Fraction-free Gaussian elimination (Bareiss 1968) over any integral
+    domain whose ``//`` is exact: every division is by the previous pivot.
+    A zero (falsy) pivot row is swapped with a lower row, which it replaces
+    negated; the empty determinant is 1."""
     a = [list(row) for row in mat]
-    n, sign, prev = len(a), 1, 1
+    n = len(a)
     for k in range(n - 1):
-        if a[k][k] == 0:
+        if not a[k][k]:
             swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
+                return a[k][k]
+            a[k], a[swap] = a[swap], [-x for x in a[k]]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
+                a[i][j] = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                if k:
+                    a[i][j] = a[i][j] // a[k - 1][k - 1]
+    return a[-1][-1] if n else 1
 
 
 def canonical_sign(diag):
     """Sign of det of the closed intersection matrix, or ``"ambiguous"``
     when the determinant vanishes and no canonical orientation exists."""
-    det = _int_det(intersection_matrix(diag))
+    det = fraction_free_det(intersection_matrix(diag))
     if det > 0:
         return 1
     if det < 0:

@@ -4,8 +4,8 @@ The fundamental group of a diagram is presented on the beta-curve duals with
 one relation per closed alpha curve.  Its abelianization is computed by an
 integer Smith normal form; group-ring elements are finitely supported integer
 maps on the normal-form coordinates (free exponents first, then torsion
-residues).  Determinants are taken by memoized Laplace expansion, which stays
-valid over group rings with zero divisors.
+residues).  Determinants are taken by fraction-free elimination in the
+Laurent lift, a domain, even where torsion gives Z[H_1] zero divisors.
 
 Fox derivatives are computed by the closed occurrence formula
 
@@ -21,9 +21,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, sub
 
 from .cyclotomic import CyclotomicScalar
-from .diagram import FreeWord, alpha_word
+from .diagram import FreeWord, alpha_word, fraction_free_det
 from .errors import (GroupMismatchError, InvalidCharacterError,
                      NonSquareError, NotDivisibleError, UnknownGeneratorError)
 
@@ -350,6 +351,54 @@ class GroupRingElement:
     __repr__ = __str__
 
 
+class _Laurent(dict):
+    """Laurent polynomial over Z, exponent tuple -> nonzero int: the lift of
+    a group-ring element, with torsion exponents as free variables (no
+    relation imposed), so this ring is a domain and ``//`` is exact."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        out = _Laurent()
+        for k1, c1 in self.items():
+            for k2, c2 in other.items():
+                k = tuple(map(add, k1, k2))
+                out[k] = c = out.get(k, 0) + c1 * c2
+                if not c:
+                    del out[k]
+        return out
+
+    def __sub__(self, other):
+        out = _Laurent(self)
+        for k, c in other.items():
+            out[k] = c = out.get(k, 0) - c
+            if not c:
+                del out[k]
+        return out
+
+    def __neg__(self):
+        return _Laurent({k: -c for k, c in self.items()})
+
+    def __floordiv__(self, other):
+        """Exact quotient, one lex-leading term at a time.  In a domain the
+        least exponents of each coordinate add up in a product, so a
+        quotient term below that floor proves a remainder (NotDivisible)
+        and bounds the lex-decreasing quotient terms, which ends the loop."""
+        lead = max(other)
+        floor = [a - b for a, b in zip(map(min, zip(*self)),
+                                       map(min, zip(*other)))]
+        work, out = self, _Laurent()
+        while work:
+            top = max(work)
+            c, r = divmod(work[top], other[lead])
+            key = tuple(map(sub, top, lead))
+            if r or any(e < f for e, f in zip(key, floor)):
+                raise NotDivisibleError("remainder after division")
+            out[key] = c
+            work = work - other * _Laurent({key: c})
+        return out
+
+
 def abelianize(word_or_terms, group):
     """Image in Z[H_1] of a FreeWord (a single monomial) or of a signed-word
     list as produced by :func:`fox_derivative`."""
@@ -422,32 +471,16 @@ def fox_matrix(diag, group=None):
 
 
 def determinant(mat):
-    """Laplace expansion with memoized minors; valid over any commutative
-    ring (group rings with torsion have zero divisors, so no elimination)."""
+    """Fraction-free elimination of the Laurent lift of the entries, then
+    projection to Z[H_1], a ring homomorphism, so the result is exact."""
     n = len(mat)
     for row in mat:
         if len(row) != n:
             raise NonSquareError(f"{len(row)} columns in a {n}-row matrix")
     if n == 0:
         raise NonSquareError("empty matrix has no ring context here")
-    group = mat[0][0].group
-    memo = {}
-
-    def minor(row, cols):
-        if not cols:
-            return GroupRingElement.one(group)
-        key = (row, cols)
-        if key in memo:
-            return memo[key]
-        acc = GroupRingElement.zero(group)
-        for t, j in enumerate(cols):
-            sub = minor(row + 1, cols[:t] + cols[t + 1:])
-            term = mat[row][j] * sub
-            acc = acc + (term if t % 2 == 0 else -term)
-        memo[key] = acc
-        return acc
-
-    return minor(0, tuple(range(n)))
+    return GroupRingElement(mat[0][0].group, fraction_free_det(
+        [[_Laurent(el.terms) for el in row] for row in mat]))
 
 
 def fox_determinant(diag, group=None):
@@ -513,9 +546,8 @@ class Character:
 
     def on_generator(self, gen):
         """Exponent assigned to a beta-dual generator."""
-        i = self.group.gens.index(gen)
-        return self.exponent(self.group.project(
-            [1 if t == i else 0 for t in range(len(self.group.gens))]))
+        return self.exponent(
+            self.group.projection[self.group.gens.index(gen)])
 
     def is_trivial(self):
         return all(e % self.order == 0 for e in self.exps)
@@ -614,39 +646,15 @@ def class_equal(a, b):
 def divide_by_element_minus_one(el, g_coords):
     """Exact division by (g - 1) in Z[Z^rank] for an infinite-order group
     element g; NotDivisible on any remainder.  Verified by re-multiplication.
-
-    Terms are consumed from the top of the linear functional v -> <g, v>,
-    which strictly decreases, so the loop terminates once the leading value
-    passes below the original support.
     """
     group = el.group
     if group.torsion:
         raise NotDivisibleError("division requires a torsion-free group")
     if all(c == 0 for c in g_coords):
         raise NotDivisibleError("meridian has finite order")
-    if el.is_zero():
-        return el
-
-    def height(key):
-        return sum(a * b for a, b in zip(g_coords, key))
-
-    floor = min(height(k) for k in el.terms)
-    work = dict(el.terms)
-    quotient = {}
-    while work:
-        key = max(work, key=lambda k: (height(k),) + k)
-        if height(key) < floor:
-            raise NotDivisibleError("remainder after division")
-        c = work.pop(key)
-        low = tuple(a - b for a, b in zip(key, g_coords))
-        # c*x^key = c*(x^g - 1)*x^low + c*x^low
-        quotient[low] = quotient.get(low, 0) + c
-        work[low] = work.get(low, 0) + c
-        if work[low] == 0:
-            del work[low]
-    q = GroupRingElement(group, quotient)
     unit = GroupRingElement(group, {tuple(g_coords): 1,
                                     group.identity(): -1})
+    q = GroupRingElement(group, _Laurent(el.terms) // _Laurent(unit.terms))
     if q * unit != el:
         raise NotDivisibleError("remainder after division")
     return q

@@ -301,8 +301,9 @@ def _recursive_fox(word, gen, group):
 
 def test_criterion_10_fox_micro_oracles():
     """The closed occurrence formula agrees with the recursive product rule
-    on 1000 seeded random words; Laplace determinants agree with the full
-    permutation expansion on random 4x4 matrices over Z[Z/3]."""
+    on 1000 seeded random words; determinants by elimination of the Laurent
+    lift agree with the full permutation expansion on random 4x4 matrices
+    over Z[Z/3], where zero divisors live."""
     rng = random.Random(SEED)
     gens = ("x", "y", "z", "w")
     group = presented_group(gens, [])

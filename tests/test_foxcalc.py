@@ -13,7 +13,7 @@ from suturant.errors import (InvalidCharacterError, NonSquareError,
                              NotDivisibleError)
 from suturant.foxcalc import augmentation
 
-from conftest import SEED, corpus_names, load
+from conftest import SEED, corpus_names, load, slid_and_back
 
 
 def W(*letters):
@@ -116,7 +116,7 @@ def test_smith_normal_form_properties():
             assert group.project(row) == group.identity()
         # full-rank square case: |det| = product of torsion orders
         if m == n:
-            det = _int_det(rows)
+            det = _permutation_det(rows)
             if det != 0:
                 prod = 1
                 for d in group.torsion:
@@ -125,7 +125,7 @@ def test_smith_normal_form_properties():
                 assert prod == abs(det)
 
 
-def _int_det(mat):
+def _permutation_det(mat):
     n = len(mat)
     total = 0
     for perm in itertools.permutations(range(n)):
@@ -141,7 +141,7 @@ def _int_det(mat):
 
 
 def test_bareiss_determinant_matches_the_permutation_expansion():
-    from suturant.diagram import _int_det as bareiss
+    from suturant.diagram import fraction_free_det as bareiss
     rng = random.Random(SEED + 9)
     assert bareiss([]) == 1
     for n in range(1, 8):
@@ -151,7 +151,7 @@ def test_bareiss_determinant_matches_the_permutation_expansion():
                 rows[0][0] = 0
             if trial % 3 == 2 and n > 1:    # singular: a row repeats
                 rows[-1] = list(rows[rng.randrange(n - 1)])
-            assert bareiss(rows) == _int_det(rows), rows
+            assert bareiss(rows) == _permutation_det(rows), rows
 
 
 def test_section_lifts_normal_forms():
@@ -215,6 +215,8 @@ def test_two_by_two_determinant():
     one = GroupRingElement.one(g)
     mat = [[one, t], [t, one]]
     assert determinant(mat) == one - t * t
+    zero = GroupRingElement.zero(g)
+    assert determinant([[zero, t], [t, one]]) == -(t * t)
     with pytest.raises(NonSquareError):
         determinant([[one, t]])
 
@@ -239,6 +241,40 @@ def test_determinant_matches_permutation_expansion():
                 prod = prod * mat[i][perm[i]]
             want = want + sgn * prod
         assert got == want
+
+
+def _laplace(mat):
+    """Reference determinant: Laplace expansion along the rows, memoized
+    over the remaining column subsets; valid over any commutative ring."""
+    group = mat[0][0].group
+    memo = {}
+
+    def minor(row, cols):
+        if not cols:
+            return GroupRingElement.one(group)
+        key = (row, cols)
+        if key not in memo:
+            acc = GroupRingElement.zero(group)
+            for t, j in enumerate(cols):
+                term = mat[row][j] * minor(row + 1, cols[:t] + cols[t + 1:])
+                acc = acc + (term if t % 2 == 0 else -term)
+            memo[key] = acc
+        return memo[key]
+
+    return minor(0, tuple(range(len(mat))))
+
+
+def test_determinant_matches_laplace_on_grown_diagrams():
+    """Elimination of the Laurent lift equals the Laplace expansion on
+    every corpus Fox matrix and on bases with and without torsion (lens_6_1
+    has H_1 = Z/6) grown by slides to d = 4 and 8."""
+    diags = [load(name) for name in corpus_names()]
+    for name in ("hopf", "trefoil", "figure8", "lens_3_1", "lens_6_1"):
+        diags += [slid_and_back(load(name), d) for d in (4, 8)]
+    for diag in diags:
+        if diag.d:
+            mat = fox_matrix(diag, homology(diag))
+            assert determinant(mat) == _laplace(mat)
 
 
 def test_multipoint_expansion_equals_determinant_on_corpus():
@@ -337,3 +373,5 @@ def test_exact_division():
     assert q * (t1 - one) == f
     with pytest.raises(NotDivisibleError):
         divide_by_element_minus_one(one - t1 + t1 * t1, (1, 0))
+    with pytest.raises(NotDivisibleError):
+        divide_by_element_minus_one(one + t1, (0, 1))

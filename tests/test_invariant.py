@@ -13,9 +13,7 @@ from suturant.errors import (AmbiguousOrientationError, InvalidReferenceError,
                              NotDivisibleError)
 from suturant.invariant import (OrientationSign, SpincRelative,
                                 anchor_multipoint)
-from suturant.moves import HandleslideCurve, Stabilize
-
-from conftest import SEED, corpus_names, load
+from conftest import SEED, corpus_names, load, slid_and_back
 
 
 def meridian_character(group, n):
@@ -167,22 +165,14 @@ def test_anchor_is_the_least_multipoint():
         assert anchor_multipoint(diag) == (mps[0] if mps else None), label
 
 
-def test_anchor_at_d10():
-    """Hopf stabilized to d = 10, each new closed curve slid over the
-    shortest old one of its family and back: about 2.5 * 10^13 multipoints,
-    far beyond enumeration, and the anchor is still a valid reference."""
-    diag = load("hopf")
-    while diag.d < 10:
-        before = {c.id for c in diag.curves}
-        diag = apply_move(diag, Stabilize())
-        for fam in ("alpha", "beta"):
-            closed = diag.family(fam, "closed")
-            new = next(c.id for c in closed if c.id not in before)
-            over = min((c for c in closed if c.id != new),
-                       key=lambda c: len(c.order)).id
-            diag = apply_move(diag, HandleslideCurve(new, over))
-            diag = apply_move(diag, HandleslideCurve(over, new))
-    assert diag.d == 10
+@pytest.mark.parametrize("d", [10, 16])
+def test_anchor_at_d10(d):
+    """Hopf stabilized to d = 10 (and 16), each new closed curve slid over
+    the shortest old one of its family and back: about 2.5 * 10^13
+    multipoints at d = 10, far beyond enumeration, and the anchor is still
+    a valid reference."""
+    diag = slid_and_back(load("hopf"), d)
+    assert diag.d == d
     anchor = anchor_multipoint(diag)
     rebase(diag, anchor)
     assert class_equal(torsion_class(diag), canonical_class(
