@@ -7,7 +7,10 @@ maps on the normal-form coordinates (free exponents first, then torsion
 residues).  Determinants are taken by fraction-free elimination in the
 Laurent lift, a domain, even where torsion gives Z[H_1] zero divisors.
 
-Fox derivatives are computed by the closed occurrence formula
+The Fox matrix is built in H_1 coordinates: one walk per closed alpha
+(:func:`crossing_classes`) classes each crossing, and entry (a, b) sums
+sign * t^class over the crossings of a with b.  The word-level
+:func:`fox_derivative` uses the closed occurrence formula
 
     dw/dx = sum_j m_j (A_j x^{-eps_j})
 
@@ -46,13 +49,6 @@ def fox_derivative(word, gen):
         else:
             out.append((FreeWord(word.letters[:j + 1]), -1))
     return out
-
-
-def augmentation(word_terms):
-    """Augmentation of a signed-word list (or of a FreeWord, which is 1)."""
-    if isinstance(word_terms, FreeWord):
-        return 1
-    return sum(s for _, s in word_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -293,40 +289,24 @@ class GroupRingElement:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return GroupRingElement(self.group, terms)
+        return GroupRingElement(self.group, _Laurent(self.terms) + other.terms)
 
     def __neg__(self):
-        return GroupRingElement(self.group,
-                                {k: -c for k, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GroupRingElement(
-                self.group, {k: c * other for k, c in self.terms.items()})
+            other = self.monomial(self.group, self.group.identity(), other)
         self._check(other)
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                k = self.group.normalize(k)
-                out[k] = out.get(k, 0) + c1 * c2
-        return GroupRingElement(self.group, out)
+        return GroupRingElement(self.group, _Laurent(self.terms) * other.terms)
 
     __rmul__ = __mul__
 
     def translate(self, coords, sign=1):
-        out = {}
-        for k, c in self.terms.items():
-            kk = self.group.normalize(
-                tuple(a + b for a, b in zip(k, coords)))
-            out[kk] = out.get(kk, 0) + sign * c
-        return GroupRingElement(self.group, out)
+        return self * self.monomial(self.group, coords, sign)
 
     def __eq__(self, other):
         return (isinstance(other, GroupRingElement)
@@ -354,7 +334,8 @@ class GroupRingElement:
 class _Laurent(dict):
     """Laurent polynomial over Z, exponent tuple -> nonzero int: the lift of
     a group-ring element, with torsion exponents as free variables (no
-    relation imposed), so this ring is a domain and ``//`` is exact."""
+    relation imposed), so this ring is a domain and ``//`` is exact.  The
+    group-ring sum and product are taken here and projected back."""
 
     __slots__ = ()
 
@@ -368,13 +349,16 @@ class _Laurent(dict):
                     del out[k]
         return out
 
-    def __sub__(self, other):
+    def __add__(self, other):
         out = _Laurent(self)
         for k, c in other.items():
-            out[k] = c = out.get(k, 0) - c
+            out[k] = c = out.get(k, 0) + c
             if not c:
                 del out[k]
         return out
+
+    def __sub__(self, other):
+        return self + -other
 
     def __neg__(self):
         return _Laurent({k: -c for k, c in self.items()})
@@ -457,16 +441,40 @@ def render_group_ring(el):
 # Fox matrix, determinant, multipoint expansion
 # ---------------------------------------------------------------------------
 
+def crossing_classes(diag, group):
+    """Crossing id -> class in H_1 of the word from its closed alpha's
+    basepoint up to the crossing's own basepoint, which sits before a
+    positive crossing and after a negative one.  One walk per closed alpha
+    with a running normal-form vector."""
+    step = dict(zip(group.gens, group.projection))
+    out = {}
+    for c in diag.closed_alphas:
+        acc = group.identity()
+        for xid in c.order:
+            x = diag.crossing(xid)
+            if x.beta not in step:
+                raise UnknownGeneratorError(x.beta)
+            after = tuple(map(add if x.sign > 0 else sub, acc, step[x.beta]))
+            out[xid] = group.normalize(acc if x.sign > 0 else after)
+            acc = after
+    return out
+
+
 def fox_matrix(diag, group=None):
     """Matrix of abelianized Fox derivatives: rows the closed alpha words,
     columns the closed beta duals, entries in Z[H_1]."""
     group = group or homology(diag)
+    classes = crossing_classes(diag, group)
+    cols = {c.id: j for j, c in enumerate(diag.closed_betas)}
     rows = []
     for a in diag.closed_alphas:
-        w = alpha_word(diag, a.id)
-        row = [abelianize(fox_derivative(w, b.id), group)
-               for b in diag.closed_betas]
-        rows.append(row)
+        row = [{} for _ in cols]
+        for xid in a.order:
+            x = diag.crossing(xid)
+            if x.beta in cols:
+                entry = row[cols[x.beta]]
+                entry[classes[xid]] = entry.get(classes[xid], 0) + x.sign
+        rows.append([GroupRingElement(group, e) for e in row])
     return rows
 
 
@@ -572,11 +580,10 @@ def evaluate(el, chi):
     cyclotomic ring of the character's order."""
     if not el.group.same_shape(chi.group):
         raise GroupMismatchError("character on a different group")
-    out = CyclotomicScalar.zero(chi.order)
-    for key, coeff in el.sorted_terms():
-        out = out + coeff * CyclotomicScalar.root_power(
-            chi.exponent(key), chi.order)
-    return out
+    coeffs = [0] * chi.order
+    for key, coeff in el.terms.items():
+        coeffs[chi.exponent(key)] += coeff
+    return CyclotomicScalar.from_coeffs(coeffs, chi.order)
 
 
 # ---------------------------------------------------------------------------

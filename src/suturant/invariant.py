@@ -2,20 +2,24 @@
 
 The relative spin-c structure is a reference multipoint plus an offset in
 H_1 (differences of multipoints are change-of-basepoint words, so this
-relative representation is complete for everything computed here).  Every
-offset is anchored at one multipoint, the one :func:`anchor_multipoint`
-returns: the least multipoint in sorted-pick order.  It is built one pick
-at a time, each candidate pick tested by bipartite matching with augmenting
-paths, in polynomial time and without listing the multipoints, whose number
-grows like the permanent of the crossing-count matrix.  The orientation
-input is a bare sign, with a canonical mode available exactly when the
-closed intersection determinant does not vanish.
+relative representation is complete for everything computed here).  The
+class of a multipoint is the sum of its picks' crossing classes; a closed
+alpha word is a relator in H_1, so differences of these classes do not
+depend on the basepoints.  Every offset is anchored at one multipoint, the
+one :func:`anchor_multipoint` returns: the least multipoint in sorted-pick
+order.  It is built one pick at a time, each candidate pick tested by
+bipartite matching with augmenting paths, in polynomial time and without
+listing the multipoints, whose number grows like the permanent of the
+crossing-count matrix.  The orientation input is a bare sign, with a
+canonical mode available exactly when the closed intersection determinant
+does not vanish.
 
 Two computation paths exist for the character-evaluated invariant: the
 tensor engine contracts the diagram against the 2n-dimensional package, the
 Fox engine evaluates the group-ring valued invariant at the character.  The
 group-ring valued invariant and the torsion class always go through the Fox
-engine, which is symbolic by construction.
+engine, which is symbolic by construction; both take the determinant at
+the diagram's own basepoints.  Only the tensor engine rebases.
 """
 
 from __future__ import annotations
@@ -24,16 +28,18 @@ from dataclasses import dataclass
 
 from .algebra import build_hn
 from .cyclotomic import CyclotomicScalar
-from .diagram import Multipoint, canonical_sign, epsilon_class, rebase
-# Not called here: kept as a module attribute because the benchmark tracer
-# (perfbench/tracing.py) wraps suturant.invariant.enumerate_multipoints.
-from .diagram import enumerate_multipoints  # noqa: F401
+from .diagram import Multipoint, _check_multipoint, canonical_sign, rebase
+# Not called here: kept as module attributes because the benchmark tracer
+# (perfbench/tracing.py) wraps suturant.invariant.enumerate_multipoints and
+# suturant.invariant.epsilon_class.
+from .diagram import enumerate_multipoints, epsilon_class  # noqa: F401
 from .errors import (AmbiguousOrientationError, InvalidCharacterError,
                      InvalidMultipointError, InvalidReferenceError,
                      NotDivisibleError)
 from .foxcalc import (GroupRingElement, InvariantClass, canonical_class,
-                      class_equal, divide_by_element_minus_one, evaluate,
-                      fox_determinant, homology, smith_normal_form)
+                      class_equal, crossing_classes,
+                      divide_by_element_minus_one, evaluate, fox_determinant,
+                      homology, smith_normal_form)
 from .kuperberg import contract
 
 
@@ -42,9 +48,9 @@ class SpincRelative:
     """Reference multipoint plus an H_1 offset (a single group element).
 
     The structure described is the offset-translate of the class attached
-    to the diagram's anchor multipoint (:func:`anchor_multipoint`); the
-    reference only says where to rebase for the computation, and the
-    normalization absorbs the change-of-basepoint class between the two, so
+    to the diagram's anchor multipoint (:func:`anchor_multipoint`).  The
+    Fox engine only checks that the reference is a multipoint; the tensor
+    engine rebases there and absorbs the class difference to the anchor, so
     the computed value does not depend on it.
     """
 
@@ -129,33 +135,32 @@ def _matchable(alphas, options, taken):
     return all(augment(a, set()) for a in alphas)
 
 
-def _rebased(diag, spinc):
-    """The diagram rebased at the reference multipoint; ``rebase`` checks
-    that the reference is a multipoint of the diagram."""
+def _check_reference(diag, spinc):
     try:
-        return rebase(diag, spinc.reference)
+        _check_multipoint(diag, spinc.reference)
     except InvalidMultipointError:
         raise InvalidReferenceError(
             f"{spinc.reference} is not a multipoint of the diagram") from None
 
 
-def _anchored_offset(diag, group, spinc):
-    """Offset coordinates relative to the anchor multipoint: the stored
-    offset plus the change-of-basepoint class from the anchor to the
-    reference."""
+def _spinc_shift(diag, group, spinc, based_at=Multipoint(())):
+    """Coordinates of h: the stored offset minus the class of the anchor
+    multipoint plus the class of ``based_at``, the multipoint whose
+    basepoints the computed value is read at (none: the diagram's own)."""
+    classes = crossing_classes(diag, group)
     coords = spinc.offset_coords(group)
-    anchor = anchor_multipoint(diag)
-    if anchor != spinc.reference:
-        eps = group.project_word(epsilon_class(diag, anchor, spinc.reference))
-        coords = group.normalize(tuple(a + b for a, b in zip(coords, eps)))
-    return coords
+    for sign, mp in ((-1, anchor_multipoint(diag)), (1, based_at)):
+        for xid in mp.picks:
+            coords = tuple(a + sign * b for a, b in zip(coords, classes[xid]))
+    return group.normalize(coords)
 
 
 def invariant_hn(diag, n, chars, spinc, orient=OrientationSign(),
                  engine="fox"):
     """The character-evaluated invariant delta * zeta * Z.  The Fox engine
     evaluates :func:`invariant_h0` at the character; the tensor engine
-    contracts the diagram rebased at the reference multipoint."""
+    contracts the diagram rebased at the reference multipoint, so its zeta
+    shift adds the reference's class."""
     if engine == "fox":
         if chars.h1 is None:
             raise InvalidCharacterError(
@@ -165,8 +170,10 @@ def invariant_hn(diag, n, chars, spinc, orient=OrientationSign(),
     if engine != "tensor":
         raise ValueError(f"unknown engine {engine!r}")
     group = homology(diag)
-    z = contract(_rebased(diag, spinc), build_hn(n), chars)
-    zeta = _zeta_factor(group, chars, _anchored_offset(diag, group, spinc))
+    _check_reference(diag, spinc)
+    z = contract(rebase(diag, spinc.reference), build_hn(n), chars)
+    zeta = _zeta_factor(group, chars,
+                        _spinc_shift(diag, group, spinc, spinc.reference))
     return orient.resolve(diag) * (zeta * z)
 
 
@@ -183,11 +190,14 @@ def _zeta_factor(group, chars, coords):
 
 def invariant_h0(diag, spinc, orient=OrientationSign()):
     """The group-ring valued invariant delta * h * det over Z[H_1].  The
-    integral of H_n is odd, so delta is the orientation sign itself."""
+    integral of H_n is odd, so delta is the orientation sign itself.  The
+    determinant is the unrebased one :func:`torsion_class` takes, so h is
+    the offset minus the anchor's class; the reference is only checked."""
     group = homology(diag)
-    det = fox_determinant(_rebased(diag, spinc), group)
+    _check_reference(diag, spinc)
+    det = fox_determinant(diag, group)
     delta = orient.resolve(diag)
-    return det.translate(_anchored_offset(diag, group, spinc), delta)
+    return det.translate(_spinc_shift(diag, group, spinc), delta)
 
 
 def torsion_class(diag):

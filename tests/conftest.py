@@ -1,9 +1,10 @@
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from suturant import apply_move, parse_diagram
+from suturant import apply_move, parse_diagram, random_move_sequence
 from suturant.moves import HandleslideCurve, Stabilize
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -37,6 +38,29 @@ def slid_and_back(diag, d):
             diag = apply_move(diag, HandleslideCurve(new, over))
             diag = apply_move(diag, HandleslideCurve(over, new))
     return diag
+
+
+def rotated(diag):
+    """The diagram with the basepoint of every closed curve moved one
+    crossing on."""
+    return diag.with_curves(
+        replace(c, order=c.order[1:] + c.order[:1]) if c.closed else c
+        for c in diag.curves)
+
+
+def moved_and_rotated(bases):
+    """Each (label, diagram) base, seeded move-sequence copies of it, and
+    each of these also rotated."""
+    for name, diag in bases:
+        copies = [(name, diag)]
+        for seed in range(SEED, SEED + 2):
+            cur = diag
+            for mv in random_move_sequence(diag, seed, 4):
+                cur = apply_move(cur, mv)
+            copies.append((f"{name} seed {seed}", cur))
+        for label, cur in copies:
+            yield label, cur
+            yield f"{label} rotated", rotated(cur)
 
 
 @pytest.fixture

@@ -23,7 +23,6 @@ from suturant import (Character, CharacterAssignment, CyclotomicScalar,
                       invariant_hn, multipoint_expansion, presented_group,
                       random_move_sequence, rebase, torsion_class,
                       transfer_exponents, validate)
-from suturant.foxcalc import augmentation
 from suturant.invariant import OrientationSign, SpincRelative
 
 from conftest import SEED, corpus_names, load

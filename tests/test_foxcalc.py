@@ -4,16 +4,18 @@ import random
 import pytest
 
 from suturant import (Character, FreeWord, GroupRingElement, abelianize,
-                      all_characters, canonical_class, class_equal,
-                      determinant, divide_by_element_minus_one, evaluate,
+                      all_characters, alpha_word, canonical_class,
+                      class_equal, determinant, divide_by_element_minus_one,
+                      enumerate_multipoints, epsilon_class, evaluate,
                       fox_derivative, fox_determinant, fox_matrix, homology,
                       multipoint_expansion, presented_group,
                       smith_normal_form)
 from suturant.errors import (InvalidCharacterError, NonSquareError,
                              NotDivisibleError)
-from suturant.foxcalc import augmentation
+from suturant.foxcalc import crossing_classes
 
-from conftest import SEED, corpus_names, load, slid_and_back
+from conftest import (SEED, corpus_names, load, moved_and_rotated,
+                      slid_and_back)
 
 
 def W(*letters):
@@ -81,7 +83,7 @@ def test_product_rule_property():
             du = fox_derivative(u, g)
             dv = fox_derivative(v, g)
             lhs = abelianize(fox_derivative(u * v, g), group)
-            rhs = (abelianize(du, group) * augmentation(v)
+            rhs = (abelianize(du, group) * abelianize(v, group).augmentation()
                    + abelianize(u, group) * abelianize(dv, group))
             assert lhs == rhs
 
@@ -275,6 +277,51 @@ def test_determinant_matches_laplace_on_grown_diagrams():
         if diag.d:
             mat = fox_matrix(diag, homology(diag))
             assert determinant(mat) == _laplace(mat)
+
+
+def _class_rule_cases():
+    """Every corpus diagram, seeded move copies and rotated copies of each,
+    and bases with and without torsion grown by slides to d = 4 and 8."""
+    yield from moved_and_rotated((name, load(name)) for name in corpus_names())
+    for name in ("hopf", "trefoil", "figure8", "lens_3_1", "lens_6_1"):
+        for d in (4, 8):
+            yield f"{name} grown to {d}", slid_and_back(load(name), d)
+
+
+def test_fox_matrix_is_the_abelianized_fox_derivative():
+    """The crossing-class walk builds the same Fox matrix as abelianizing
+    the word-level derivative of every alpha word."""
+    for label, diag in _class_rule_cases():
+        g = homology(diag)
+        for a, row in zip(diag.closed_alphas, fox_matrix(diag, g)):
+            word = alpha_word(diag, a.id)
+            assert row == [abelianize(fox_derivative(word, b.id), g)
+                           for b in diag.closed_betas], (label, a.id)
+
+
+def test_multipoint_class_differences_are_change_of_basepoint_classes():
+    """The sum of the picks' crossing classes changes between two
+    multipoints by the abelianized change-of-basepoint word: every pair on
+    the corpus, move and rotated copies, and on Hopf grown to d = 4 (912
+    multipoints) the first one against each other one, both ways."""
+    cases = [(label, diag, None) for label, diag in moved_and_rotated(
+        (name, load(name)) for name in corpus_names())]
+    cases.append(("hopf grown to 4", slid_and_back(load("hopf"), 4), 0))
+    for label, diag, fixed in cases:
+        g = homology(diag)
+        classes = crossing_classes(diag, g)
+        mps = enumerate_multipoints(diag)
+
+        def h(mp):
+            return [sum(col) for col in zip(
+                g.identity(), *(classes[xid] for xid in mp.picks))]
+
+        pairs = (itertools.product(mps, mps) if fixed is None else
+                 [p for y in mps for p in ((mps[fixed], y), (y, mps[fixed]))])
+        for x, y in pairs:
+            diff = g.normalize(tuple(b - a for a, b in zip(h(x), h(y))))
+            assert diff == g.project_word(epsilon_class(diag, x, y)), (
+                label, x, y)
 
 
 def test_multipoint_expansion_equals_determinant_on_corpus():

@@ -1,19 +1,21 @@
 import itertools
-from dataclasses import replace
+import random
+from operator import add
 
 import pytest
 
 from suturant import (Character, CharacterAssignment, CyclotomicScalar,
                       GroupRingElement, all_characters, alexander_from_torsion,
                       apply_move, canonical_class, class_equal,
-                      enumerate_multipoints, evaluate, homology, invariant_h0,
-                      invariant_hn, parse_diagram, random_move_sequence,
-                      rebase, torsion_class)
+                      enumerate_multipoints, epsilon_class, evaluate,
+                      fox_determinant, homology, invariant_h0, invariant_hn,
+                      parse_diagram, rebase, torsion_class)
 from suturant.errors import (AmbiguousOrientationError, InvalidReferenceError,
                              NotDivisibleError)
 from suturant.invariant import (OrientationSign, SpincRelative,
                                 anchor_multipoint)
-from conftest import SEED, corpus_names, load, slid_and_back
+from conftest import (SEED, corpus_names, load, moved_and_rotated,
+                      slid_and_back)
 
 
 def meridian_character(group, n):
@@ -139,18 +141,7 @@ def _choice_independence_cases():
     of every closed curve moved one crossing on."""
     bases = [(name, load(name)) for name in corpus_names()]
     bases.append(("string_order", STRING_ORDER))
-    for name, diag in bases:
-        copies = [(name, diag)]
-        for seed in range(SEED, SEED + 2):
-            cur = diag
-            for mv in random_move_sequence(diag, seed, 4):
-                cur = apply_move(cur, mv)
-            copies.append((f"{name} seed {seed}", cur))
-        for label, cur in copies:
-            yield label, cur
-            yield f"{label} rotated", cur.with_curves(
-                replace(c, order=c.order[1:] + c.order[:1]) if c.closed
-                else c for c in cur.curves)
+    return moved_and_rotated(bases)
 
 
 def test_anchor_is_the_least_multipoint():
@@ -198,6 +189,50 @@ def test_torsion_class_is_choice_independent():
                     el = invariant_h0(diag, SpincRelative(ref, off),
                                       OrientationSign(sign))
                     assert class_equal(canonical_class(el), cls), label
+
+
+def _rebased_h0(diag, spinc, orient):
+    """Reference for invariant_h0: the Fox determinant of the diagram
+    rebased at the reference multipoint, translated by the offset plus the
+    change-of-basepoint class from the anchor to the reference."""
+    group = homology(diag)
+    det = fox_determinant(rebase(diag, spinc.reference), group)
+    eps = group.project_word(epsilon_class(
+        diag, anchor_multipoint(diag), spinc.reference))
+    coords = group.normalize(tuple(map(add, spinc.offset_coords(group), eps)))
+    return det.translate(coords, orient.resolve(diag))
+
+
+def test_invariant_h0_equals_the_rebased_determinant():
+    """invariant_h0 takes the determinant at the diagram's own basepoints
+    and shifts by the offset minus the anchor's crossing classes; that is
+    exactly the rebased reference at every multipoint, sign and offset (a
+    seeded group element), on the choice-independence cases and on grown
+    bases (every multipoint of Hopf at d = 3, a seeded sample of six on
+    the larger ones)."""
+    rng = random.Random(SEED + 7)
+    cases = [(label, diag, enumerate_multipoints(diag))
+             for label, diag in _choice_independence_cases()]
+    for name, d in (("hopf", 3), ("hopf", 4), ("trefoil", 3),
+                    ("lens_6_1", 3)):
+        diag = slid_and_back(load(name), d)
+        mps = enumerate_multipoints(diag)
+        if len(mps) > 40:
+            mps = [mps[0]] + rng.sample(mps, 5)
+        cases.append((f"{name} grown to {d}", diag, mps))
+    for label, diag, mps in cases:
+        g = homology(diag)
+        offsets = [None]
+        if g.ncoords:
+            offsets.append(GroupRingElement.monomial(g, g.normalize(tuple(
+                rng.randint(-3, 3) for _ in range(g.ncoords)))))
+        for ref in mps:
+            for sign in (1, -1):
+                for off in offsets:
+                    spinc = SpincRelative(ref, off)
+                    orient = OrientationSign(sign)
+                    assert invariant_h0(diag, spinc, orient) == _rebased_h0(
+                        diag, spinc, orient), (label, ref, sign, off)
 
 
 def test_s1s2_torsion_class_is_zero():
