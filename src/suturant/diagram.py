@@ -454,7 +454,9 @@ def fraction_free_det(mat):
     """Fraction-free Gaussian elimination (Bareiss 1968) over any integral
     domain whose ``//`` is exact: every division is by the previous pivot.
     A zero (falsy) pivot row is swapped with a lower row, which it replaces
-    negated; the empty determinant is 1."""
+    negated; the empty determinant is 1.  The package runs it on integers:
+    the closed intersection matrix here, and the Kronecker-packed Fox
+    matrix in ``foxcalc.determinant``."""
     a = [list(row) for row in mat]
     n = len(a)
     for k in range(n - 1):

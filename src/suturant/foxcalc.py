@@ -4,8 +4,10 @@ The fundamental group of a diagram is presented on the beta-curve duals with
 one relation per closed alpha curve.  Its abelianization is computed by an
 integer Smith normal form; group-ring elements are finitely supported integer
 maps on the normal-form coordinates (free exponents first, then torsion
-residues).  Determinants are taken by fraction-free elimination in the
-Laurent lift, a domain, even where torsion gives Z[H_1] zero divisors.
+residues).  Determinants are taken in the Laurent lift, a domain, even
+where torsion gives Z[H_1] zero divisors: Kronecker substitution packs each
+lifted entry into one integer, and fraction-free elimination runs on the
+integers (:func:`determinant`).
 
 The Fox matrix is built in H_1 coordinates: one walk per closed alpha
 (:func:`crossing_classes`) classes each crossing, and entry (a, b) sums
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, mul, sub
 
 from .cyclotomic import CyclotomicScalar
 from .diagram import FreeWord, alpha_word, fraction_free_det
@@ -460,11 +462,13 @@ def crossing_classes(diag, group):
     return out
 
 
-def fox_matrix(diag, group=None):
+def fox_matrix(diag, group=None, classes=None):
     """Matrix of abelianized Fox derivatives: rows the closed alpha words,
-    columns the closed beta duals, entries in Z[H_1]."""
+    columns the closed beta duals, entries in Z[H_1].  ``classes`` is the
+    :func:`crossing_classes` result when the caller already has it."""
     group = group or homology(diag)
-    classes = crossing_classes(diag, group)
+    if classes is None:
+        classes = crossing_classes(diag, group)
     cols = {c.id: j for j, c in enumerate(diag.closed_betas)}
     rows = []
     for a in diag.closed_alphas:
@@ -479,24 +483,92 @@ def fox_matrix(diag, group=None):
 
 
 def determinant(mat):
-    """Fraction-free elimination of the Laurent lift of the entries, then
-    projection to Z[H_1], a ring homomorphism, so the result is exact."""
+    """det of a square matrix over Z[H_1], one integer per entry.
+
+    The entries are lifted to Laurent polynomials, one free variable t_v
+    per coordinate (torsion too).  For each v, every row or else every
+    column, whichever has the smaller span_v (the spread max - min of the
+    t_v exponents summed over the lines), is multiplied by the power of
+    t_v that makes its least exponent 0; every minor then has t_v
+    exponents in [0, span_v].  B, the lesser product of the row or of the
+    column l1 norms, bounds every coefficient of every minor.  With
+    ``bits = B.bit_length() + 1``, t_v -> 2^(bits * stride_v), stride_v =
+    prod_{u<v} (span_u + 1), makes each entry one integer, and
+    fraction-free elimination runs on the integers.
+
+    Exact because substitution is a ring homomorphism, so every division
+    stays exact, and every pivot and entry the elimination reads is a
+    minor: its exponents lie in the box and its coefficients below
+    2^(bits - 1) in absolute value, so it is 0 exactly when its integer is,
+    and its balanced base-2^bits digits are its coefficients.  The digits
+    of the result, shifted back by the summed line shifts, project to
+    Z[H_1].  A zero row or column gives 0 at once.
+
+    Cost: every integer is dense in the box, prod_v (span_v + 1) * bits
+    bits.  That suits small rank (at most 3 in the corpus and its grown
+    families); a rank-r group wide in every coordinate pays span^r."""
     n = len(mat)
     for row in mat:
         if len(row) != n:
             raise NonSquareError(f"{len(row)} columns in a {n}-row matrix")
     if n == 0:
         raise NonSquareError("empty matrix has no ring context here")
-    return GroupRingElement(mat[0][0].group, fraction_free_det(
-        [[_Laurent(el.terms) for el in row] for row in mat]))
+    group = mat[0][0].group
+    rows = [[el.terms for el in row] for row in mat]
+    row_lows, row_spans, row_norm = _line_bounds(rows)
+    col_lows, col_spans, col_norm = _line_bounds(list(zip(*rows)))
+    if not row_norm * col_norm:                 # a zero row or column
+        return GroupRingElement.zero(group)
+    by_row = [r <= c for r, c in zip(row_spans, col_spans)]
+    spans = list(map(min, row_spans, col_spans))
+    strides = [math.prod(s + 1 for s in spans[:v]) for v in range(len(spans))]
+    bits = min(row_norm, col_norm).bit_length() + 1
+    on_rows = [s if r else 0 for s, r in zip(strides, by_row)]
+    on_cols = list(map(sub, strides, on_rows))
+    row_offs = [sum(map(mul, low, on_rows)) for low in row_lows]
+    col_offs = [sum(map(mul, low, on_cols)) for low in col_lows]
+    det = fraction_free_det([
+        [sum(c << bits * (sum(map(mul, k, strides)) - ro - co)
+             for k, c in entry.items())
+         for entry, co in zip(row, col_offs)]
+        for row, ro in zip(rows, row_offs)])
+    shift = [sum(low[v] for low in (row_lows if r else col_lows))
+             for v, r in enumerate(by_row)]
+    terms, base = {}, 1 << bits
+    box = [range(low, low + span + 1) for low, span in zip(shift, spans)]
+    for key in itertools.product(*box[::-1]):   # t_0 varies fastest
+        if not det:
+            break
+        digit = det & (base - 1)
+        det >>= bits
+        if 2 * digit >= base:
+            digit -= base
+            det += 1
+        if digit:
+            terms[key[::-1]] = digit
+    return GroupRingElement(group, terms)
 
 
-def fox_determinant(diag, group=None):
+def _line_bounds(lines):
+    """For the lines (rows or columns) of a matrix of term dicts: the least
+    exponent of each coordinate in each line, the spread max - min of each
+    coordinate summed over the lines, and the product of the l1 norms of
+    the lines (0 when a line is zero)."""
+    lows, spreads, norm = [], [], 1
+    for line in lines:
+        keys = [k for entry in line for k in entry]
+        lows.append(tuple(map(min, zip(*keys))))
+        spreads.append(tuple(map(sub, map(max, zip(*keys)), lows[-1])))
+        norm *= sum(abs(c) for entry in line for c in entry.values())
+    return lows, [sum(s) for s in zip(*spreads)], norm
+
+
+def fox_determinant(diag, group=None, classes=None):
     """det of the Fox matrix; the empty (d = 0) determinant is 1."""
     group = group or homology(diag)
     if not diag.closed_alphas:
         return GroupRingElement.one(group)
-    return determinant(fox_matrix(diag, group))
+    return determinant(fox_matrix(diag, group, classes))
 
 
 def multipoint_expansion(diag, group=None):

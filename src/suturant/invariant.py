@@ -143,11 +143,11 @@ def _check_reference(diag, spinc):
             f"{spinc.reference} is not a multipoint of the diagram") from None
 
 
-def _spinc_shift(diag, group, spinc, based_at=Multipoint(())):
+def _spinc_shift(diag, group, classes, spinc, based_at=Multipoint(())):
     """Coordinates of h: the stored offset minus the class of the anchor
     multipoint plus the class of ``based_at``, the multipoint whose
-    basepoints the computed value is read at (none: the diagram's own)."""
-    classes = crossing_classes(diag, group)
+    basepoints the computed value is read at (none: the diagram's own);
+    ``classes`` are the diagram's :func:`crossing_classes`."""
     coords = spinc.offset_coords(group)
     for sign, mp in ((-1, anchor_multipoint(diag)), (1, based_at)):
         for xid in mp.picks:
@@ -172,8 +172,8 @@ def invariant_hn(diag, n, chars, spinc, orient=OrientationSign(),
     group = homology(diag)
     _check_reference(diag, spinc)
     z = contract(rebase(diag, spinc.reference), build_hn(n), chars)
-    zeta = _zeta_factor(group, chars,
-                        _spinc_shift(diag, group, spinc, spinc.reference))
+    zeta = _zeta_factor(group, chars, _spinc_shift(
+        diag, group, crossing_classes(diag, group), spinc, spinc.reference))
     return orient.resolve(diag) * (zeta * z)
 
 
@@ -195,9 +195,10 @@ def invariant_h0(diag, spinc, orient=OrientationSign()):
     the offset minus the anchor's class; the reference is only checked."""
     group = homology(diag)
     _check_reference(diag, spinc)
-    det = fox_determinant(diag, group)
+    classes = crossing_classes(diag, group)
+    det = fox_determinant(diag, group, classes)
     delta = orient.resolve(diag)
-    return det.translate(_spinc_shift(diag, group, spinc), delta)
+    return det.translate(_spinc_shift(diag, group, classes, spinc), delta)
 
 
 def torsion_class(diag):

@@ -26,15 +26,18 @@ def corpus_names():
 
 def slid_and_back(diag, d):
     """The diagram stabilized until it has d closed alphas, each new closed
-    curve slid over the shortest old one of its family and back."""
+    curve slid over the shortest old one of its family and back (no slide
+    while the family has no old closed curve)."""
     while diag.d < d:
         before = {c.id for c in diag.curves}
         diag = apply_move(diag, Stabilize())
         for fam in ("alpha", "beta"):
             closed = diag.family(fam, "closed")
             new = next(c.id for c in closed if c.id not in before)
-            over = min((c for c in closed if c.id != new),
-                       key=lambda c: len(c.order)).id
+            old = [c for c in closed if c.id != new]
+            if not old:
+                continue
+            over = min(old, key=lambda c: len(c.order)).id
             diag = apply_move(diag, HandleslideCurve(new, over))
             diag = apply_move(diag, HandleslideCurve(over, new))
     return diag

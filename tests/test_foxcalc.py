@@ -12,7 +12,8 @@ from suturant import (Character, FreeWord, GroupRingElement, abelianize,
                       smith_normal_form)
 from suturant.errors import (InvalidCharacterError, NonSquareError,
                              NotDivisibleError)
-from suturant.foxcalc import crossing_classes
+from suturant.diagram import fraction_free_det
+from suturant.foxcalc import _Laurent, crossing_classes
 
 from conftest import (SEED, corpus_names, load, moved_and_rotated,
                       slid_and_back)
@@ -277,6 +278,86 @@ def test_determinant_matches_laplace_on_grown_diagrams():
         if diag.d:
             mat = fox_matrix(diag, homology(diag))
             assert determinant(mat) == _laplace(mat)
+
+
+def _lifted_det(mat):
+    """Reference determinant: fraction-free elimination over the sparse
+    Laurent lift of the entries, projected back to Z[H_1]."""
+    return GroupRingElement(mat[0][0].group, fraction_free_det(
+        [[_Laurent(el.terms) for el in row] for row in mat]))
+
+
+def _packing_cases():
+    """Corpus, move and rotated copies, and bases grown by slides: with
+    free rank up to 3 and with torsion, to d = 16, and from d = 0 and 1."""
+    yield from moved_and_rotated((name, load(name)) for name in corpus_names())
+    for names, ds in ((("hopf", "trefoil", "figure8"), (4, 8, 12, 16)),
+                      (("lens_3_1", "lens_6_1"), (4, 8, 12)),
+                      (("unknot", "s1s2"), (2,))):
+        for name in names:
+            diag = load(name)
+            for d in ds:
+                diag = slid_and_back(diag, d)
+                yield f"{name} grown to {d}", diag
+
+
+def test_determinant_matches_the_lifted_elimination():
+    for label, diag in _packing_cases():
+        if diag.d:
+            mat = fox_matrix(diag, homology(diag))
+            assert determinant(mat) == _lifted_det(mat), label
+
+
+def test_determinant_edge_cases():
+    """Coefficients at the balanced-digit boundary (the coefficient bound
+    is tight on a diagonal), vanishing lines, zero pivots that force swaps,
+    negative exponents, and a matrix whose t1 is shifted by rows and whose
+    t2 by columns (t1 spreads 1 along each row and up to 7 along each
+    column, t2 the reverse)."""
+    g = presented_group(("x", "y"), [])
+
+    def el(*terms):
+        return GroupRingElement(g, {(a, b): c for a, b, c in terms})
+
+    zero = el()
+    cases = []
+    for k in (1, 7, 64):
+        for c in (2 ** k, -2 ** k, 2 ** k - 1):
+            cases.append(([[el((-3, 2, c))]], el((-3, 2, c))))
+        cases.append(([[el((0, 0, 2 ** k), (2, -1, 1 - 2 ** k))]],
+                      el((0, 0, 2 ** k), (2, -1, 1 - 2 ** k))))
+        cases.append(([[el((1, 0, 2 ** k)), zero],
+                       [zero, el((0, -1, -2 ** k))]], el((1, -1, -4 ** k))))
+        cases.append(([[el((0, 0, 2 ** k)), zero, zero],
+                       [zero, el((5, 0, 2 ** k - 1)), zero],
+                       [zero, zero, el((0, 3, 2 ** k))]],
+                      el((5, 3, 4 ** k * (2 ** k - 1)))))
+    t1, t2, one = el((1, 0, 1)), el((0, 1, 1)), el((0, 0, 1))
+    cases += [
+        ([[zero, zero], [t1, one]], zero),
+        ([[zero, t1], [zero, one]], zero),
+        ([[t1, one + t2, t2], [one, t1, t1 * t2], [t1, one + t2, t2]], zero),
+        ([[zero, t1], [t2, one]], -(t1 * t2)),
+        ([[zero, t1, one], [t2, one, t1], [one, t2, zero]],
+         t1 * t1 + t2 * t2 - one),
+        ([[one, t1, zero], [t1, t1 * t1, one], [t2, one, t1]],
+         t1 * t2 - one),
+        ([[el((-2, 0, 1), (0, -1, 1)), el((-5, 0, 3))],
+          [el((0, -4, 1)), el((-1, -1, 1), (0, 0, -2))]],
+         el((-3, -1, 1), (-2, 0, -2), (-1, -2, 1), (0, -1, -2),
+            (-5, -4, -3))),
+    ]
+    rng = random.Random(SEED + 12)
+    cases.append(([[el((3 * i, -3 * j, rng.randint(1, 3)),
+                       (3 * i + 1, -3 * j, rng.randint(-3, 3)),
+                       (3 * i, 1 - 3 * j, rng.randint(-3, -1)))
+                    for j in range(3)] for i in range(3)], None))
+    for mat, want in cases:
+        got = determinant(mat)
+        assert got == _lifted_det(mat), mat
+        if want is not None:
+            assert got == want, mat
+    assert not determinant(cases[-1][0]).is_zero()
 
 
 def _class_rule_cases():
