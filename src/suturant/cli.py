@@ -158,15 +158,17 @@ def cmd_compute(args):
     if len(chis) > 1 and not args.all_chars:
         raise SuturantError(
             f"{len(chis)} characters match; add constraints or --all-chars")
+    # every value is computed before the first is printed, so a failure
+    # leaves stdout empty
     if args.engine == "fox":
         h0 = invariant_h0(diag, spinc, orient)
-    for chi in chis:
-        if args.engine == "fox":
-            val = evaluate(h0, chi)
-        else:
-            val = invariant_hn(diag, args.n,
+        values = [evaluate(h0, chi) for chi in chis]
+    else:
+        values = [invariant_hn(diag, args.n,
                                CharacterAssignment.from_character(chi),
                                spinc, orient, engine="tensor")
+                  for chi in chis]
+    for chi, val in zip(chis, values):
         if args.all_chars:
             print(f"chi[{_chi_label(group, chi)}]: ", end="")
         _emit(val, args)

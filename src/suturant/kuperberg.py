@@ -20,6 +20,16 @@ multiplied into its beta as left run * slot * right run.  Completing a
 beta evaluates it; a beta without crossings is evaluated on the unit at
 the start.
 
+The terms a state contributes at a crossing depend only on three basis
+indices of its key: the remainder and the runs left and right of the slot.
+The coproduct split, the antipode, left run * slot * right run and, if
+the beta completes, its character are therefore expanded once per distinct
+triple at each crossing and shared by all states with that triple.  Each
+state then applies what is its own: the Koszul sign of the odd-slot terms
+and the untouched parts of its key, into which it splices the new run or
+the completed beta's parity.  This is the per-state expansion term by term,
+so the frontier and its values are unchanged.
+
 Koszul sign: rerouting the slots from alpha order to beta-traversal order
 (the betas in family order, each in its own order) costs the inversion
 parity of the odd slots.  The sweep pays it as it goes: placing an odd
@@ -137,38 +147,83 @@ def _parity(part, par):
     return part if isinstance(part, int) else sum(par[i] for i in part)
 
 
+def _expand(alg, rem, lt, rt, neg, last, closing):
+    """The terms of one local configuration at a crossing: the factor
+    ``rem`` split by the coproduct into slot and rest (taken whole at the
+    alpha's last crossing), the antipode on the slot if ``neg``, and the
+    product ``lt`` * slot * ``rt`` with the runs that are not None.  Returns
+    whether a term has an odd slot and the terms: (rest, run index, odd,
+    coefficient), or (rest, parity, odd, character polynomial) when
+    ``closing`` completes the beta."""
+    par, mul = alg.parity, alg.mul_sc
+    comul, antipode = alg.comul_sc, alg.antipode_sc
+    acc = {}
+    splits = (((rem, None), 1),) if last else comul.get(rem, {}).items()
+    for (slot, rest), c in splits:
+        images = antipode.get(slot, {}).items() if neg else ((slot, 1),)
+        for s, cs in images:
+            lhs = {s: 1} if lt is None else mul.get((lt, s), {})
+            for u, cu in lhs.items():
+                prod = {u: 1} if rt is None else mul.get((u, rt), {})
+                for m, cm in prod.items():
+                    k = (rest, m, par[s])
+                    acc[k] = acc.get(k, 0) + c * cs * cu * cm
+    if closing is None:
+        terms = [(rest, m, odd, c) for (rest, m, odd), c in acc.items() if c]
+    else:
+        polys = {}
+        for (rest, m, odd), c in acc.items():
+            poly = polys.setdefault((rest, par[m], odd), {})
+            for t, ct in closing[m].items():
+                poly[t] = poly.get(t, 0) + c * ct
+        terms = [(rest, p, odd, {t: c for t, c in poly.items() if c})
+                 for (rest, p, odd), poly in polys.items()
+                 if any(poly.values())]
+    return any(term[2] for term in terms), terms
+
+
 def _cross(states, alg, b, j, placed, neg, last, closing):
     """The frontier after placing the next slot of the current alpha at
     position j of beta b, where ``placed`` holds the positions of b filled
     before and ``closing`` is b's character table if this completes b."""
-    par, comul, antipode = alg.parity, alg.comul_sc, alg.antipode_sc
+    par = alg.parity
     r = sum(1 for p in placed if p < j and p + 1 not in placed)
     left, right = j - 1 in placed, j + 1 in placed
     lo, hi = r - left, r + right     # the runs this slot joins
-    out = {}
+    expansions, tails, out = {}, {}, {}
     for key, vec in states.items():
-        rem, runs, later = key[0], key[1 + b], key[2 + b:]
-        tail = (sum(par[i] for i in runs[r:])
-                + sum(_parity(p, par) for p in later)) % 2
-        splits = (((rem, None), 1),) if last else comul.get(rem, {}).items()
-        for (slot, rest), c in splits:
-            images = antipode.get(slot, {}).items() if neg else ((slot, 1),)
-            for s, cs in images:
-                sign = -1 if par[s] and tail else 1
-                prod = {s: 1}
-                if left:
-                    prod = alg.mul({runs[lo]: 1}, prod)
-                if right:
-                    prod = alg.mul(prod, {runs[r]: 1})
-                for m, cm in prod.items():
-                    if closing is None:
-                        part, value = runs[:lo] + (m,) + runs[hi:], vec
-                    elif closing[m]:
-                        part, value = par[m], _times(vec, closing[m])
-                    else:
-                        continue
-                    _add(out, (rest,) + key[1:1 + b] + (part,) + later,
-                         value, sign * c * cs * cm)
+        runs = key[1 + b]
+        local = (key[0], runs[lo] if left else None,
+                 runs[r] if right else None)
+        expansion = expansions.get(local)
+        if expansion is None:
+            expansion = expansions[local] = _expand(alg, *local, neg, last,
+                                                    closing)
+        has_odd, terms = expansion
+        head, later = key[1:1 + b], key[2 + b:]
+        tail = 0
+        if has_odd:
+            shared = (runs[r:], later)
+            tail = tails.get(shared)
+            if tail is None:
+                tail = tails[shared] = (
+                    sum(par[i] for i in runs[r:])
+                    + sum(_parity(p, par) for p in later)) % 2
+        if closing is None:
+            pre, post = runs[:lo], runs[hi:]
+        for rest, part, odd, weight in terms:
+            sign = -1 if odd and tail else 1
+            if closing is None:
+                part, value, c = pre + (part,) + post, vec, sign * weight
+            else:
+                value, c = _times(vec, weight), sign
+            new = (rest,) + head + (part,) + later
+            cur = out.get(new)
+            if cur is None:
+                out[new] = [c * v for v in value]
+            else:
+                for k, v in enumerate(value):
+                    cur[k] += c * v
     return {key: vec for key, vec in out.items() if any(vec)}
 
 

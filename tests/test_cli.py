@@ -148,5 +148,17 @@ def test_non_integer_char_or_offset_is_an_error(capsys):
         assert "Traceback" not in err, argv
 
 
+def test_failing_character_prints_no_partial_output(capsys):
+    # the first character of hopf at order 6 contracts; the second maps
+    # b1 outside the order-3 group-likes of H_3
+    argv = ["compute", str(corpus_path("hopf")), "--engine", "tensor",
+            "--n", "3", "--order", "6", "--all-chars"]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: psi(b1) = zeta^1 is not an order-3 root of "
+                   "unity in Z/6\n")
+
+
 def test_missing_file_is_a_failure(capsys):
     assert run(["validate", "no-such-file.hd"]) == 1

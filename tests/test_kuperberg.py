@@ -21,7 +21,7 @@ from suturant.errors import (ArcCurveError, CharacterMismatchError,
                              SuturantError)
 from suturant.invariant import anchor_multipoint
 
-from conftest import SEED, load
+from conftest import SEED, load, slid_and_back
 
 
 def meridian_assignment(diag, n):
@@ -201,6 +201,26 @@ def test_engines_agree_on_grown_diagrams(name):
                     ca = CharacterAssignment.from_character(chi)
                     assert contract(copy, build_hn(n), ca) == \
                         evaluate(det, chi), (name, d, n, chi.exps)
+
+
+@pytest.mark.parametrize("name,d,ns", [("hopf", 3, (2, 3)),
+                                       ("hopf", 4, (2,)),
+                                       ("trefoil", 2, (2, 3))])
+def test_engines_agree_after_slide_and_back(name, d, ns):
+    """Sliding each new closed curve over an old one and back gives wide
+    frontiers (hundreds to thousands of states) in which states share
+    their local configuration at a crossing most."""
+    rng = random.Random(SEED)
+    diag = slid_and_back(load(name), d)
+    g = homology(diag)
+    based = anchored(diag)
+    det = fox_determinant(based, g)
+    for n in ns:
+        chars = all_characters(g, n)
+        for chi in rng.sample(chars, min(3, len(chars))):
+            assert contract(based, build_hn(n),
+                            CharacterAssignment.from_character(chi)) == \
+                evaluate(det, chi), (name, d, n, chi.exps)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
