@@ -133,9 +133,6 @@ class PresentedAlgebra:
                     _add_term(out, k, ci * cj * c)
         return out
 
-    def comul(self, x):
-        return apply(self.comul_sc, x)
-
     def antipode(self, x):
         return apply(self.antipode_sc, x)
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from operator import add
 
 from .algebra import build_cyclic_group_algebra, build_hn, check_axioms
 from .diagram import (enumerate_multipoints, multipoint_permutation,
-                      parse_diagram, rebase, serialize_diagram, validate)
+                      parse_diagram, serialize_diagram, validate)
 from .errors import SuturantError
 from .foxcalc import (GroupRingElement, all_characters, class_equal,
                       coordinate_name, evaluate, homology)
@@ -82,7 +83,7 @@ def _resolve_offset(group, text):
     if not text:
         return None
     names = {coordinate_name(group, t): t for t in range(group.ncoords)}
-    coords = [0] * group.ncoords
+    coords, exps = [0] * group.ncoords, [0] * len(group.gens)
     for tok in text.replace("*", " ").split():
         if "^" in tok:
             name, e = tok.split("^", 1)
@@ -92,11 +93,11 @@ def _resolve_offset(group, text):
         if name in names:
             coords[names[name]] += e
         elif name in group.gens:
-            for t, c in enumerate(group.projection[group.gens.index(name)]):
-                coords[t] += e * c
+            exps[group.gens.index(name)] += e
         else:
             raise SuturantError(f"unknown generator {name!r} in offset")
-    return GroupRingElement.monomial(group, group.normalize(coords))
+    return GroupRingElement.monomial(
+        group, tuple(map(add, coords, group.project(exps))))
 
 
 def _chi_label(group, chi):
@@ -137,10 +138,9 @@ def cmd_compute(args):
     ref = None if anchor is None else _pick_reference(diag, anchor,
                                                       args.multipoint)
     if cyclic:
-        value = contract(diag if ref is None else rebase(diag, ref),
-                         build_cyclic_group_algebra(args.m),
-                         CharacterAssignment.trivial())
-        _emit(value, args)
+        # the trivial character and a* make the value basepoint-free
+        _emit(contract(diag, build_cyclic_group_algebra(args.m),
+                       CharacterAssignment.trivial()), args)
         return 0
 
     if ref is None:

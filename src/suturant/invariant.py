@@ -18,21 +18,24 @@ Two computation paths exist for the character-evaluated invariant: the
 tensor engine contracts the diagram against the 2n-dimensional package, the
 Fox engine evaluates the group-ring valued invariant at the character.  The
 group-ring valued invariant and the torsion class always go through the Fox
-engine, which is symbolic by construction; both take the determinant at
-the diagram's own basepoints.  Only the tensor engine rebases.
+engine, which is symbolic by construction.  Both engines read the diagram
+at its own basepoints and share one normalization, the unit delta * t^h
+with h the offset minus the anchor's class: rotating a basepoint changes
+the contraction and the Fox determinant by the same unit, so neither
+engine rebases at the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .algebra import build_hn
-from .cyclotomic import CyclotomicScalar
-from .diagram import Multipoint, _check_multipoint, canonical_sign, rebase
+from .diagram import Multipoint, _check_multipoint, canonical_sign
 # Not called here: kept as module attributes because the benchmark tracer
-# (perfbench/tracing.py) wraps suturant.invariant.enumerate_multipoints and
-# suturant.invariant.epsilon_class.
-from .diagram import enumerate_multipoints, epsilon_class  # noqa: F401
+# (perfbench/tracing.py) wraps suturant.invariant.enumerate_multipoints,
+# suturant.invariant.epsilon_class and suturant.invariant.rebase.
+from .diagram import enumerate_multipoints, epsilon_class, rebase  # noqa: F401
 from .errors import (AmbiguousOrientationError, InvalidCharacterError,
                      InvalidMultipointError, InvalidReferenceError,
                      NotDivisibleError)
@@ -48,10 +51,10 @@ class SpincRelative:
     """Reference multipoint plus an H_1 offset (a single group element).
 
     The structure described is the offset-translate of the class attached
-    to the diagram's anchor multipoint (:func:`anchor_multipoint`).  The
-    Fox engine only checks that the reference is a multipoint; the tensor
-    engine rebases there and absorbs the class difference to the anchor, so
-    the computed value does not depend on it.
+    to the diagram's anchor multipoint (:func:`anchor_multipoint`).  Both
+    engines only check that the reference is a multipoint and read the
+    diagram at its own basepoints, so the computed value does not depend
+    on it.
     """
 
     reference: object           # Multipoint
@@ -135,70 +138,52 @@ def _matchable(alphas, options, taken):
     return all(augment(a, set()) for a in alphas)
 
 
-def _check_reference(diag, spinc):
+def _normalization(diag, spinc, orient):
+    """Check the reference and return the group, the diagram's
+    :func:`crossing_classes` and the unit delta * t^h that normalizes a
+    value read at the diagram's own basepoints: h is the offset minus the
+    anchor's classes, delta the resolved orientation sign."""
+    group = homology(diag)
     try:
         _check_multipoint(diag, spinc.reference)
     except InvalidMultipointError:
         raise InvalidReferenceError(
             f"{spinc.reference} is not a multipoint of the diagram") from None
-
-
-def _spinc_shift(diag, group, classes, spinc, based_at=Multipoint(())):
-    """Coordinates of h: the stored offset minus the class of the anchor
-    multipoint plus the class of ``based_at``, the multipoint whose
-    basepoints the computed value is read at (none: the diagram's own);
-    ``classes`` are the diagram's :func:`crossing_classes`."""
+    classes = crossing_classes(diag, group)
     coords = spinc.offset_coords(group)
-    for sign, mp in ((-1, anchor_multipoint(diag)), (1, based_at)):
-        for xid in mp.picks:
-            coords = tuple(a + sign * b for a, b in zip(coords, classes[xid]))
-    return group.normalize(coords)
+    for xid in anchor_multipoint(diag).picks:
+        coords = tuple(map(sub, coords, classes[xid]))
+    unit = GroupRingElement.monomial(group, coords, orient.resolve(diag))
+    return group, classes, unit
 
 
 def invariant_hn(diag, n, chars, spinc, orient=OrientationSign(),
                  engine="fox"):
-    """The character-evaluated invariant delta * zeta * Z.  The Fox engine
-    evaluates :func:`invariant_h0` at the character; the tensor engine
-    contracts the diagram rebased at the reference multipoint, so its zeta
-    shift adds the reference's class."""
+    """The character-evaluated invariant delta * zeta * Z, zeta the
+    character's value at h.  The Fox engine evaluates :func:`invariant_h0`
+    at the character; the tensor engine contracts the diagram at its own
+    basepoints and multiplies by the same evaluated unit delta * t^h.  Both
+    need the character of H_1 that ``chars`` was built from."""
+    if chars.h1 is None:
+        raise InvalidCharacterError(
+            "the invariant needs a character of H_1 "
+            "(use CharacterAssignment.from_character)")
     if engine == "fox":
-        if chars.h1 is None:
-            raise InvalidCharacterError(
-                "the fox engine needs a character of H_1 "
-                "(use CharacterAssignment.from_character)")
         return evaluate(invariant_h0(diag, spinc, orient), chars.h1)
     if engine != "tensor":
         raise ValueError(f"unknown engine {engine!r}")
-    group = homology(diag)
-    _check_reference(diag, spinc)
-    z = contract(rebase(diag, spinc.reference), build_hn(n), chars)
-    zeta = _zeta_factor(group, chars, _spinc_shift(
-        diag, group, crossing_classes(diag, group), spinc, spinc.reference))
-    return orient.resolve(diag) * (zeta * z)
-
-
-def _zeta_factor(group, chars, coords):
-    if chars.h1 is not None:
-        e = chars.h1.exponent(coords)
-    else:
-        # lift through the section and read the beta-level exponents
-        exps = group.lift(coords)
-        e = sum(x * chars.psi_exponent(g)
-                for g, x in zip(group.gens, exps)) % chars.order
-    return CyclotomicScalar.root_power(e, chars.order)
+    _, _, unit = _normalization(diag, spinc, orient)
+    return evaluate(unit, chars.h1) * contract(diag, build_hn(n), chars)
 
 
 def invariant_h0(diag, spinc, orient=OrientationSign()):
-    """The group-ring valued invariant delta * h * det over Z[H_1].  The
+    """The group-ring valued invariant delta * t^h * det over Z[H_1].  The
     integral of H_n is odd, so delta is the orientation sign itself.  The
-    determinant is the unrebased one :func:`torsion_class` takes, so h is
-    the offset minus the anchor's class; the reference is only checked."""
-    group = homology(diag)
-    _check_reference(diag, spinc)
-    classes = crossing_classes(diag, group)
-    det = fox_determinant(diag, group, classes)
-    delta = orient.resolve(diag)
-    return det.translate(_spinc_shift(diag, group, classes, spinc), delta)
+    determinant is the one :func:`torsion_class` takes, at the diagram's
+    own basepoints, so h is the offset minus the anchor's class; the
+    reference is only checked."""
+    group, classes, unit = _normalization(diag, spinc, orient)
+    return fox_determinant(diag, group, classes) * unit
 
 
 def torsion_class(diag):

@@ -51,7 +51,6 @@ from .algebra import apply
 from .cyclotomic import CyclotomicScalar
 from .diagram import beta_word
 from .errors import (ArcCurveError, CharacterMismatchError, OddScalarError)
-from .foxcalc import Character
 
 
 @dataclass(frozen=True)
@@ -130,16 +129,6 @@ def _times(vec, poly):
         for k, v in enumerate(vec):
             out[(k + t) % n] += c * v
     return out
-
-
-def _add(states, key, vec, c):
-    """states[key] += c * vec."""
-    cur = states.get(key)
-    if cur is None:
-        states[key] = [c * v for v in vec]
-    else:
-        for k, v in enumerate(vec):
-            cur[k] += c * v
 
 
 def _parity(part, par):
@@ -252,11 +241,10 @@ def contract(based, pkg, chars):
             states = {key: [k * v for v in vec]
                       for key, vec in states.items()}
             continue
-        seeded = {}
-        for key, vec in states.items():
-            for i, ci in seed.items():
-                _add(seeded, (i,) + key[1:], vec, ci)
-        states = seeded
+        # every state entering an alpha has remainder None, so the seeded
+        # keys are distinct
+        states = {(i,) + key[1:]: [ci * v for v in vec]
+                  for key, vec in states.items() for i, ci in seed.items()}
         for t, xid in enumerate(c.order):
             b, j = home[xid]
             done = len(placed[b]) + 1 == len(betas[b].order)

@@ -72,6 +72,28 @@ def test_compute_with_offset_and_sign(capsys):
     assert run(base + ["--offset", "t^2", "--multipoint", "m2"]) == 0
 
 
+def test_offset_by_beta_id_is_its_projection(capsys):
+    # on the trefoil, b2 projects to t and b1 to t^-2
+    base = ["compute", str(corpus_path("trefoil")), "--n", "4",
+            "--all-chars", "--offset"]
+    for engine in ("fox", "tensor"):
+        outs = {}
+        for offset in ("b2", "t", "b1", "t^-2"):
+            assert run(base + [offset, "--engine", engine]) == 0
+            outs[offset] = out_of(capsys)
+        assert outs["b2"] == outs["t"] != outs["b1"] == outs["t^-2"], engine
+
+
+def test_eval_float_appends_an_approximation(capsys):
+    argv = ["compute", str(corpus_path("trefoil")), "--n", "5",
+            "--char", "t=1"]
+    assert run(argv) == 0
+    exact = out_of(capsys)
+    assert run(argv + ["--eval-float"]) == 0
+    assert out_of(capsys) == exact.rstrip("\n") + \
+        "   [approx -0.118034-0.363271i]\n"
+
+
 def test_class_output(capsys):
     assert run(["class", str(corpus_path("lens_3_1"))]) == 0
     assert out_of(capsys).strip() == "class: 1 + t + t^2"

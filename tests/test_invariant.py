@@ -6,12 +6,13 @@ import pytest
 
 from suturant import (Character, CharacterAssignment, CyclotomicScalar,
                       GroupRingElement, all_characters, alexander_from_torsion,
-                      apply_move, canonical_class, class_equal,
-                      enumerate_multipoints, epsilon_class, evaluate,
-                      fox_determinant, homology, invariant_h0, invariant_hn,
-                      parse_diagram, rebase, torsion_class)
-from suturant.errors import (AmbiguousOrientationError, InvalidReferenceError,
-                             NotDivisibleError)
+                      apply_move, build_hn, canonical_class, class_equal,
+                      contract, enumerate_multipoints, epsilon_class,
+                      evaluate, fox_determinant, homology, invariant_h0,
+                      invariant_hn, parse_diagram, rebase, torsion_class)
+from suturant.errors import (AmbiguousOrientationError, InvalidCharacterError,
+                             InvalidReferenceError, NotDivisibleError)
+from suturant.foxcalc import crossing_classes
 from suturant.invariant import (OrientationSign, SpincRelative,
                                 anchor_multipoint)
 from conftest import (SEED, corpus_names, load, moved_and_rotated,
@@ -233,6 +234,61 @@ def test_invariant_h0_equals_the_rebased_determinant():
                     orient = OrientationSign(sign)
                     assert invariant_h0(diag, spinc, orient) == _rebased_h0(
                         diag, spinc, orient), (label, ref, sign, off)
+
+
+def _rebased_hn(diag, n, chars, spinc, orient):
+    """Reference for the tensor branch of invariant_hn: the contraction of
+    the diagram rebased at the reference multipoint, times zeta at the
+    offset minus the anchor's crossing classes plus the reference's, times
+    delta."""
+    group = homology(diag)
+    classes = crossing_classes(diag, group)
+    coords = spinc.offset_coords(group)
+    for sign, mp in ((-1, anchor_multipoint(diag)), (1, spinc.reference)):
+        for xid in mp.picks:
+            coords = tuple(a + sign * b for a, b in zip(coords, classes[xid]))
+    zeta = CyclotomicScalar.root_power(chars.h1.exponent(coords), chars.order)
+    z = contract(rebase(diag, spinc.reference), build_hn(n), chars)
+    return orient.resolve(diag) * (zeta * z)
+
+
+def test_tensor_invariant_equals_the_rebased_contraction():
+    """The tensor branch contracts the diagram at its own basepoints and
+    multiplies by the evaluated delta * t^h; that is exactly the contraction
+    rebased at the reference with the reference's classes added back, at a
+    sampled reference, sampled character, n = 2, 3, both signs and a seeded
+    offset, on the choice-independence cases and on Hopf slid and back to
+    d = 3 and the trefoil to d = 2 (at d = 3 one trefoil contraction takes
+    seconds)."""
+    rng = random.Random(SEED + 10)
+    cases = list(_choice_independence_cases())
+    cases += [(f"{name} grown to {d}", slid_and_back(load(name), d))
+              for name, d in (("hopf", 3), ("trefoil", 2))]
+    for label, diag in cases:
+        mps = enumerate_multipoints(diag)
+        if not mps:
+            continue
+        g = homology(diag)
+        ref = rng.choice(mps)
+        off = GroupRingElement.monomial(g, g.normalize(tuple(
+            rng.randint(-3, 3) for _ in range(g.ncoords))))
+        for n in (2, 3):
+            chars = CharacterAssignment.from_character(
+                rng.choice(all_characters(g, n)))
+            for sign in (1, -1):
+                spinc, orient = SpincRelative(ref, off), OrientationSign(sign)
+                assert invariant_hn(diag, n, chars, spinc, orient,
+                                    engine="tensor") == _rebased_hn(
+                    diag, n, chars, spinc, orient), (label, ref, n, sign)
+
+
+@pytest.mark.parametrize("engine", ["fox", "tensor"])
+def test_both_engines_need_a_character_of_h1(trefoil, engine):
+    bare = CharacterAssignment(order=3, psi={"b2": 1})
+    with pytest.raises(InvalidCharacterError, match="character of H_1"):
+        invariant_hn(trefoil, 3, bare,
+                     SpincRelative(anchor_multipoint(trefoil)),
+                     engine=engine)
 
 
 def test_s1s2_torsion_class_is_zero():
