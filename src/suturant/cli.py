@@ -20,7 +20,7 @@ from .foxcalc import (GroupRingElement, all_characters, class_equal,
                       coordinate_name, evaluate, homology)
 from .invariant import (OrientationSign, SpincRelative, anchor_multipoint,
                         invariant_h0, invariant_hn, torsion_class)
-from .kuperberg import CharacterAssignment, contract
+from .kuperberg import CharacterAssignment, check_admissible, contract
 from .moves import apply_move, parse_move_script
 
 
@@ -163,6 +163,9 @@ def cmd_compute(args):
     if args.engine == "fox":
         h0 = invariant_h0(diag, spinc, orient)
         values = [evaluate(h0, chi) for chi in chis]
+        for chi in chis:
+            check_admissible(diag, args.n,
+                             CharacterAssignment.from_character(chi))
     else:
         values = [invariant_hn(diag, args.n,
                                CharacterAssignment.from_character(chi),

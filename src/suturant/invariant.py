@@ -43,7 +43,7 @@ from .foxcalc import (GroupRingElement, InvariantClass, canonical_class,
                       class_equal, crossing_classes,
                       divide_by_element_minus_one, evaluate, fox_determinant,
                       homology, smith_normal_form)
-from .kuperberg import contract
+from .kuperberg import check_admissible, contract
 
 
 @dataclass(frozen=True)
@@ -163,13 +163,17 @@ def invariant_hn(diag, n, chars, spinc, orient=OrientationSign(),
     character's value at h.  The Fox engine evaluates :func:`invariant_h0`
     at the character; the tensor engine contracts the diagram at its own
     basepoints and multiplies by the same evaluated unit delta * t^h.  Both
-    need the character of H_1 that ``chars`` was built from."""
+    need the character of H_1 that ``chars`` was built from, and both
+    refuse a character outside :func:`kuperberg.check_admissible`, after
+    the normalization and the character group have been checked."""
     if chars.h1 is None:
         raise InvalidCharacterError(
             "the invariant needs a character of H_1 "
             "(use CharacterAssignment.from_character)")
     if engine == "fox":
-        return evaluate(invariant_h0(diag, spinc, orient), chars.h1)
+        value = evaluate(invariant_h0(diag, spinc, orient), chars.h1)
+        check_admissible(diag, n, chars)
+        return value
     if engine != "tensor":
         raise ValueError(f"unknown engine {engine!r}")
     _, _, unit = _normalization(diag, spinc, orient)

@@ -80,14 +80,23 @@ class CharacterAssignment:
         return self.psi.get(beta_id, 0) % self.order
 
 
-def _check_assignment(diag, pkg, chars):
-    nb = pkg.integral.glike_b_order
+def check_admissible(diag, n, chars):
+    """The one admissibility rule of both engines: each beta's value
+    psi(beta) = zeta^e, zeta of order ``chars.order``, must be an order-n
+    root of unity, that is n * e = 0 mod order, because psi is read on the
+    group-like K of H_n (b of order n).  The Fox engine never evaluates on
+    H_n and applies it as a rule; ``contract`` applies it with n the order
+    of its package's group-like."""
     for c in diag.family("beta"):
         e = chars.psi_exponent(c.id)
-        if (e * nb) % chars.order != 0:
+        if (e * n) % chars.order != 0:
             raise CharacterMismatchError(
-                f"psi({c.id}) = zeta^{e} is not an order-{nb} root of "
+                f"psi({c.id}) = zeta^{e} is not an order-{n} root of "
                 f"unity in Z/{chars.order}")
+
+
+def _check_assignment(diag, pkg, chars):
+    check_admissible(diag, pkg.integral.glike_b_order, chars)
     na = len(pkg.cointegral.a_basis)
     for c in diag.family("alpha"):
         p = chars.phi.get(c.id, None)

@@ -182,5 +182,17 @@ def test_failing_character_prints_no_partial_output(capsys):
                    "unity in Z/6\n")
 
 
+@pytest.mark.parametrize("engine", ["fox", "tensor"])
+def test_both_engines_refuse_an_inadmissible_order(capsys, engine):
+    # zeta_3 is no square root of unity, so H_2 cannot read it
+    argv = ["compute", str(corpus_path("trefoil")), "--engine", engine,
+            "--n", "2", "--order", "3", "--char", "t=1"]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: psi(b1) = zeta^1 is not an order-2 root of "
+                   "unity in Z/3\n")
+
+
 def test_missing_file_is_a_failure(capsys):
     assert run(["validate", "no-such-file.hd"]) == 1

@@ -5,8 +5,8 @@ its argv, with corpus files written ``corpus/<name>.hd`` relative to the
 repository root, its exit status and its stdout.  The invocations cover
 ``validate``, ``multipoints``, ``class``, ``compute`` with both engines and
 both algebras (all characters at n = 1..4, signs, offsets, orders, single
-characters, named reference multipoints, missing options) and ``compare``
-on every ordered pair.  Regenerate with
+characters, named reference multipoints, missing options), ``compare``
+on every ordered pair and ``axioms`` on the shipped packages.  Regenerate with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
@@ -35,8 +35,9 @@ def invocations():
         for n in ("2", "3"):
             out.append(["compute", f, "--engine", "tensor", "--n", n,
                         "--all-chars"])
-        out.append(["compute", f, "--n", "6", "--order", "12",
-                    "--all-chars"])
+        for order in ("12", "3"):
+            out.append(["compute", f, "--n", "6", "--order", order,
+                        "--all-chars"])
         out.append(["compute", f, "--n", "4", "--char", "t=1"])
         out.append(["compute", f, "--n", "3"])
         for m in ("2", "3"):
@@ -49,6 +50,10 @@ def invocations():
                         "--multipoint", mp])
         out.append(["compute", f])
     out += [["compare", a, b] for a in files for b in files]
+    out += [["axioms", "--algebra", "hn", "--n", "8"],
+            ["axioms", "--algebra", "hn", "--n", "16"],
+            ["axioms", "--algebra", "cyclic", "--m", "8"],
+            ["axioms", "--algebra", "hn"]]
     return out
 
 

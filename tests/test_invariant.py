@@ -10,8 +10,9 @@ from suturant import (Character, CharacterAssignment, CyclotomicScalar,
                       contract, enumerate_multipoints, epsilon_class,
                       evaluate, fox_determinant, homology, invariant_h0,
                       invariant_hn, parse_diagram, rebase, torsion_class)
-from suturant.errors import (AmbiguousOrientationError, InvalidCharacterError,
-                             InvalidReferenceError, NotDivisibleError)
+from suturant.errors import (AmbiguousOrientationError, CharacterMismatchError,
+                             InvalidCharacterError, InvalidReferenceError,
+                             NotDivisibleError)
 from suturant.foxcalc import crossing_classes
 from suturant.invariant import (OrientationSign, SpincRelative,
                                 anchor_multipoint)
@@ -289,6 +290,29 @@ def test_both_engines_need_a_character_of_h1(trefoil, engine):
         invariant_hn(trefoil, 3, bare,
                      SpincRelative(anchor_multipoint(trefoil)),
                      engine=engine)
+
+
+@pytest.mark.parametrize("n, order", [(2, 3), (2, 4), (3, 6), (4, 2)])
+def test_engines_accept_and_refuse_the_same_characters(n, order):
+    """Both engines apply ``check_admissible``: at every character of the
+    given order they return the same value or raise the same error."""
+    refused = accepted = 0
+    for name in ("trefoil", "figure8", "lens_3_1", "lens_6_1"):
+        diag = load(name)
+        spinc = SpincRelative(anchor_multipoint(diag))
+        for chi in all_characters(homology(diag), order):
+            chars = CharacterAssignment.from_character(chi)
+            outcomes = []
+            for engine in ("fox", "tensor"):
+                try:
+                    outcomes.append(invariant_hn(diag, n, chars, spinc,
+                                                 engine=engine))
+                except CharacterMismatchError as e:
+                    outcomes.append(str(e))
+            assert outcomes[0] == outcomes[1], (name, chi.exps)
+            refused += isinstance(outcomes[0], str)
+            accepted += not isinstance(outcomes[0], str)
+    assert accepted and bool(refused) == (n % order != 0)
 
 
 def test_s1s2_torsion_class_is_zero():
