@@ -24,7 +24,8 @@ from .foxcalc import (AbelianGroup, Character, GroupRingElement,
                       multipoint_expansion, presented_group,
                       smith_normal_form)
 from .invariant import (OrientationSign, SpincRelative, alexander_from_torsion,
-                        invariant_h0, invariant_hn, torsion_class)
+                        invariant_h0, invariant_hn, invariant_hn_values,
+                        torsion_class)
 from .kuperberg import CharacterAssignment, basepoint_shift, contract
 from .moves import (AddTrivialHandles, CancelFinger, Destabilize,
                     FingerIsotopy, HandleslideCurve, ReorderCurves,

@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from operator import add
 
 from .algebra import build_cyclic_group_algebra, build_hn, check_axioms
 from .diagram import (enumerate_multipoints, multipoint_permutation,
                       parse_diagram, serialize_diagram, validate)
 from .errors import SuturantError
 from .foxcalc import (GroupRingElement, all_characters, class_equal,
-                      coordinate_name, evaluate, homology)
+                      coordinate_name, homology)
 from .invariant import (OrientationSign, SpincRelative, anchor_multipoint,
-                        invariant_h0, invariant_hn, torsion_class)
-from .kuperberg import CharacterAssignment, check_admissible, contract
+                        invariant_hn_values, torsion_class)
+# Not called here: kept as a module attribute because the benchmark tracer
+# (perfbench/tracing.py) wraps suturant.cli.invariant_hn.
+from .invariant import invariant_hn  # noqa: F401
+from .kuperberg import CharacterAssignment, contract
 from .moves import apply_move, parse_move_script
 
 
@@ -49,55 +51,48 @@ def _integer(text, entry, flag):
                             f"{text.strip()!r} is not an integer") from None
 
 
+def _name_vector(group, name, unknown):
+    """The H_1 vector a name stands for: the unit vector of a normal-form
+    coordinate (t, t1, s1, ...) or the projection row of a beta-curve id.
+    Any other name is an error with the message ``unknown``."""
+    for t in range(group.ncoords):
+        if coordinate_name(group, t) == name:
+            return tuple(int(u == t) for u in range(group.ncoords))
+    if name in group.gens:
+        return group.projection[group.gens.index(name)]
+    raise SuturantError(unknown)
+
+
 def _resolve_characters(group, order, spec_text):
     """Characters of the given order matching ``k=v`` constraints; keys are
-    normal-form names (t, t1, s1, ...) or beta-curve ids."""
-    constraints = []
+    names in the sense of :func:`_name_vector`."""
+    pairs = []
     if spec_text:
         for item in spec_text.split(","):
             if "=" not in item:
                 raise SuturantError(f"bad --char entry {item!r}")
             k, v = item.split("=", 1)
-            constraints.append((k.strip(),
-                                _integer(v, item, "--char") % order))
-    names = {coordinate_name(group, t): t for t in range(group.ncoords)}
-    out = []
-    for chi in all_characters(group, order):
-        ok = True
-        for k, v in constraints:
-            if k in names:
-                got = chi.exps[names[k]] % order
-            elif k in group.gens:
-                got = chi.on_generator(k)
-            else:
-                raise SuturantError(f"unknown character key {k!r}")
-            if got != v:
-                ok = False
-                break
-        if ok:
-            out.append(chi)
-    return out
+            pairs.append((k.strip(), _integer(v, item, "--char") % order))
+    constraints = [(_name_vector(group, k, f"unknown character key {k!r}"),
+                    v) for k, v in pairs]
+    return [chi for chi in all_characters(group, order)
+            if all(chi.exponent(vec) == v for vec, v in constraints)]
 
 
 def _resolve_offset(group, text):
     if not text:
         return None
-    names = {coordinate_name(group, t): t for t in range(group.ncoords)}
-    coords, exps = [0] * group.ncoords, [0] * len(group.gens)
+    coords = [0] * group.ncoords
     for tok in text.replace("*", " ").split():
         if "^" in tok:
             name, e = tok.split("^", 1)
             e = _integer(e, tok, "--offset")
         else:
             name, e = tok, 1
-        if name in names:
-            coords[names[name]] += e
-        elif name in group.gens:
-            exps[group.gens.index(name)] += e
-        else:
-            raise SuturantError(f"unknown generator {name!r} in offset")
-    return GroupRingElement.monomial(
-        group, tuple(map(add, coords, group.project(exps))))
+        vec = _name_vector(group, name,
+                           f"unknown generator {name!r} in offset")
+        coords = [c + e * v for c, v in zip(coords, vec)]
+    return GroupRingElement.monomial(group, group.normalize(coords))
 
 
 def _chi_label(group, chi):
@@ -113,7 +108,9 @@ def cmd_validate(args):
 
 
 def cmd_multipoints(args):
-    diag = _load(args.file)
+    diag = _load_valid(args.file)
+    if diag is None:
+        return 1
     mps = enumerate_multipoints(diag)
     names = {mp: nm for nm, mp in diag.named_multipoints.items()}
     for mp in mps:
@@ -160,17 +157,10 @@ def cmd_compute(args):
             f"{len(chis)} characters match; add constraints or --all-chars")
     # every value is computed before the first is printed, so a failure
     # leaves stdout empty
-    if args.engine == "fox":
-        h0 = invariant_h0(diag, spinc, orient)
-        values = [evaluate(h0, chi) for chi in chis]
-        for chi in chis:
-            check_admissible(diag, args.n,
-                             CharacterAssignment.from_character(chi))
-    else:
-        values = [invariant_hn(diag, args.n,
-                               CharacterAssignment.from_character(chi),
-                               spinc, orient, engine="tensor")
-                  for chi in chis]
+    values = invariant_hn_values(
+        diag, args.n, [CharacterAssignment.from_character(chi)
+                       for chi in chis],
+        spinc, orient, engine=args.engine)
     for chi, val in zip(chis, values):
         if args.all_chars:
             print(f"chi[{_chi_label(group, chi)}]: ", end="")

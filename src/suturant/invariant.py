@@ -14,15 +14,17 @@ crossing-count matrix.  The orientation input is a bare sign, with a
 canonical mode available exactly when the closed intersection determinant
 does not vanish.
 
-Two computation paths exist for the character-evaluated invariant: the
-tensor engine contracts the diagram against the 2n-dimensional package, the
-Fox engine evaluates the group-ring valued invariant at the character.  The
+Two computation paths exist for the character-evaluated invariant, and
+:func:`invariant_hn_values` is the one entry to both: given a list of
+characters, the tensor engine contracts the diagram against the
+2n-dimensional package once per character, the Fox engine evaluates the
+group-ring valued invariant, computed once, at each character.  The
 group-ring valued invariant and the torsion class always go through the Fox
 engine, which is symbolic by construction.  Both engines read the diagram
 at its own basepoints and share one normalization, the unit delta * t^h
-with h the offset minus the anchor's class: rotating a basepoint changes
-the contraction and the Fox determinant by the same unit, so neither
-engine rebases at the reference.
+with h the offset minus the anchor's class, computed once per list:
+rotating a basepoint changes the contraction and the Fox determinant by the
+same unit, so neither engine rebases at the reference.
 """
 
 from __future__ import annotations
@@ -159,25 +161,40 @@ def _normalization(diag, spinc, orient):
 
 def invariant_hn(diag, n, chars, spinc, orient=OrientationSign(),
                  engine="fox"):
-    """The character-evaluated invariant delta * zeta * Z, zeta the
-    character's value at h.  The Fox engine evaluates :func:`invariant_h0`
-    at the character; the tensor engine contracts the diagram at its own
-    basepoints and multiplies by the same evaluated unit delta * t^h.  Both
-    need the character of H_1 that ``chars`` was built from, and both
-    refuse a character outside :func:`kuperberg.check_admissible`, after
-    the normalization and the character group have been checked."""
-    if chars.h1 is None:
+    """The character-evaluated invariant delta * zeta * Z at one character:
+    the one-element case of :func:`invariant_hn_values`."""
+    return invariant_hn_values(diag, n, [chars], spinc, orient, engine)[0]
+
+
+def invariant_hn_values(diag, n, assignments, spinc,
+                        orient=OrientationSign(), engine="fox"):
+    """The character-evaluated invariant delta * zeta * Z at each of
+    ``assignments``, in their order; zeta is the character's value at h.
+    The Fox engine evaluates :func:`invariant_h0` at each character; the
+    tensor engine contracts the diagram with H_n at its own basepoints and
+    multiplies by the same evaluated unit delta * t^h.  Every assignment
+    must carry the character of H_1 it was built from.  The normalization
+    is checked and computed once, before any character; then each
+    character's group is checked by evaluating, and a character outside
+    :func:`kuperberg.check_admissible` is refused.  The first character
+    that fails raises what :func:`invariant_hn` raises for it alone."""
+    if any(chars.h1 is None for chars in assignments):
         raise InvalidCharacterError(
             "the invariant needs a character of H_1 "
             "(use CharacterAssignment.from_character)")
     if engine == "fox":
-        value = evaluate(invariant_h0(diag, spinc, orient), chars.h1)
-        check_admissible(diag, n, chars)
-        return value
+        h0 = invariant_h0(diag, spinc, orient)
+        values = []
+        for chars in assignments:
+            values.append(evaluate(h0, chars.h1))
+            check_admissible(diag, n, chars)
+        return values
     if engine != "tensor":
         raise ValueError(f"unknown engine {engine!r}")
     _, _, unit = _normalization(diag, spinc, orient)
-    return evaluate(unit, chars.h1) * contract(diag, build_hn(n), chars)
+    pkg = build_hn(n)
+    return [evaluate(unit, chars.h1) * contract(diag, pkg, chars)
+            for chars in assignments]
 
 
 def invariant_h0(diag, spinc, orient=OrientationSign()):
@@ -228,6 +245,7 @@ def alexander_from_torsion(cls_, meridians):
 
 __all__ = [
     "SpincRelative", "OrientationSign", "anchor_multipoint", "invariant_hn",
-    "invariant_h0", "torsion_class", "alexander_from_torsion", "class_equal",
-    "canonical_class", "InvariantClass",
+    "invariant_hn_values", "invariant_h0", "torsion_class",
+    "alexander_from_torsion", "class_equal", "canonical_class",
+    "InvariantClass",
 ]

@@ -45,7 +45,7 @@ single rational cointegral prefactor is applied.  Everything is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import apply
 from .cyclotomic import CyclotomicScalar
@@ -56,14 +56,12 @@ from .errors import (ArcCurveError, CharacterMismatchError, OddScalarError)
 @dataclass(frozen=True)
 class CharacterAssignment:
     """Character data for a contraction: one exponent mod N per beta curve
-    (the value of psi(beta*) on the distinguished group-like b), an optional
-    A-group-like per alpha curve (the identity when A is trivial), and,
-    when constructed from an H_1 character, the character itself for the
+    (the value of psi(beta*) on the distinguished group-like b) and, when
+    constructed from an H_1 character, the character itself for the
     zeta-normalization bookkeeping."""
 
     order: int
     psi: dict                    # beta id -> exponent mod order
-    phi: dict = field(default_factory=dict)   # alpha id -> A-basis position
     h1: Character | None = None
 
     @classmethod
@@ -93,26 +91,6 @@ def check_admissible(diag, n, chars):
             raise CharacterMismatchError(
                 f"psi({c.id}) = zeta^{e} is not an order-{n} root of "
                 f"unity in Z/{chars.order}")
-
-
-def _check_assignment(diag, pkg, chars):
-    check_admissible(diag, pkg.integral.glike_b_order, chars)
-    na = len(pkg.cointegral.a_basis)
-    for c in diag.family("alpha"):
-        p = chars.phi.get(c.id, None)
-        if p is not None and not (0 <= p < na):
-            raise CharacterMismatchError(
-                f"phi({c.id}) = {p} is not an A-basis position")
-
-
-def _alpha_seed(pkg, curve, chars):
-    """The element fed into the iterated coproduct of an alpha curve."""
-    coint = pkg.cointegral
-    pos = chars.phi.get(curve.id)
-    if pos is None:
-        pos = pkg.unit_a
-    table = coint.iota if curve.closed else coint.i_a
-    return apply(table, {pos: 1})
 
 
 def _closing(pkg, chars, curve):
@@ -227,9 +205,12 @@ def _cross(states, alg, b, j, placed, neg, last, closing):
 
 def contract(based, pkg, chars):
     """The unnormalized scalar of a based, ordered, oriented diagram."""
-    _check_assignment(based, pkg, chars)
+    check_admissible(based, pkg.integral.glike_b_order, chars)
     alg, integ, coint = pkg.algebra, pkg.integral, pkg.cointegral
     alphas, betas = based.family("alpha"), based.family("beta")
+    # the (co)integral seeds of closed and arc alphas
+    seeds = {True: apply(coint.iota, {pkg.unit_a: 1}),
+             False: apply(coint.i_a, {pkg.unit_a: 1})}
     home = {xid: (b, j) for b, c in enumerate(betas)
             for j, xid in enumerate(c.order)}
     closing = [_closing(pkg, chars, c) for c in betas]
@@ -244,7 +225,7 @@ def contract(based, pkg, chars):
     states = {(None, *parts): vec}
     placed = [set() for _ in betas]
     for c in alphas:
-        seed = _alpha_seed(pkg, c, chars)
+        seed = seeds[c.closed]
         if not c.order:
             k = alg.counit(seed)
             states = {key: [k * v for v in vec]
@@ -296,7 +277,8 @@ def basepoint_shift(based, curve_id, new_start, pkg, chars):
             x = based.crossing(xid)
             exp += x.sign * chars.psi_exponent(x.beta)
         return CyclotomicScalar.root_power(exp, chars.order)
-    # beta curve: the unit is <a*, phi(segment word)>
+    # beta curve: the unit is <a*, segment word>, every alpha dual read as
+    # the A-group-like unit_a
     coint = pkg.cointegral
     if chars.order % coint.astar_order != 0:
         raise CharacterMismatchError(
@@ -304,8 +286,6 @@ def basepoint_shift(based, curve_id, new_start, pkg, chars):
             f"order {coint.astar_order}")
     scalefac = chars.order // coint.astar_order
     word = beta_word(based, curve_id)
-    exp = 0
-    for (alpha_id, e) in word.letters[new_start:]:
-        pos = chars.phi.get(alpha_id, 0)
-        exp += e * coint.astar_exps[pos]
+    exp = (sum(e for _, e in word.letters[new_start:])
+           * coint.astar_exps[pkg.unit_a])
     return CyclotomicScalar.root_power(exp * scalefac, chars.order)

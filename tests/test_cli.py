@@ -124,6 +124,21 @@ def test_compare_rejects_an_invalid_diagram(tmp_path, capsys):
         assert out == "" and "FAIL" in err, gone
 
 
+def test_reading_verbs_reject_an_invalid_diagram(tmp_path, capsys):
+    # without x5 in a1's order, validation fails on alpha coverage, and
+    # every verb that reads the diagram prints the report and nothing else
+    text = corpus_path("trefoil").read_text(encoding="utf-8")
+    path = tmp_path / "trefoil_without_x5.hd"
+    path.write_text(text.replace("x1 x2 x3 x4 x5", "x1 x2 x3 x4"))
+    assert run(["validate", str(path)]) == 1
+    report = out_of(capsys)
+    assert "FAIL Coverage[alpha]  [x5]\n" in report
+    for verb in (["multipoints"], ["class"], ["compute", "--n", "3"]):
+        assert run([verb[0], str(path), *verb[1:]]) == 1, verb
+        out, err = capsys.readouterr()
+        assert out == "" and err == report, verb
+
+
 def test_axioms(capsys):
     assert run(["axioms", "--algebra", "hn", "--n", "4"]) == 0
     assert "compatibility" in out_of(capsys)

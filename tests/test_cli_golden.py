@@ -5,9 +5,11 @@ its argv, with corpus files written ``corpus/<name>.hd`` relative to the
 repository root, its exit status and its stdout.  The invocations cover
 ``validate``, ``multipoints``, ``class``, ``compute`` with both engines and
 both algebras (all characters at n = 1..4, signs, offsets, orders, single
-characters, named reference multipoints, missing options), ``compare``
-on every ordered pair and ``axioms`` on the shipped packages.  Regenerate with
-``PYTHONPATH=src python tests/test_cli_golden.py``.
+characters, named reference multipoints, missing options; the tensor
+engine at n = 2 also with a sign and an offset and with the canonical
+sign), ``compare`` on every ordered pair and ``axioms`` on the shipped
+packages.  Every tensor entry prints what its Fox entry prints.
+Regenerate with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
 import contextlib
@@ -35,6 +37,10 @@ def invocations():
         for n in ("2", "3"):
             out.append(["compute", f, "--engine", "tensor", "--n", n,
                         "--all-chars"])
+        tensor = ["compute", f, "--engine", "tensor", "--n", "2",
+                  "--all-chars"]
+        out += [tensor + ["--sign", "-1", "--offset", "t"],
+                tensor + ["--sign", "canonical"]]
         for order in ("12", "3"):
             out.append(["compute", f, "--n", "6", "--order", order,
                         "--all-chars"])
@@ -64,6 +70,18 @@ def outcome(argv):
         status = run([str(ROOT / a) if a.startswith("corpus/") else a
                       for a in argv])
     return {"argv": argv, "status": status, "stdout": stdout.getvalue()}
+
+
+def test_tensor_entries_equal_the_fox_entries():
+    # both engines print the same lines and exit the same way
+    pinned = {tuple(e["argv"]): e
+              for e in json.loads(EXPECTED.read_text(encoding="utf-8"))}
+    tensor = [argv for argv in pinned if "tensor" in argv]
+    assert len(tensor) == 4 * len(list((ROOT / "corpus").glob("*.hd")))
+    for argv in tensor:
+        fox = tuple(a for a in argv if a not in ("--engine", "tensor"))
+        assert ({**pinned[argv], "argv": None}
+                == {**pinned[fox], "argv": None}), argv
 
 
 def test_cli_output_matches_the_pinned_text():

@@ -9,10 +9,12 @@ from suturant import (Character, CharacterAssignment, CyclotomicScalar,
                       apply_move, build_hn, canonical_class, class_equal,
                       contract, enumerate_multipoints, epsilon_class,
                       evaluate, fox_determinant, homology, invariant_h0,
-                      invariant_hn, parse_diagram, rebase, torsion_class)
+                      invariant_hn, invariant_hn_values, parse_diagram, rebase,
+                      torsion_class)
 from suturant.errors import (AmbiguousOrientationError, CharacterMismatchError,
-                             InvalidCharacterError, InvalidReferenceError,
-                             NotDivisibleError)
+                             GroupMismatchError, InvalidCharacterError,
+                             InvalidReferenceError, NotDivisibleError,
+                             SuturantError)
 from suturant.foxcalc import crossing_classes
 from suturant.invariant import (OrientationSign, SpincRelative,
                                 anchor_multipoint)
@@ -281,6 +283,62 @@ def test_tensor_invariant_equals_the_rebased_contraction():
                 assert invariant_hn(diag, n, chars, spinc, orient,
                                     engine="tensor") == _rebased_hn(
                     diag, n, chars, spinc, orient), (label, ref, n, sign)
+
+
+def test_values_of_a_list_are_the_values_one_by_one():
+    """invariant_hn_values normalizes once per list; each value is still
+    the one invariant_hn returns for its character alone, on both engines,
+    at up to three seeded characters of order n = 2, 3, both signs and a
+    seeded offset, on the choice-independence cases and on Hopf slid and
+    back to d = 3."""
+    rng = random.Random(SEED + 12)
+    cases = list(_choice_independence_cases())
+    cases.append(("hopf grown to 3", slid_and_back(load("hopf"), 3)))
+    for label, diag in cases:
+        ref = anchor_multipoint(diag)
+        if ref is None:
+            continue
+        g = homology(diag)
+        off = GroupRingElement.monomial(g, g.normalize(tuple(
+            rng.randint(-3, 3) for _ in range(g.ncoords))))
+        for n in (2, 3):
+            chis = all_characters(g, n)
+            chars = [CharacterAssignment.from_character(chi)
+                     for chi in rng.sample(chis, min(3, len(chis)))]
+            for sign, engine in itertools.product((1, -1), ("fox", "tensor")):
+                args = (SpincRelative(ref, off), OrientationSign(sign),
+                        engine)
+                assert invariant_hn_values(diag, n, chars, *args) == [
+                    invariant_hn(diag, n, c, *args) for c in chars], (
+                    label, n, sign, engine)
+
+
+def _raised(fn):
+    try:
+        fn()
+    except SuturantError as e:
+        return type(e), str(e)
+    raise AssertionError("nothing raised")
+
+
+@pytest.mark.parametrize("engine", ["fox", "tensor"])
+def test_a_failing_character_in_a_list_raises_its_own_error(trefoil, engine):
+    # at n = 2, order 6 admits psi(b1) = zeta^0 and zeta^3 but not zeta^1;
+    # a Hopf character lives on another group
+    spinc = SpincRelative(anchor_multipoint(trefoil))
+    g = homology(trefoil)
+    by_t = {chi.exps: CharacterAssignment.from_character(chi)
+            for chi in all_characters(g, 6)}
+    hopf = load("hopf")
+    alien = CharacterAssignment.from_character(
+        all_characters(homology(hopf), 6)[0])
+    for bad in (by_t[(1,)], alien):
+        listed = _raised(lambda: invariant_hn_values(
+            trefoil, 2, [by_t[(0,)], bad, by_t[(3,)]], spinc,
+            engine=engine))
+        assert listed == _raised(lambda: invariant_hn(
+            trefoil, 2, bad, spinc, engine=engine))
+        assert listed[0] in (CharacterMismatchError, GroupMismatchError)
 
 
 @pytest.mark.parametrize("engine", ["fox", "tensor"])
