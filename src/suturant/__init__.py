@@ -26,7 +26,8 @@ from .foxcalc import (AbelianGroup, Character, GroupRingElement,
 from .invariant import (OrientationSign, SpincRelative, alexander_from_torsion,
                         invariant_h0, invariant_hn, invariant_hn_values,
                         torsion_class)
-from .kuperberg import CharacterAssignment, basepoint_shift, contract
+from .kuperberg import (CharacterAssignment, basepoint_shift, contract,
+                        contract_values)
 from .moves import (AddTrivialHandles, CancelFinger, Destabilize,
                     FingerIsotopy, HandleslideCurve, ReorderCurves,
                     ReverseCurve, Stabilize, apply_move, compose_generator_maps,

@@ -16,10 +16,13 @@ sparse linear-map core acts on them: ``apply`` (the image of an element),
 ``lhs == rhs`` between composites of the structure maps over the whole
 basis (dimensions stay small, at most a few dozen), and a failing
 equation is witnessed by the least key on which its sides differ.
-Associativity alone is checked with the middle factor among a set of
-generators (Light's test), D^2 triples per generator rather than D^3,
-and over every triple only once it has failed, for the least witness.  The
-Koszul sign convention is ``tau(v (x) w) = (-1)^{|v||w|} w (x) v``.
+Associativity is checked with the middle factor among a set of generators
+(Light's test), D^2 triples per generator rather than D^3.  Once it holds,
+the evenness of m and the bialgebra equation are checked with the left
+factor among the generators, D columns per generator rather than D^2.  A
+shortcut that fails is repeated over the whole basis, for the least
+witness.  The Koszul sign convention is
+``tau(v (x) w) = (-1)^{|v||w|} w (x) v``.
 """
 
 from __future__ import annotations
@@ -415,6 +418,29 @@ def _least_nonassociative(m, ident, middles):
     return best
 
 
+def _on_generators(equation, ident, on_gens, closed):
+    """The sides (lhs, rhs) of ``equation(left)``, an equation of maps on
+    H (x) H whose left factor goes through ``left``: over the generators
+    ``on_gens`` when ``closed`` and the sides agree there, else over the
+    whole basis ``ident``, so a failing equation has its least witness.
+
+    ``closed`` must say that the left factors a satisfying the equation
+    for every right factor are closed under products; then every basis
+    index ``_generators`` reaches satisfies it, as in
+    :func:`_least_nonassociative`.  For an associative m this holds for
+    the m equation of parity-compatibility, grade(a y) = grade(a)
+    grade(y), and, m being even as well, for the bialgebra equation
+    Delta(a y) = Delta(a) Delta(y): for a, b among them,
+        Delta((a b) y) = Delta(a (b y)) = Delta(a) (Delta(b) Delta(y))
+                       = (Delta(a) Delta(b)) Delta(y) = Delta(a b) Delta(y),
+    and likewise for grade."""
+    if closed:
+        lhs, rhs = equation(on_gens)
+        if lhs == rhs:
+            return lhs, rhs
+    return equation(ident)
+
+
 def check_axioms(pkg):
     """Every Hopf, relative-(co)integral, compatibility and handleslide
     identity as equations between composites of the structure maps, over
@@ -438,19 +464,27 @@ def check_axioms(pkg):
                   for basis in (integ.b_basis, coint.a_basis))
     H, A, B = alg.label, (lambda p: f"a_{p}"), (lambda p: f"b_{p}")
 
-    _check(rep, "parity-compatibility",
-           (compose(grade, m), compose(m, tensor(grade, grade)),
-            _names(H, H, head="m")),
+    # associativity with the middle factor among generators, one equation
+    # of D^2 columns per generator; the least witness of a failing table
+    # may have any middle, so only then are all D middles scanned.  It is
+    # decided first, as the two product equations below rely on it, and
+    # reported second
+    gens = _generators(alg)
+    wit = ""
+    if _least_nonassociative(m, ident, gens) is not None:
+        wit = _names(H, H, H)(_least_nonassociative(m, ident, range(alg.dim)))
+    on_gens = {(g,): {(g,): 1} for g in gens}
+
+    def graded_m(left):
+        return (compose(grade, compose(m, tensor(left, ident))),
+                compose(m, tensor(compose(grade, left), grade)))
+
+    graded = _on_generators(graded_m, ident, on_gens, not wit)
+    _check(rep, "parity-compatibility", (*graded, _names(H, H, head="m")),
            (compose(grade, compose(grade, dl), 1), compose(dl, grade),
             _names(H, head="Delta")),
            (compose(grade, s), compose(s, grade), _names(H, head="S")),
            (compose(eps, grade), eps, _names(H, head="eps")))
-    # associativity with the middle factor among generators, one equation
-    # of D^2 columns per generator; the least witness of a failing table
-    # may have any middle, so only then are all D middles scanned
-    wit = ""
-    if _least_nonassociative(m, ident, _generators(alg)) is not None:
-        wit = _names(H, H, H)(_least_nonassociative(m, ident, range(alg.dim)))
     rep.add("associativity", not wit, wit)
     _check(rep, "unitality", (compose(m, tensor(eta, ident)), ident, ""),
            (compose(m, tensor(ident, eta)), ident, ""))
@@ -458,9 +492,17 @@ def check_axioms(pkg):
            (compose(dl, dl), compose(dl, dl, 1), _names(H)))
     _check(rep, "counitality", (compose(eps, dl), ident, _names(H)),
            (compose(eps, dl, 1), ident, _names(H)))
-    # Delta(xy) = sum (-1)^{|x2||y1|} x1*y1 (x) x2*y2
-    _check(rep, "bialgebra", (compose(dl, m), compose(m, compose(
-        m, compose(tau, tensor(dl, dl), 1), 2)), _names(H, H)))
+
+    # Delta(xy) = sum (-1)^{|x2||y1|} x1*y1 (x) x2*y2; the product of
+    # H (x) H is associative once m is and is even
+    def bialgebra(left):
+        return (compose(dl, compose(m, tensor(left, ident))),
+                compose(m, compose(m, compose(
+                    tau, tensor(compose(dl, left), dl), 1), 2)))
+
+    _check(rep, "bialgebra", (*_on_generators(
+        bialgebra, ident, on_gens, not wit and graded[0] == graded[1]),
+        _names(H, H)))
     _check(rep, "unit/counit morphisms",
            (compose(eps, m), tensor(eps, eps), ""),
            (compose(dl, eta), tensor(eta, eta), ""),

@@ -9,6 +9,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .algebra import build_cyclic_group_algebra, build_hn, check_axioms
@@ -240,7 +241,10 @@ def positive_int(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every later
+    :func:`run` in the process."""
     p = argparse.ArgumentParser(
         prog="suturant",
         description="exact sutured-manifold invariants from combinatorial "

@@ -17,14 +17,14 @@ does not vanish.
 Two computation paths exist for the character-evaluated invariant, and
 :func:`invariant_hn_values` is the one entry to both: given a list of
 characters, the tensor engine contracts the diagram against the
-2n-dimensional package once per character, the Fox engine evaluates the
-group-ring valued invariant, computed once, at each character.  The
-group-ring valued invariant and the torsion class always go through the Fox
-engine, which is symbolic by construction.  Both engines read the diagram
-at its own basepoints and share one normalization, the unit delta * t^h
-with h the offset minus the anchor's class, computed once per list:
-rotating a basepoint changes the contraction and the Fox determinant by the
-same unit, so neither engine rebases at the reference.
+2n-dimensional package in one sweep that carries every character, the Fox
+engine evaluates the group-ring valued invariant, computed once, at each
+character.  The group-ring valued invariant and the torsion class always go
+through the Fox engine, which is symbolic by construction.  Both engines
+read the diagram at its own basepoints and share one normalization, the
+unit delta * t^h with h the offset minus the anchor's class, computed once
+per list: rotating a basepoint changes the contraction and the Fox
+determinant by the same unit, so neither engine rebases at the reference.
 """
 
 from __future__ import annotations
@@ -45,7 +45,10 @@ from .foxcalc import (GroupRingElement, InvariantClass, canonical_class,
                       class_equal, crossing_classes,
                       divide_by_element_minus_one, evaluate, fox_determinant,
                       homology, smith_normal_form)
-from .kuperberg import check_admissible, contract
+from .kuperberg import check_admissible, contract_values
+# Not called here: kept as a module attribute because the benchmark tracer
+# (perfbench/tracing.py) wraps suturant.invariant.contract.
+from .kuperberg import contract  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -171,30 +174,33 @@ def invariant_hn_values(diag, n, assignments, spinc,
     """The character-evaluated invariant delta * zeta * Z at each of
     ``assignments``, in their order; zeta is the character's value at h.
     The Fox engine evaluates :func:`invariant_h0` at each character; the
-    tensor engine contracts the diagram with H_n at its own basepoints and
-    multiplies by the same evaluated unit delta * t^h.  Every assignment
-    must carry the character of H_1 it was built from.  The normalization
-    is checked and computed once, before any character; then each
-    character's group is checked by evaluating, and a character outside
-    :func:`kuperberg.check_admissible` is refused.  The first character
-    that fails raises what :func:`invariant_hn` raises for it alone."""
+    tensor engine contracts the diagram with H_n at its own basepoints, in
+    one sweep for the whole list (:func:`kuperberg.contract_values`), and
+    multiplies each value by the same evaluated unit delta * t^h.  Every
+    assignment must carry the character of H_1 it was built from.  The
+    normalization is checked and computed once, before any character; then
+    each character's group is checked by evaluating, and a character
+    outside :func:`kuperberg.check_admissible` is refused, all before the
+    sweep.  The first character that fails raises what
+    :func:`invariant_hn` raises for it alone."""
     if any(chars.h1 is None for chars in assignments):
         raise InvalidCharacterError(
             "the invariant needs a character of H_1 "
             "(use CharacterAssignment.from_character)")
     if engine == "fox":
-        h0 = invariant_h0(diag, spinc, orient)
-        values = []
-        for chars in assignments:
-            values.append(evaluate(h0, chars.h1))
-            check_admissible(diag, n, chars)
-        return values
-    if engine != "tensor":
+        base = invariant_h0(diag, spinc, orient)
+    elif engine == "tensor":
+        base = _normalization(diag, spinc, orient)[2]
+    else:
         raise ValueError(f"unknown engine {engine!r}")
-    _, _, unit = _normalization(diag, spinc, orient)
-    pkg = build_hn(n)
-    return [evaluate(unit, chars.h1) * contract(diag, pkg, chars)
-            for chars in assignments]
+    values = []
+    for chars in assignments:
+        values.append(evaluate(base, chars.h1))
+        check_admissible(diag, n, chars)
+    if engine == "tensor":
+        values = [unit * z for unit, z in zip(
+            values, contract_values(diag, build_hn(n), assignments))]
+    return values
 
 
 def invariant_h0(diag, spinc, orient=OrientationSign()):

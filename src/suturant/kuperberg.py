@@ -7,7 +7,7 @@ crossing applies the antipode to its slot; every beta curve multiplies its
 slots in its own order, maps the product into B by the integral (closed)
 or the projection (arc), and evaluates its character there.
 
-``contract`` evaluates the network in one fixed order, a sweep over the
+The contraction evaluates the network in one fixed order, a sweep over the
 alpha curves in family order and each alpha's crossings in its own order,
 and merges equal frontier states after every crossing.  A state is keyed
 by the basis index of the current alpha's not-yet-split coproduct factor
@@ -23,12 +23,12 @@ the start.
 The terms a state contributes at a crossing depend only on three basis
 indices of its key: the remainder and the runs left and right of the slot.
 The coproduct split, the antipode, left run * slot * right run and, if
-the beta completes, its character are therefore expanded once per distinct
-triple at each crossing and shared by all states with that triple.  Each
-state then applies what is its own: the Koszul sign of the odd-slot terms
-and the untouched parts of its key, into which it splices the new run or
-the completed beta's parity.  This is the per-state expansion term by term,
-so the frontier and its values are unchanged.
+the beta completes, its image in B are therefore expanded once per
+distinct triple at each crossing and shared by all states with that
+triple.  Each state then applies what is its own: the Koszul sign of the
+odd-slot terms and the untouched parts of its key, into which it splices
+the new run or the completed beta's parity.  This is the per-state
+expansion term by term, so the frontier and its values are unchanged.
 
 Koszul sign: rerouting the slots from alpha order to beta-traversal order
 (the betas in family order, each in its own order) costs the inversion
@@ -37,15 +37,22 @@ slot flips the sign by the parity of the content already placed later in
 traversal order, the runs after it on its own beta and everything placed
 on later betas.
 
-Scalars: every character value on B is a power of x, so a state's value
-is an integer vector over exponents mod N, an element of Z[x]/(x^N - 1).
-The sum over the final states is reduced modulo Phi_N once, then the
-single rational cointegral prefactor is applied.  Everything is exact.
+Scalars: a character of order N reads the group-like b^t of B as
+x^(e * t), e its exponent on the beta, so every value is an integer vector
+over exponents mod N, an element of Z[x]/(x^N - 1).  Only a completing
+beta reads the character; the splits, antipodes, products and signs
+before it do not.  So ``contract_values`` runs one sweep for a list of
+characters: a state's value is one such block per character, in list
+order, each block of its own N, and when a beta completes each block is
+multiplied by its own x^(e * t).  The sum over the final states is reduced
+modulo Phi_N once per block, then the single rational cointegral
+prefactor is applied.  Everything is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .algebra import apply
 from .cyclotomic import CyclotomicScalar
@@ -62,7 +69,8 @@ class CharacterAssignment:
 
     order: int
     psi: dict                    # beta id -> exponent mod order
-    h1: Character | None = None
+    h1: object | None = None     # a foxcalc.Character, not imported: the
+                                 # engine imports nothing from foxcalc
 
     @classmethod
     def trivial(cls, order=1):
@@ -93,28 +101,28 @@ def check_admissible(diag, n, chars):
                 f"unity in Z/{chars.order}")
 
 
-def _closing(pkg, chars, curve):
-    """Per basis index i of H, the character of a beta curve on mu(e_i)
-    (closed) or pi_B(e_i) (arc), as {exponent of x: coefficient}."""
+def _closing(pkg, closed):
+    """Per basis index i of H, mu(e_i) (closed beta) or pi_B(e_i) (arc) as
+    {discrete log with respect to b: coefficient}; a character reads b^t
+    as x^(e * t), e its exponent on the beta."""
     integ = pkg.integral
-    e = chars.psi_exponent(curve.id)
-    table = integ.mu if curve.closed else integ.pi_b
+    table = integ.mu if closed else integ.pi_b
     out = {}
     for i in range(pkg.algebra.dim):
         poly = out[i] = {}
         for pos, c in apply(table, {i: 1}).items():
-            t = e * integ.b_dlog[pos] % chars.order
+            t = integ.b_dlog[pos]
             poly[t] = poly.get(t, 0) + c
     return out
 
 
-def _times(vec, poly):
-    """vec * sum(c x^t), exponents taken mod len(vec)."""
-    n = len(vec)
-    out = [0] * n
-    for t, c in poly.items():
-        for k, v in enumerate(vec):
-            out[(k + t) % n] += c * v
+def _times(vec, weight, moves):
+    """vec times the weight {s: c} blockwise, ``moves[s]`` giving the index
+    each entry of vec goes to under the shifts numbered s."""
+    out = [0] * len(vec)
+    for s, c in weight.items():
+        for k, v in zip(moves[s], vec):
+            out[k] += c * v
     return out
 
 
@@ -129,8 +137,8 @@ def _expand(alg, rem, lt, rt, neg, last, closing):
     alpha's last crossing), the antipode on the slot if ``neg``, and the
     product ``lt`` * slot * ``rt`` with the runs that are not None.  Returns
     whether a term has an odd slot and the terms: (rest, run index, odd,
-    coefficient), or (rest, parity, odd, character polynomial) when
-    ``closing`` completes the beta."""
+    coefficient), or (rest, parity, odd, {shift: coefficient}) when
+    ``closing``, the beta's table of shifts, completes it."""
     par, mul = alg.parity, alg.mul_sc
     comul, antipode = alg.comul_sc, alg.antipode_sc
     acc = {}
@@ -158,10 +166,11 @@ def _expand(alg, rem, lt, rt, neg, last, closing):
     return any(term[2] for term in terms), terms
 
 
-def _cross(states, alg, b, j, placed, neg, last, closing):
+def _cross(states, alg, b, j, placed, neg, last, closing, moves):
     """The frontier after placing the next slot of the current alpha at
     position j of beta b, where ``placed`` holds the positions of b filled
-    before and ``closing`` is b's character table if this completes b."""
+    before and ``closing`` is b's table of shifts if this completes b (see
+    :func:`_times` for ``moves``)."""
     par = alg.parity
     r = sum(1 for p in placed if p < j and p + 1 not in placed)
     left, right = j - 1 in placed, j + 1 in placed
@@ -192,7 +201,7 @@ def _cross(states, alg, b, j, placed, neg, last, closing):
             if closing is None:
                 part, value, c = pre + (part,) + post, vec, sign * weight
             else:
-                value, c = _times(vec, weight), sign
+                value, c = _times(vec, weight, moves), sign
             new = (rest,) + head + (part,) + later
             cur = out.get(new)
             if cur is None:
@@ -204,8 +213,16 @@ def _cross(states, alg, b, j, placed, neg, last, closing):
 
 
 def contract(based, pkg, chars):
-    """The unnormalized scalar of a based, ordered, oriented diagram."""
-    check_admissible(based, pkg.integral.glike_b_order, chars)
+    """The unnormalized scalar of a based, ordered, oriented diagram: the
+    one-element case of :func:`contract_values`."""
+    return contract_values(based, pkg, [chars])[0]
+
+
+def contract_values(based, pkg, assignments):
+    """The unnormalized scalar at each of ``assignments``, in their order,
+    from one sweep whose state values hold one block per assignment."""
+    for chars in assignments:
+        check_admissible(based, pkg.integral.glike_b_order, chars)
     alg, integ, coint = pkg.algebra, pkg.integral, pkg.cointegral
     alphas, betas = based.family("alpha"), based.family("beta")
     # the (co)integral seeds of closed and arc alphas
@@ -213,14 +230,37 @@ def contract(based, pkg, chars):
              False: apply(coint.i_a, {pkg.unit_a: 1})}
     home = {xid: (b, j) for b, c in enumerate(betas)
             for j, xid in enumerate(c.order)}
-    closing = [_closing(pkg, chars, c) for c in betas]
+    orders = [chars.order for chars in assignments]
+    starts = list(accumulate(orders, initial=0))
+    # per beta, the closing table of its kind with each discrete log t
+    # replaced by the number of the shifts (e_j * t mod N_j) it makes in
+    # the blocks; equal shifts share their number
+    kinds = {closed: _closing(pkg, closed)
+             for closed in {c.closed for c in betas}}
+    dlogs, closing, shifts = set(integ.b_dlog), [], {}
+    for c in betas:
+        exps = [chars.psi_exponent(c.id) for chars in assignments]
+        number = {t: shifts.setdefault(
+            tuple([e * t % n for e, n in zip(exps, orders)]), len(shifts))
+            for t in dlogs}
+        table = {}
+        for i, poly in kinds[c.closed].items():
+            weight = table[i] = {}
+            for t, coeff in poly.items():
+                s = number[t]
+                weight[s] = weight.get(s, 0) + coeff
+        closing.append(table)
+    moves = [[lo + (k + sj) % n for lo, n, sj in zip(starts, orders, s)
+              for k in range(n)] for s in shifts]
 
-    vec, parts = [1] + [0] * (chars.order - 1), []
+    vec, parts = [0] * starts[-1], []
+    for lo in starts[:-1]:
+        vec[lo] = 1
     for b, c in enumerate(betas):
         if c.order:
             parts.append(())
         else:
-            vec = _times(vec, closing[b][alg.unit_index])
+            vec = _times(vec, closing[b][alg.unit_index], moves)
             parts.append(alg.parity[alg.unit_index])
     states = {(None, *parts): vec}
     placed = [set() for _ in betas]
@@ -241,22 +281,24 @@ def contract(based, pkg, chars):
             states = _cross(states, alg, b, j, placed[b],
                             based.crossing(xid).sign < 0,
                             t == len(c.order) - 1,
-                            closing[b] if done else None)
+                            closing[b] if done else None, moves)
             placed[b].add(j)
 
     functional_parity = sum(integ.mu_parity for c in betas if c.closed)
-    total = [0] * chars.order
+    total = [0] * starts[-1]
     for key, vec in states.items():
         parity = functional_parity + sum(_parity(p, alg.parity)
                                          for p in key[1:])
         if parity % 2 == 0:
             total = [a + v for a, v in zip(total, vec)]
-        elif not CyclotomicScalar.from_coeffs(vec, chars.order).is_zero():
+        elif any(not CyclotomicScalar.from_coeffs(vec[lo:lo + n], n).is_zero()
+                 for lo, n in zip(starts, orders)):
             raise OddScalarError(
                 "nonzero contribution with odd total parity; "
                 "the package data is corrupt")
     prefactor = coint.iota_prefactor ** sum(1 for c in alphas if c.closed)
-    return CyclotomicScalar.from_coeffs(total, chars.order).scale(prefactor)
+    return [CyclotomicScalar.from_coeffs(total[lo:lo + n], n).scale(prefactor)
+            for lo, n in zip(starts, orders)]
 
 
 def basepoint_shift(based, curve_id, new_start, pkg, chars):

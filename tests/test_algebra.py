@@ -6,8 +6,9 @@ import pytest
 
 from suturant import (build_cyclic_group_algebra, build_hn, check_axioms,
                       coproduct_power)
-from suturant.algebra import (_generators, apply, compose, first_difference,
-                              legged, tensor)
+from suturant.algebra import (_check, _generators, _names, apply, compose,
+                              first_difference, koszul, legged, tensor)
+from suturant.report import Report
 from conftest import SEED
 
 
@@ -201,6 +202,78 @@ def test_associativity_line_matches_the_exhaustive_reference(dim):
         assert (line.ok, line.witness) == (not want, want), alg.mul_sc
         failing += bool(want)
     assert 0 < failing < 60
+
+
+def _product_lines_exhaustive(pkg):
+    """Reference for the parity-compatibility and bialgebra lines: every
+    equation over every pair of basis indices, as (ok, witness) by line."""
+    alg = pkg.algebra
+    m, dl, s = map(legged, (alg.mul_sc, alg.comul_sc, alg.antipode_sc))
+    grade = {(i,): {(i,): -1 if p else 1} for i, p in enumerate(alg.parity)}
+    eps = {(i,): {(): c} for i, c in enumerate(alg.counit_vec) if c}
+    tau = koszul(alg.parity, alg.parity)
+    H = alg.label
+    rep = Report()
+    _check(rep, "parity-compatibility",
+           (compose(grade, m), compose(m, tensor(grade, grade)),
+            _names(H, H, head="m")),
+           (compose(grade, compose(grade, dl), 1), compose(dl, grade),
+            _names(H, head="Delta")),
+           (compose(grade, s), compose(s, grade), _names(H, head="S")),
+           (compose(eps, grade), eps, _names(H, head="eps")))
+    _check(rep, "bialgebra", (compose(dl, m), compose(m, compose(
+        m, compose(tau, tensor(dl, dl), 1), 2)), _names(H, H)))
+    return {e.check: (e.ok, e.witness) for e in rep.entries}
+
+
+def _corrupted(pkg, rng):
+    """The package with one or two seeded corruptions of its algebra: a
+    coproduct entry set or removed, a basis parity flipped, a product
+    entry set, or a random product table (see ``_random_table``)."""
+    alg = pkg.algebra
+    dim = alg.dim
+    for _ in range(rng.choice((1, 2))):
+        kind = rng.choice(("comul", "comul", "parity", "mul", "table"))
+        if kind == "comul":
+            table = {i: dict(col) for i, col in alg.comul_sc.items()}
+            col = table.setdefault(rng.randrange(dim), {})
+            col[(rng.randrange(dim), rng.randrange(dim))] = rng.choice(
+                (0, 1, -1, 2))
+            alg = dataclasses.replace(alg, comul_sc={
+                i: {k: c for k, c in col.items() if c}
+                for i, col in table.items()})
+        elif kind == "parity":
+            flip = rng.randrange(dim)
+            alg = dataclasses.replace(alg, parity=tuple(
+                1 - p if i == flip else p for i, p in enumerate(alg.parity)))
+        elif kind == "mul":
+            table = dict(alg.mul_sc)
+            table[(rng.randrange(dim), rng.randrange(dim))] = {
+                rng.randrange(dim): rng.choice((1, -1, 2))}
+            alg = dataclasses.replace(alg, mul_sc=table)
+        else:
+            alg = dataclasses.replace(alg, mul_sc=_random_table(dim, rng))
+    return dataclasses.replace(pkg, algebra=alg)
+
+
+def test_product_lines_match_the_exhaustive_reference():
+    """Checked on generators once associativity holds, the two lines still
+    report what their equations over the whole basis report."""
+    rng = random.Random(SEED * 10 + 7)
+    seen = set()
+    for pkg in ([build_hn(n) for n in range(1, 5)]
+                + [build_cyclic_group_algebra(m) for m in range(2, 6)]):
+        for _ in range(40):
+            bad = _corrupted(pkg, rng)
+            want = _product_lines_exhaustive(bad)
+            got = {e.check: (e.ok, e.witness)
+                   for e in check_axioms(bad).entries}
+            assert {k: got[k] for k in want} == want, (bad.name, bad.algebra)
+            seen.add((got["associativity"][0],
+                      *(ok for ok, _ in want.values())))
+    # associative tables with either line failing or passing
+    assert {(True, True, False), (True, False, False), (True, True, True),
+            (False, True, False)} <= seen
 
 
 def test_generators_of_the_shipped_algebras():

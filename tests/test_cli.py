@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from suturant import serialize_diagram
+from suturant import cli, serialize_diagram
 from suturant.cli import run
 
 from conftest import corpus_names, corpus_path, load
@@ -171,6 +171,37 @@ def test_usage_error_exits_two(capsys):
         assert exc.value.code == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and "usage:" in err, argv
+
+
+def test_a_reused_parser_prints_what_a_fresh_one_prints(capsys,
+                                                        monkeypatch):
+    """``run`` builds its parser once per process; a usage error between
+    two verbs leaves nothing behind in it."""
+    trefoil = str(corpus_path("trefoil"))
+    session = (["compute", trefoil, "--n", "3", "--all-chars"],
+               ["compute", trefoil, "--n", "x"],
+               ["axioms", "--algebra", "cyclic", "--m", "3"],
+               ["compute", trefoil, "--engine", "tensor", "--n", "2",
+                "--all-chars", "--sign", "-1"],
+               ["compute"],
+               ["validate", trefoil],
+               ["compute", trefoil, "--n", "3", "--all-chars"])
+
+    def outputs():
+        seen = []
+        for argv in session:
+            try:
+                rc = run(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            seen.append((rc, *capsys.readouterr()))
+        return seen
+
+    reused = outputs()
+    assert [rc for rc, _, _ in reused] == [0, 2, 0, 0, 2, 0, 0]
+    assert reused[0] == reused[-1]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outputs() == reused
 
 
 def test_non_integer_char_or_offset_is_an_error(capsys):

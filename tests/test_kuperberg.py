@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import typing
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from suturant import (Character, CharacterAssignment, CyclotomicScalar,
                       HandleslideCurve, HopfPackage, PresentedAlgebra,
                       ReorderCurves, ReverseCurve, Stabilize, all_characters,
                       apply_move, basepoint_shift, build_cyclic_group_algebra,
-                      build_hn, contract, coproduct_power,
+                      build_hn, contract, contract_values, coproduct_power,
                       enumerate_multipoints, evaluate, fox_determinant,
                       homology, rebase)
 from suturant.algebra import (RelativeCointegralData, RelativeIntegralData,
@@ -21,7 +22,8 @@ from suturant.errors import (ArcCurveError, CharacterMismatchError,
                              SuturantError)
 from suturant.invariant import anchor_multipoint
 
-from conftest import SEED, load, slid_and_back
+from conftest import (SEED, corpus_names, load, moved_and_rotated,
+                      slid_and_back)
 
 
 def meridian_assignment(diag, n):
@@ -123,6 +125,12 @@ def test_basepoint_shift_rejects_arcs(trefoil):
                         meridian_assignment(trefoil, 2))
 
 
+def test_character_assignment_hints_resolve():
+    # h1 holds a foxcalc.Character, which the engine may not import
+    hints = typing.get_type_hints(CharacterAssignment)
+    assert hints == {"order": int, "psi": dict, "h1": object | None}
+
+
 def test_character_mismatch_detected(trefoil):
     # zeta_4 is not an order-3 root of unity, so psi(b2) = zeta_4 cannot
     # be a character of the group-like span of the order-3 package
@@ -140,6 +148,9 @@ def test_odd_scalar_guard():
     bad = dataclasses.replace(pkg, integral=bad_integral)
     with pytest.raises(OddScalarError):
         contract(based_at_first(diag), bad, CharacterAssignment.trivial())
+    with pytest.raises(OddScalarError):
+        contract_values(based_at_first(diag), bad,
+                        [CharacterAssignment.trivial(n) for n in (1, 2)])
 
 
 def test_swapping_closed_curves_flips_sign_by_mu_parity(hopf):
@@ -320,8 +331,67 @@ def walked(based, pkg):
 def test_sweep_matches_the_term_walk_with_odd_products(name):
     """Also with b1 reversed, and after growth to d = 3."""
     based = based_at_first(load(name))
+    pkg = exterior_package()
     for diag in (based, apply_move(based, ReverseCurve("b1")),
                  anchored(grown(load(name), 3, random.Random(SEED)))):
-        assert contract(diag, exterior_package(),
-                        CharacterAssignment.trivial()) == \
-            CyclotomicScalar.integer(walked(diag, exterior_package()), 1)
+        want = walked(diag, pkg)
+        assert contract(diag, pkg, CharacterAssignment.trivial()) == \
+            CyclotomicScalar.integer(want, 1)
+        # one sweep, one block per order
+        assert contract_values(diag, pkg, [CharacterAssignment.trivial(n)
+                                           for n in (1, 3, 2)]) == \
+            [CyclotomicScalar.integer(want, n) for n in (1, 3, 2)]
+
+
+def per_character(diag, pkg, assignments):
+    return [contract(diag, pkg, chars) for chars in assignments]
+
+
+def every_character(diag, n):
+    return [CharacterAssignment.from_character(chi)
+            for chi in all_characters(homology(diag), n)]
+
+
+def test_one_sweep_equals_a_sweep_per_character():
+    """On every corpus diagram, seeded move copies and rotations of them,
+    at n = 2..4 and every character."""
+    bases = [(name, load(name)) for name in corpus_names()]
+    for label, diag in moved_and_rotated(bases):
+        for n in (2, 3, 4):
+            pkg, chars = build_hn(n), every_character(diag, n)
+            assert contract_values(diag, pkg, chars) == \
+                per_character(diag, pkg, chars), (label, n)
+
+
+def test_one_sweep_on_a_wide_frontier():
+    # Hopf slid and back to d = 3: 27 characters at n = 3
+    diag = slid_and_back(load("hopf"), 3)
+    pkg, chars = build_hn(3), every_character(diag, 3)
+    assert len(chars) == 27
+    assert contract_values(diag, pkg, chars) == \
+        per_character(diag, pkg, chars)
+
+
+def test_one_sweep_over_mixed_orders(hopf):
+    """Each block has its own order: characters of orders 6, 3, 2 and 1,
+    all admissible for H_6, and an empty list."""
+    pkg = build_hn(6)
+    chars = (every_character(hopf, 6)[:5] + every_character(hopf, 3)[-4:]
+             + every_character(hopf, 2) + [CharacterAssignment.trivial()])
+    assert {c.order for c in chars} == {6, 3, 2, 1}
+    assert contract_values(hopf, pkg, chars) == \
+        per_character(hopf, pkg, chars)
+    assert contract_values(hopf, pkg, []) == []
+
+
+def test_the_first_inadmissible_character_raises(trefoil):
+    # zeta_4^1 and zeta_4^2 on b2: neither is a cube root of unity
+    pkg = build_hn(3)
+    good = every_character(trefoil, 3)
+    bad = [CharacterAssignment(order=4, psi={"b1": 0, "b2": e})
+           for e in (1, 2)]
+    with pytest.raises(CharacterMismatchError) as alone:
+        contract(trefoil, pkg, bad[0])
+    with pytest.raises(CharacterMismatchError) as listed:
+        contract_values(trefoil, pkg, good[:1] + bad + good[1:])
+    assert str(listed.value) == str(alone.value)
