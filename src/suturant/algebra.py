@@ -16,12 +16,12 @@ sparse linear-map core acts on them: ``apply`` (the image of an element),
 ``lhs == rhs`` between composites of the structure maps over the whole
 basis (dimensions stay small, at most a few dozen), and a failing
 equation is witnessed by the least key on which its sides differ.
-Associativity is checked with the middle factor among a set of generators
-(Light's test), D^2 triples per generator rather than D^3.  Once it holds,
-the evenness of m and the bialgebra equation are checked with the left
-factor among the generators, D columns per generator rather than D^2.  A
-shortcut that fails is repeated over the whole basis, for the least
-witness.  The Koszul sign convention is
+Associativity, and once it holds the evenness of m and the bialgebra
+equation, are checked by one rule: the left factor among a set of
+generators, D^2 triples (for associativity) or D columns per generator
+rather than D^3 or D^2.  The least failing key always has a generator as
+its left factor, so nothing is rescanned over the whole basis for the
+least witness.  The Koszul sign convention is
 ``tau(v (x) w) = (-1)^{|v||w|} w (x) v``.
 """
 
@@ -392,55 +392,6 @@ def _generators(alg):
     return gens
 
 
-def _least_nonassociative(m, ident, middles):
-    """The least triple (i, j, l) with j among ``middles`` and
-    (e_i e_j) e_l != e_i (e_j e_l), or None.
-
-    Associativity needs checking only with the middle factor among
-    generators (Light's test).  For any bilinear product the set S of a
-    with (x a) y = x (a y) for all x, y is a subspace closed under
-    products: for a, b in S and all x, y,
-        x (a b) = (x a) b                      (a in S),
-        ((x a) b) y = (x a) (b y)              (b in S),
-        (x a) (b y) = x (a (b y))              (a in S),
-        a (b y) = (a b) y                      (b in S),
-    so (x (a b)) y = x ((a b) y).  Every basis index ``_generators``
-    reaches is a multiple of a product of generators, so S is everything
-    once the generators lie in it."""
-    best = None
-    for j in middles:
-        e_j = {(): {(j,): 1}}
-        left = compose(m, tensor(compose(m, tensor(ident, e_j)), ident))
-        right = compose(m, tensor(ident, compose(m, tensor(e_j, ident))))
-        k = first_difference(left, right)
-        if k is not None and (best is None or (k[0], j, k[1]) < best):
-            best = (k[0], j, k[1])
-    return best
-
-
-def _on_generators(equation, ident, on_gens, closed):
-    """The sides (lhs, rhs) of ``equation(left)``, an equation of maps on
-    H (x) H whose left factor goes through ``left``: over the generators
-    ``on_gens`` when ``closed`` and the sides agree there, else over the
-    whole basis ``ident``, so a failing equation has its least witness.
-
-    ``closed`` must say that the left factors a satisfying the equation
-    for every right factor are closed under products; then every basis
-    index ``_generators`` reaches satisfies it, as in
-    :func:`_least_nonassociative`.  For an associative m this holds for
-    the m equation of parity-compatibility, grade(a y) = grade(a)
-    grade(y), and, m being even as well, for the bialgebra equation
-    Delta(a y) = Delta(a) Delta(y): for a, b among them,
-        Delta((a b) y) = Delta(a (b y)) = Delta(a) (Delta(b) Delta(y))
-                       = (Delta(a) Delta(b)) Delta(y) = Delta(a b) Delta(y),
-    and likewise for grade."""
-    if closed:
-        lhs, rhs = equation(on_gens)
-        if lhs == rhs:
-            return lhs, rhs
-    return equation(ident)
-
-
 def check_axioms(pkg):
     """Every Hopf, relative-(co)integral, compatibility and handleslide
     identity as equations between composites of the structure maps, over
@@ -464,22 +415,32 @@ def check_axioms(pkg):
                   for basis in (integ.b_basis, coint.a_basis))
     H, A, B = alg.label, (lambda p: f"a_{p}"), (lambda p: f"b_{p}")
 
-    # associativity with the middle factor among generators, one equation
-    # of D^2 columns per generator; the least witness of a failing table
-    # may have any middle, so only then are all D middles scanned.  It is
-    # decided first, as the two product equations below rely on it, and
+    # associativity, the evenness of m and the bialgebra equation, with the
+    # left factor among generators: D^2 columns per generator for the first,
+    # D for the others.  Closure: the left factors a satisfying an equation
+    # for all right factors form a subspace closed under products; for
+    # associativity (any bilinear product) ((a b) x) y = (a (b x)) y
+    # = a ((b x) y) = a (b (x y)) = (a b) (x y), and once m is associative
+    # (and, for Delta, even) Delta((a b) y) = Delta(a (b y))
+    # = Delta(a) Delta(b) Delta(y) = Delta(a b) Delta(y), likewise for
+    # grade(a y) = grade(a) grade(y).  Least witness: each generator is the
+    # least index not yet reached, so every index is a multiple of a product
+    # of generators no larger than it; if it fails, so does a generator no
+    # larger, and the least failing key over the whole basis has a generator
+    # on the left.  Without closure the equation runs over the whole basis.
+    # Associativity is decided first, as the others rely on it, and
     # reported second
-    gens = _generators(alg)
-    wit = ""
-    if _least_nonassociative(m, ident, gens) is not None:
-        wit = _names(H, H, H)(_least_nonassociative(m, ident, range(alg.dim)))
-    on_gens = {(g,): {(g,): 1} for g in gens}
+    on_gens = {(g,): {(g,): 1} for g in _generators(alg)}
+    k = first_difference(
+        compose(m, tensor(compose(m, tensor(on_gens, ident)), ident)),
+        compose(m, tensor(on_gens, m)))
+    wit = "" if k is None else _names(H, H, H)(k)
 
     def graded_m(left):
         return (compose(grade, compose(m, tensor(left, ident))),
                 compose(m, tensor(compose(grade, left), grade)))
 
-    graded = _on_generators(graded_m, ident, on_gens, not wit)
+    graded = graded_m(ident if wit else on_gens)
     _check(rep, "parity-compatibility", (*graded, _names(H, H, head="m")),
            (compose(grade, compose(grade, dl), 1), compose(dl, grade),
             _names(H, head="Delta")),
@@ -500,8 +461,8 @@ def check_axioms(pkg):
                 compose(m, compose(m, compose(
                     tau, tensor(compose(dl, left), dl), 1), 2)))
 
-    _check(rep, "bialgebra", (*_on_generators(
-        bialgebra, ident, on_gens, not wit and graded[0] == graded[1]),
+    _check(rep, "bialgebra", (*bialgebra(
+        on_gens if not wit and graded[0] == graded[1] else ident),
         _names(H, H)))
     _check(rep, "unit/counit morphisms",
            (compose(eps, m), tensor(eps, eps), ""),

@@ -302,10 +302,7 @@ def run(argv):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SuturantError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (SuturantError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

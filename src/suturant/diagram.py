@@ -194,6 +194,8 @@ def parse_diagram(text):
         elif kind == "multipoint":
             if len(tok) < 3 or tok[2] != ":":
                 raise ParseError(lineno, "expected: multipoint <name> : ids")
+            if tok[1] in named:
+                raise DuplicateIdError(f"multipoint {tok[1]} (line {lineno})")
             named[tok[1]] = Multipoint(tuple(sorted(tok[3:])))
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
@@ -311,7 +313,8 @@ def multipoint_permutation(diag, mp):
 
 def enumerate_multipoints(diag):
     """All perfect matchings of closed alphas to closed betas through
-    shared crossings, in lexicographic order on the sorted pick ids."""
+    shared crossings, in lexicographic order on the sorted pick ids.  A
+    crossing lies on one alpha, so the leaves of the search are distinct."""
     alphas = diag.closed_alphas
     betas = {c.id for c in diag.closed_betas}
     by_alpha = []
@@ -330,7 +333,7 @@ def enumerate_multipoints(diag):
                 rec(i + 1, used_beta | {x.beta}, picks + [x.id])
 
     rec(0, set(), [])
-    return sorted(set(found), key=lambda m: m.picks)
+    return sorted(found, key=lambda m: m.picks)
 
 
 def multipoint_sign(diag, mp):

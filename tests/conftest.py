@@ -12,6 +12,10 @@ CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 SEED = int(os.environ.get("SUTURANT_SEED", "20260808"))
 
 
+def pytest_report_header(config):
+    return f"SUTURANT_SEED={SEED}"
+
+
 def corpus_path(name):
     return CORPUS / f"{name}.hd"
 

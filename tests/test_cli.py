@@ -242,3 +242,14 @@ def test_both_engines_refuse_an_inadmissible_order(capsys, engine):
 
 def test_missing_file_is_a_failure(capsys):
     assert run(["validate", "no-such-file.hd"]) == 1
+
+
+def test_a_file_that_is_not_utf8_is_a_failure(tmp_path, capsys):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"diagram t\n\xff\n")
+    assert run(["validate", str(binary)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert run(["move", str(corpus_path("trefoil")),
+                "--script", str(binary)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out

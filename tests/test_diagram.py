@@ -9,7 +9,7 @@ from suturant import (DuplicateIdError, ParseError, alpha_word,
                       serialize_diagram, validate)
 from suturant.diagram import Multipoint, intersection_matrix
 
-from conftest import corpus_names, load
+from conftest import corpus_names, corpus_path, load
 
 
 def test_parse_trefoil_counts(trefoil):
@@ -35,6 +35,9 @@ def test_parse_rejects_missing_curve_reference():
 def test_parse_rejects_duplicate_ids():
     with pytest.raises(DuplicateIdError):
         parse_diagram("alpha a1 closed\nalpha a1 arc\n")
+    text = corpus_path("trefoil").read_text() + "multipoint m1 : x3\n"
+    with pytest.raises(DuplicateIdError, match="multipoint m1"):
+        parse_diagram(text)
 
 
 def test_serialize_round_trip():

@@ -153,6 +153,22 @@ def test_odd_scalar_guard():
                         [CharacterAssignment.trivial(n) for n in (1, 2)])
 
 
+def test_odd_scalar_guard_reads_every_block(trefoil):
+    # mu declared even: every nonzero contribution of the trefoil's one
+    # closed beta is odd.  It vanishes at the first character (its hn(6)
+    # value is 0) but not at the second, so only a later block shows it
+    based = based_at_first(trefoil)
+    pkg = build_hn(6)
+    bad = dataclasses.replace(pkg, integral=dataclasses.replace(
+        pkg.integral, mu_parity=0))
+    vanishing = CharacterAssignment(order=6, psi={"b1": 4, "b2": 1})
+    assert contract(based, pkg, vanishing).is_zero()
+    assert contract_values(based, bad, [vanishing])[0].is_zero()
+    with pytest.raises(OddScalarError):
+        contract_values(based, bad,
+                        [vanishing, CharacterAssignment.trivial(6)])
+
+
 def test_swapping_closed_curves_flips_sign_by_mu_parity(hopf):
     based = based_at_first(hopf)
     swapped = apply_move(based, ReorderCurves("alpha", "closed",
