@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 from .report import Report
 
@@ -194,6 +195,11 @@ class RelativeCointegralData:
 
 @dataclass(frozen=True)
 class HopfPackage:
+    """An algebra with its relative integral and cointegral.  A package is
+    immutable once built: its tables are never changed in place (a changed
+    package is a ``dataclasses.replace`` copy), so what its :attr:`memo`
+    holds stays valid for the package's life."""
+
     algebra: PresentedAlgebra
     integral: RelativeIntegralData
     cointegral: RelativeCointegralData
@@ -207,11 +213,21 @@ class HopfPackage:
                      if apply(self.cointegral.i_a, {p: 1})
                      == self.algebra.unit()), 0)
 
+    @cached_property
+    def memo(self):
+        """Values computed from this package alone, filled on first use by
+        the code that reads them (the tensor engine's crossing rules) and
+        kept for the package's life.  Not a field: a ``dataclasses.replace``
+        copy starts with an empty memo, and equality stays that of the
+        fields."""
+        return {}
+
 
 # ---------------------------------------------------------------------------
 # shipped instances
 # ---------------------------------------------------------------------------
 
+@cache
 def build_hn(n):
     """The 2n-dimensional superalgebra on an even K and an odd X with
     K^n = 1, X^2 = 0; basis K^i, K^i X for 0 <= i < n.
@@ -220,7 +236,8 @@ def build_hn(n):
     antipode S(X) = -K^{-1} X; relative integral mu(K^i X) = K^i,
     mu(K^i) = 0 with b = K; cointegral (1 + K + ... + K^{n-1}) X over the
     trivial A, prefactor 1/n, a* = counit.  n = 1 is the exterior algebra
-    on one odd generator.
+    on one odd generator.  Built once per n and process: the package is
+    immutable, so every caller shares it and its ``memo``.
     """
     if n < 1:
         raise ValueError("n must be >= 1 (the n = 0 Borel is infinite "
@@ -277,9 +294,11 @@ def build_hn(n):
     return HopfPackage(alg, integral, cointegral, name="hn")
 
 
+@cache
 def build_cyclic_group_algebra(m):
     """Group algebra of Z/m: basis g^i, all even, integral delta_e,
-    cointegral the sum of all group elements, trivial A = B = k."""
+    cointegral the sum of all group elements, trivial A = B = k.  Built
+    once per m and process, like :func:`build_hn`."""
     if m < 1:
         raise ValueError("m must be >= 1")
     labels = tuple("1" if i == 0 else ("g" if i == 1 else f"g^{i}")

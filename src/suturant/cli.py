@@ -27,9 +27,18 @@ from .kuperberg import CharacterAssignment, contract
 from .moves import apply_move, parse_move_script
 
 
-def _load(path):
+def _read(path):
+    """The text of the file at ``path``; a file that is not UTF-8 text is
+    a :class:`SuturantError` naming the path."""
     with open(path, encoding="utf-8") as fh:
-        return parse_diagram(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise SuturantError(f"{path}: not UTF-8 text ({e})") from None
+
+
+def _load(path):
+    return parse_diagram(_read(path))
 
 
 def _load_valid(path):
@@ -221,8 +230,7 @@ def cmd_axioms(args):
 
 def cmd_move(args):
     diag = _load(args.file)
-    with open(args.script, encoding="utf-8") as fh:
-        moves = parse_move_script(fh.read())
+    moves = parse_move_script(_read(args.script))
     for mv in moves:
         diag = apply_move(diag, mv)
     text = serialize_diagram(diag)
@@ -302,7 +310,7 @@ def run(argv):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SuturantError, OSError, UnicodeDecodeError) as e:
+    except (SuturantError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -21,14 +21,20 @@ beta evaluates it; a beta without crossings is evaluated on the unit at
 the start.
 
 The terms a state contributes at a crossing depend only on three basis
-indices of its key: the remainder and the runs left and right of the slot.
-The coproduct split, the antipode, left run * slot * right run and, if
-the beta completes, its image in B are therefore expanded once per
-distinct triple at each crossing and shared by all states with that
-triple.  Each state then applies what is its own: the Koszul sign of the
-odd-slot terms and the untouched parts of its key, into which it splices
-the new run or the completed beta's parity.  This is the per-state
-expansion term by term, so the frontier and its values are unchanged.
+indices of its key, the remainder and the runs left and right of the
+slot, and on the crossing: its sign, whether it is the alpha's last, and
+whether it completes a closed beta, an arc or none.  The coproduct split,
+the antipode, left run * slot * right run and, if the beta completes, its
+image in B read in discrete logs of b depend on H alone.  So they are
+expanded once per package and process, the first time any sweep meets
+the configuration, and kept in the package's memo with the package's
+other character-free rules: the alpha seeds and the closing tables.  At
+each crossing a closing configuration's discrete logs are renumbered to
+the beta's shifts once per distinct triple.  Each state then applies
+what is its own: the Koszul sign of the odd-slot terms and the untouched
+parts of its key, into which it splices the new run or the completed
+beta's parity.  This is the per-state expansion term by term, so the
+frontier and its values are unchanged.
 
 Koszul sign: rerouting the slots from alpha order to beta-traversal order
 (the betas in family order, each in its own order) costs the inversion
@@ -116,6 +122,32 @@ def _closing(pkg, closed):
     return out
 
 
+class _Rules:
+    """What the sweep reads from a package alone: ``unit_a``, the alpha
+    ``seeds`` and the ``closing`` tables, each keyed by the curve's
+    ``closed``, and the ``terms`` of :func:`_expand`, filled as sweeps meet
+    them and keyed by (remainder, left run, right run, negative, last,
+    closing kind), the kind None when the crossing completes no beta."""
+
+    def __init__(self, pkg):
+        coint = pkg.cointegral
+        self.unit_a = unit_a = pkg.unit_a
+        self.seeds = {True: apply(coint.iota, {unit_a: 1}),
+                      False: apply(coint.i_a, {unit_a: 1})}
+        self.closing = {closed: _closing(pkg, closed)
+                        for closed in (True, False)}
+        self.terms = {}
+
+
+def _rules(pkg):
+    """The package's :class:`_Rules`, built on the first contraction
+    against it and kept in its memo for every later one."""
+    rules = pkg.memo.get(_Rules)
+    if rules is None:
+        rules = pkg.memo[_Rules] = _Rules(pkg)
+    return rules
+
+
 def _times(vec, weight, moves):
     """vec times the weight {s: c} blockwise, ``moves[s]`` giving the index
     each entry of vec goes to under the shifts numbered s."""
@@ -137,8 +169,10 @@ def _expand(alg, rem, lt, rt, neg, last, closing):
     alpha's last crossing), the antipode on the slot if ``neg``, and the
     product ``lt`` * slot * ``rt`` with the runs that are not None.  Returns
     whether a term has an odd slot and the terms: (rest, run index, odd,
-    coefficient), or (rest, parity, odd, {shift: coefficient}) when
-    ``closing``, the beta's table of shifts, completes it."""
+    coefficient), or (rest, parity, odd, {discrete log: coefficient}) when
+    ``closing``, the beta's table of :func:`_closing`, completes it.  The
+    terms depend on the package alone, so the sweep keeps them in
+    :attr:`_Rules.terms`."""
     par, mul = alg.parity, alg.mul_sc
     comul, antipode = alg.comul_sc, alg.antipode_sc
     acc = {}
@@ -166,12 +200,28 @@ def _expand(alg, rem, lt, rt, neg, last, closing):
     return any(term[2] for term in terms), terms
 
 
-def _cross(states, alg, b, j, placed, neg, last, closing, moves):
+def _numbered(poly, number):
+    """The polynomial {discrete log t: coefficient} as a weight {shift
+    number: coefficient}, ``number[t]`` being the number of the shifts t
+    makes; zero coefficients are dropped."""
+    weight = {}
+    for t, c in poly.items():
+        s = number[t]
+        weight[s] = weight.get(s, 0) + c
+    return {s: c for s, c in weight.items() if c}
+
+
+def _cross(states, alg, rules, b, j, placed, neg, last, closing, moves):
     """The frontier after placing the next slot of the current alpha at
     position j of beta b, where ``placed`` holds the positions of b filled
-    before and ``closing`` is b's table of shifts if this completes b (see
-    :func:`_times` for ``moves``)."""
+    before and ``closing`` is, if this completes b, b's kind (``closed``)
+    and the shift number of each discrete log of b (see :func:`_times` for
+    ``moves``).  The terms of each local triple come from ``rules``, built
+    by :func:`_expand` the first time any sweep against the package meets
+    them; closing terms are renumbered to b's shifts once per triple."""
     par = alg.parity
+    kind, number = (None, None) if closing is None else closing
+    table = None if kind is None else rules.closing[kind]
     r = sum(1 for p in placed if p < j and p + 1 not in placed)
     left, right = j - 1 in placed, j + 1 in placed
     lo, hi = r - left, r + right     # the runs this slot joins
@@ -182,8 +232,17 @@ def _cross(states, alg, b, j, placed, neg, last, closing, moves):
                  runs[r] if right else None)
         expansion = expansions.get(local)
         if expansion is None:
-            expansion = expansions[local] = _expand(alg, *local, neg, last,
-                                                    closing)
+            rule = local + (neg, last, kind)
+            expansion = rules.terms.get(rule)
+            if expansion is None:
+                expansion = rules.terms[rule] = _expand(alg, *local, neg,
+                                                        last, table)
+            if closing is not None:
+                has_odd, terms = expansion
+                terms = [(rest, p, odd, _numbered(poly, number))
+                         for rest, p, odd, poly in terms]
+                expansion = has_odd, [term for term in terms if term[3]]
+            expansions[local] = expansion
         has_odd, terms = expansion
         head, later = key[1:1 + b], key[2 + b:]
         tail = 0
@@ -220,36 +279,28 @@ def contract(based, pkg, chars):
 
 def contract_values(based, pkg, assignments):
     """The unnormalized scalar at each of ``assignments``, in their order,
-    from one sweep whose state values hold one block per assignment."""
+    from one sweep whose state values hold one block per assignment.  What
+    depends on the package alone comes from its :func:`_rules`, shared by
+    every call with the same package; only the shift numbers of each beta,
+    which depend on the diagram and the characters, are built per call."""
     for chars in assignments:
         check_admissible(based, pkg.integral.glike_b_order, chars)
     alg, integ, coint = pkg.algebra, pkg.integral, pkg.cointegral
+    rules = _rules(pkg)
     alphas, betas = based.family("alpha"), based.family("beta")
-    # the (co)integral seeds of closed and arc alphas
-    seeds = {True: apply(coint.iota, {pkg.unit_a: 1}),
-             False: apply(coint.i_a, {pkg.unit_a: 1})}
     home = {xid: (b, j) for b, c in enumerate(betas)
             for j, xid in enumerate(c.order)}
     orders = [chars.order for chars in assignments]
     starts = list(accumulate(orders, initial=0))
-    # per beta, the closing table of its kind with each discrete log t
-    # replaced by the number of the shifts (e_j * t mod N_j) it makes in
-    # the blocks; equal shifts share their number
-    kinds = {closed: _closing(pkg, closed)
-             for closed in {c.closed for c in betas}}
+    # per beta, its kind and the number of the shifts (e_j * t mod N_j) each
+    # discrete log t makes in the blocks; equal shifts share their number
     dlogs, closing, shifts = set(integ.b_dlog), [], {}
     for c in betas:
         exps = [chars.psi_exponent(c.id) for chars in assignments]
         number = {t: shifts.setdefault(
             tuple([e * t % n for e, n in zip(exps, orders)]), len(shifts))
             for t in dlogs}
-        table = {}
-        for i, poly in kinds[c.closed].items():
-            weight = table[i] = {}
-            for t, coeff in poly.items():
-                s = number[t]
-                weight[s] = weight.get(s, 0) + coeff
-        closing.append(table)
+        closing.append((c.closed, number))
     moves = [[lo + (k + sj) % n for lo, n, sj in zip(starts, orders, s)
               for k in range(n)] for s in shifts]
 
@@ -260,12 +311,13 @@ def contract_values(based, pkg, assignments):
         if c.order:
             parts.append(())
         else:
-            vec = _times(vec, closing[b][alg.unit_index], moves)
+            unit = rules.closing[c.closed][alg.unit_index]
+            vec = _times(vec, _numbered(unit, closing[b][1]), moves)
             parts.append(alg.parity[alg.unit_index])
     states = {(None, *parts): vec}
     placed = [set() for _ in betas]
     for c in alphas:
-        seed = seeds[c.closed]
+        seed = rules.seeds[c.closed]
         if not c.order:
             k = alg.counit(seed)
             states = {key: [k * v for v in vec]
@@ -278,7 +330,7 @@ def contract_values(based, pkg, assignments):
         for t, xid in enumerate(c.order):
             b, j = home[xid]
             done = len(placed[b]) + 1 == len(betas[b].order)
-            states = _cross(states, alg, b, j, placed[b],
+            states = _cross(states, alg, rules, b, j, placed[b],
                             based.crossing(xid).sign < 0,
                             t == len(c.order) - 1,
                             closing[b] if done else None, moves)
@@ -329,5 +381,5 @@ def basepoint_shift(based, curve_id, new_start, pkg, chars):
     scalefac = chars.order // coint.astar_order
     word = beta_word(based, curve_id)
     exp = (sum(e for _, e in word.letters[new_start:])
-           * coint.astar_exps[pkg.unit_a])
+           * coint.astar_exps[_rules(pkg).unit_a])
     return CyclotomicScalar.root_power(exp * scalefac, chars.order)

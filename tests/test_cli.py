@@ -248,8 +248,10 @@ def test_a_file_that_is_not_utf8_is_a_failure(tmp_path, capsys):
     binary = tmp_path / "binary"
     binary.write_bytes(b"diagram t\n\xff\n")
     assert run(["validate", str(binary)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(binary) in err
     assert run(["move", str(corpus_path("trefoil")),
                 "--script", str(binary)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and not captured.out
+    assert str(binary) in captured.err

@@ -310,10 +310,11 @@ def exterior_package():
 
 
 def walked(based, pkg):
-    """The contraction at the trivial character by its definition: a sum
-    over every term of the iterated coproducts and antipodes, the slots
-    rerouted from alpha order to beta order at the Koszul sign of the odd
-    ones, each beta's product mapped by mu or pi_B."""
+    """The contraction at the trivial character by its definition, before
+    the cointegral prefactor: a sum over every term of the iterated
+    coproducts and antipodes, the slots rerouted from alpha order to beta
+    order at the Koszul sign of the odd ones, each beta's product mapped by
+    mu or pi_B into B, where the trivial character reads every b^t as 1."""
     alg, integ, coint = pkg.algebra, pkg.integral, pkg.cointegral
     alphas, betas = based.family("alpha"), based.family("beta")
     order = [xid for c in alphas for xid in c.order]
@@ -338,7 +339,7 @@ def walked(based, pkg):
                 for xid in c.order:
                     prod = alg.mul(prod, {picks[where[xid]][0]: 1})
                 b_elem = apply(integ.mu if c.closed else integ.pi_b, prod)
-                term *= b_elem.get(0, 0)
+                term *= sum(b_elem.values())
             total += term
     return total
 
@@ -411,3 +412,45 @@ def test_the_first_inadmissible_character_raises(trefoil):
     with pytest.raises(CharacterMismatchError) as listed:
         contract_values(trefoil, pkg, good[:1] + bad + good[1:])
     assert str(listed.value) == str(alone.value)
+
+
+def test_a_replaced_package_reads_no_stale_rules():
+    """The shipped packages are built once per process, and a copy made by
+    ``dataclasses.replace`` starts with empty rules: with the antipode
+    corrupted as in the axiom-suite test, contracted right after the
+    shipped package, it gives the term walk's value, not the shipped one."""
+    assert build_hn(3) is build_hn(3)
+    pkg = build_hn(2)
+    bad_sc = dict(pkg.algebra.antipode_sc)
+    bad_sc[2] = {k: -v for k, v in bad_sc[2].items()}     # S(X) = +K^-1 X
+    bad = dataclasses.replace(pkg, algebra=dataclasses.replace(
+        pkg.algebra, antipode_sc=bad_sc))
+    triv, differ = CharacterAssignment.trivial(), []
+    for name in corpus_names():
+        diag = load(name)
+        shipped = contract(diag, pkg, triv)
+        got = contract(diag, bad, triv)
+        closed = sum(1 for c in diag.family("alpha") if c.closed)
+        assert got == CyclotomicScalar.integer(walked(diag, bad), 1).scale(
+            pkg.cointegral.iota_prefactor ** closed), name
+        if got != shipped:
+            differ.append(name)
+    assert differ
+
+
+def test_warm_rules_change_nothing():
+    """On every corpus diagram, seeded move copies and rotations of them,
+    the shipped package, whose rules earlier contractions filled, gives
+    what a freshly built one gives: H_n at n = 2..4 and every character,
+    and the group algebra of Z/3."""
+    bases = [(name, load(name)) for name in corpus_names()]
+    triv = [CharacterAssignment.trivial()]
+    for label, diag in moved_and_rotated(bases):
+        for n in (2, 3, 4):
+            chars = every_character(diag, n)
+            assert contract_values(diag, build_hn(n), chars) == \
+                contract_values(diag, build_hn.__wrapped__(n), chars), \
+                (label, n)
+        assert contract_values(diag, build_cyclic_group_algebra(3), triv) \
+            == contract_values(diag, build_cyclic_group_algebra.__wrapped__(3),
+                               triv), label
