@@ -111,6 +111,14 @@ def _chi_label(group, chi):
     return ",".join(bits) if bits else "trivial"
 
 
+def _check_size(args):
+    """Refuse an ``--algebra`` given without its size: ``--n`` for hn,
+    ``--m`` for cyclic."""
+    flag = "m" if args.algebra == "cyclic" else "n"
+    if getattr(args, flag) is None:
+        raise SuturantError(f"--algebra {args.algebra} needs --{flag}")
+
+
 def cmd_validate(args):
     rep = validate(_load(args.file))
     print(rep)
@@ -136,11 +144,8 @@ def cmd_compute(args):
     if diag is None:
         return 1
     group = homology(diag)
+    _check_size(args)
     cyclic = args.algebra == "cyclic"
-    if cyclic and args.m is None:
-        raise SuturantError("--algebra cyclic needs --m")
-    if not cyclic and args.n is None:
-        raise SuturantError("--algebra hn needs --n")
     anchor = anchor_multipoint(diag)
     ref = None if anchor is None else _pick_reference(diag, anchor,
                                                       args.multipoint)
@@ -215,14 +220,9 @@ def cmd_compare(args):
 
 
 def cmd_axioms(args):
-    if args.algebra == "hn":
-        if args.n is None:
-            raise SuturantError("--algebra hn needs --n")
-        pkg = build_hn(args.n)
-    else:
-        if args.m is None:
-            raise SuturantError("--algebra cyclic needs --m")
-        pkg = build_cyclic_group_algebra(args.m)
+    _check_size(args)
+    pkg = (build_hn(args.n) if args.algebra == "hn"
+           else build_cyclic_group_algebra(args.m))
     rep = check_axioms(pkg)
     print(rep)
     return 0 if rep.passed else 1

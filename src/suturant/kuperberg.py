@@ -28,13 +28,12 @@ the antipode, left run * slot * right run and, if the beta completes, its
 image in B read in discrete logs of b depend on H alone.  So they are
 expanded once per package and process, the first time any sweep meets
 the configuration, and kept in the package's memo with the package's
-other character-free rules: the alpha seeds and the closing tables.  At
-each crossing a closing configuration's discrete logs are renumbered to
-the beta's shifts once per distinct triple.  Each state then applies
-what is its own: the Koszul sign of the odd-slot terms and the untouched
-parts of its key, into which it splices the new run or the completed
-beta's parity.  This is the per-state expansion term by term, so the
-frontier and its values are unchanged.
+other character-free rules: the alpha seeds and the closing tables.
+Each state looks its triple up once and applies what is its own: the
+Koszul sign of the odd-slot terms and the untouched parts of its key,
+into which it splices the new run or the completed beta's parity.  This
+is the per-state expansion term by term, so the frontier and its values
+are unchanged.
 
 Koszul sign: rerouting the slots from alpha order to beta-traversal order
 (the betas in family order, each in its own order) costs the inversion
@@ -50,9 +49,11 @@ beta reads the character; the splits, antipodes, products and signs
 before it do not.  So ``contract_values`` runs one sweep for a list of
 characters: a state's value is one such block per character, in list
 order, each block of its own N, and when a beta completes each block is
-multiplied by its own x^(e * t).  The sum over the final states is reduced
-modulo Phi_N once per block, then the single rational cointegral
-prefactor is applied.  Everything is exact.
+multiplied by its own x^(e * t).  A completing beta's terms stay in
+discrete logs of b; the beta's one shift table, built per call, gives
+per discrete log t the index each value entry moves to.  The sum over
+the final states is reduced modulo Phi_N once per block, then the single
+rational cointegral prefactor is applied.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -126,8 +127,11 @@ class _Rules:
     """What the sweep reads from a package alone: ``unit_a``, the alpha
     ``seeds`` and the ``closing`` tables, each keyed by the curve's
     ``closed``, and the ``terms`` of :func:`_expand`, filled as sweeps meet
-    them and keyed by (remainder, left run, right run, negative, last,
-    closing kind), the kind None when the crossing completes no beta."""
+    them.  ``terms`` holds one table per (negative, last, closing kind),
+    the kind None when the crossing completes no beta, so at most 12
+    tables; each is keyed by the local triple (remainder, left run, right
+    run), a basis index and two basis indices or None, so it holds at most
+    dim * (dim + 1)^2 entries."""
 
     def __init__(self, pkg):
         coint = pkg.cointegral
@@ -148,12 +152,13 @@ def _rules(pkg):
     return rules
 
 
-def _times(vec, weight, moves):
-    """vec times the weight {s: c} blockwise, ``moves[s]`` giving the index
-    each entry of vec goes to under the shifts numbered s."""
+def _times(vec, poly, shift):
+    """vec times the polynomial {discrete log t: coefficient} blockwise,
+    ``shift[t]`` giving the index each entry of vec goes to when its block
+    is multiplied by the character's reading of b^t."""
     out = [0] * len(vec)
-    for s, c in weight.items():
-        for k, v in zip(moves[s], vec):
+    for t, c in poly.items():
+        for k, v in zip(shift[t], vec):
             out[k] += c * v
     return out
 
@@ -200,49 +205,29 @@ def _expand(alg, rem, lt, rt, neg, last, closing):
     return any(term[2] for term in terms), terms
 
 
-def _numbered(poly, number):
-    """The polynomial {discrete log t: coefficient} as a weight {shift
-    number: coefficient}, ``number[t]`` being the number of the shifts t
-    makes; zero coefficients are dropped."""
-    weight = {}
-    for t, c in poly.items():
-        s = number[t]
-        weight[s] = weight.get(s, 0) + c
-    return {s: c for s, c in weight.items() if c}
-
-
-def _cross(states, alg, rules, b, j, placed, neg, last, closing, moves):
+def _cross(states, alg, rules, b, j, placed, neg, last, closing):
     """The frontier after placing the next slot of the current alpha at
     position j of beta b, where ``placed`` holds the positions of b filled
     before and ``closing`` is, if this completes b, b's kind (``closed``)
-    and the shift number of each discrete log of b (see :func:`_times` for
-    ``moves``).  The terms of each local triple come from ``rules``, built
-    by :func:`_expand` the first time any sweep against the package meets
-    them; closing terms are renumbered to b's shifts once per triple."""
+    and shift table (see :func:`_times`).  Each state looks its local
+    triple up once, in the table of ``rules`` for (``neg``, ``last``,
+    kind), which :func:`_expand` fills the first time any sweep against
+    the package meets the triple."""
     par = alg.parity
-    kind, number = (None, None) if closing is None else closing
+    kind, shift = (None, None) if closing is None else closing
+    memo = rules.terms.setdefault((neg, last, kind), {})
     table = None if kind is None else rules.closing[kind]
     r = sum(1 for p in placed if p < j and p + 1 not in placed)
     left, right = j - 1 in placed, j + 1 in placed
     lo, hi = r - left, r + right     # the runs this slot joins
-    expansions, tails, out = {}, {}, {}
+    tails, out = {}, {}
     for key, vec in states.items():
         runs = key[1 + b]
         local = (key[0], runs[lo] if left else None,
                  runs[r] if right else None)
-        expansion = expansions.get(local)
+        expansion = memo.get(local)
         if expansion is None:
-            rule = local + (neg, last, kind)
-            expansion = rules.terms.get(rule)
-            if expansion is None:
-                expansion = rules.terms[rule] = _expand(alg, *local, neg,
-                                                        last, table)
-            if closing is not None:
-                has_odd, terms = expansion
-                terms = [(rest, p, odd, _numbered(poly, number))
-                         for rest, p, odd, poly in terms]
-                expansion = has_odd, [term for term in terms if term[3]]
-            expansions[local] = expansion
+            expansion = memo[local] = _expand(alg, *local, neg, last, table)
         has_odd, terms = expansion
         head, later = key[1:1 + b], key[2 + b:]
         tail = 0
@@ -260,7 +245,7 @@ def _cross(states, alg, rules, b, j, placed, neg, last, closing, moves):
             if closing is None:
                 part, value, c = pre + (part,) + post, vec, sign * weight
             else:
-                value, c = _times(vec, weight, moves), sign
+                value, c = _times(vec, weight, shift), sign
             new = (rest,) + head + (part,) + later
             cur = out.get(new)
             if cur is None:
@@ -281,8 +266,8 @@ def contract_values(based, pkg, assignments):
     """The unnormalized scalar at each of ``assignments``, in their order,
     from one sweep whose state values hold one block per assignment.  What
     depends on the package alone comes from its :func:`_rules`, shared by
-    every call with the same package; only the shift numbers of each beta,
-    which depend on the diagram and the characters, are built per call."""
+    every call with the same package; only each beta's shift table, which
+    depends on the diagram and the characters, is built per call."""
     for chars in assignments:
         check_admissible(based, pkg.integral.glike_b_order, chars)
     alg, integ, coint = pkg.algebra, pkg.integral, pkg.cointegral
@@ -292,17 +277,15 @@ def contract_values(based, pkg, assignments):
             for j, xid in enumerate(c.order)}
     orders = [chars.order for chars in assignments]
     starts = list(accumulate(orders, initial=0))
-    # per beta, its kind and the number of the shifts (e_j * t mod N_j) each
-    # discrete log t makes in the blocks; equal shifts share their number
-    dlogs, closing, shifts = set(integ.b_dlog), [], {}
+    # per beta, its kind and its shift table: per discrete log t, the index
+    # each value entry moves to, block j shifted by e_j * t mod N_j
+    closing = []
     for c in betas:
         exps = [chars.psi_exponent(c.id) for chars in assignments]
-        number = {t: shifts.setdefault(
-            tuple([e * t % n for e, n in zip(exps, orders)]), len(shifts))
-            for t in dlogs}
-        closing.append((c.closed, number))
-    moves = [[lo + (k + sj) % n for lo, n, sj in zip(starts, orders, s)
-              for k in range(n)] for s in shifts]
+        closing.append((c.closed, {
+            t: [lo + (k + e * t) % n for lo, n, e in zip(starts, orders, exps)
+                for k in range(n)]
+            for t in set(integ.b_dlog)}))
 
     vec, parts = [0] * starts[-1], []
     for lo in starts[:-1]:
@@ -312,7 +295,7 @@ def contract_values(based, pkg, assignments):
             parts.append(())
         else:
             unit = rules.closing[c.closed][alg.unit_index]
-            vec = _times(vec, _numbered(unit, closing[b][1]), moves)
+            vec = _times(vec, unit, closing[b][1])
             parts.append(alg.parity[alg.unit_index])
     states = {(None, *parts): vec}
     placed = [set() for _ in betas]
@@ -333,7 +316,7 @@ def contract_values(based, pkg, assignments):
             states = _cross(states, alg, rules, b, j, placed[b],
                             based.crossing(xid).sign < 0,
                             t == len(c.order) - 1,
-                            closing[b] if done else None, moves)
+                            closing[b] if done else None)
             placed[b].add(j)
 
     functional_parity = sum(integ.mu_parity for c in betas if c.closed)

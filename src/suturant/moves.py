@@ -193,29 +193,22 @@ def _apply_finger(diag, move):
     b = diag.curve(move.beta_id)
     if a.family != "alpha" or b.family != "beta":
         raise IllegalMoveError("finger needs one alpha and one beta curve")
+    s = 1 if move.plus_first else -1
+    signs = (s,) if move.single else (s, -s)
     if move.single:
         if a.closed or b.closed:
             raise IllegalMoveError("endpoint slide needs two arcs")
         if move.alpha_pos not in (0, len(a.order)) or \
                 move.beta_pos not in (0, len(b.order)):
             raise IllegalMoveError("endpoint slide must happen at an end")
-        (nid,) = _fresh_ids(diag, "x", 1)
-        sign = 1 if move.plus_first else -1
-        xs = diag.crossings + (Crossing(nid, a.id, b.id, sign),)
-        new = replace(diag, crossings=xs)
-        new = _replace_curve(new, a.id,
-                             order=_insert(a.order, move.alpha_pos, [nid]))
-        return _replace_curve(new, b.id,
-                              order=_insert(b.order, move.beta_pos, [nid]))
-    n1, n2 = _fresh_ids(diag, "x", 2)
-    s = 1 if move.plus_first else -1
-    xs = diag.crossings + (Crossing(n1, a.id, b.id, s),
-                           Crossing(n2, a.id, b.id, -s))
+    ids = _fresh_ids(diag, "x", len(signs))
+    xs = diag.crossings + tuple(Crossing(xid, a.id, b.id, sign)
+                                for xid, sign in zip(ids, signs))
     new = replace(diag, crossings=xs)
     new = _replace_curve(new, a.id,
-                         order=_insert(a.order, move.alpha_pos, [n1, n2]))
+                         order=_insert(a.order, move.alpha_pos, ids))
     return _replace_curve(new, b.id,
-                          order=_insert(b.order, move.beta_pos, [n1, n2]))
+                          order=_insert(b.order, move.beta_pos, ids))
 
 
 def _adjacent_pair(curve, first, second):

@@ -133,7 +133,8 @@ def test_reading_verbs_reject_an_invalid_diagram(tmp_path, capsys):
     assert run(["validate", str(path)]) == 1
     report = out_of(capsys)
     assert "FAIL Coverage[alpha]  [x5]\n" in report
-    for verb in (["multipoints"], ["class"], ["compute", "--n", "3"]):
+    for verb in (["multipoints"], ["class"], ["compute", "--n", "3"],
+                 ["compute", "--algebra", "cyclic"]):
         assert run([verb[0], str(path), *verb[1:]]) == 1, verb
         out, err = capsys.readouterr()
         assert out == "" and err == report, verb
@@ -144,6 +145,18 @@ def test_axioms(capsys):
     assert "compatibility" in out_of(capsys)
     assert run(["axioms", "--algebra", "cyclic", "--m", "5"]) == 0
     out_of(capsys)
+
+
+def test_an_algebra_without_its_size_is_a_failure(capsys):
+    trefoil = str(corpus_path("trefoil"))
+    for argv, flag in ((["compute", trefoil, "--algebra", "hn"], "--n"),
+                       (["compute", trefoil, "--algebra", "cyclic"], "--m"),
+                       (["axioms", "--algebra", "hn"], "--n"),
+                       (["axioms", "--algebra", "cyclic"], "--m")):
+        assert run(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err == f"error: --algebra {argv[-1]} needs {flag}\n", argv
 
 
 def test_move_script(tmp_path, capsys):

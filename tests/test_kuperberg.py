@@ -21,6 +21,7 @@ from suturant.errors import (ArcCurveError, CharacterMismatchError,
                              CyclotomicArithmeticError, OddScalarError,
                              SuturantError)
 from suturant.invariant import anchor_multipoint
+from suturant.kuperberg import _rules
 
 from conftest import (SEED, corpus_names, load, moved_and_rotated,
                       slid_and_back)
@@ -454,3 +455,22 @@ def test_warm_rules_change_nothing():
         assert contract_values(diag, build_cyclic_group_algebra(3), triv) \
             == contract_values(diag, build_cyclic_group_algebra.__wrapped__(3),
                                triv), label
+
+
+def test_the_rule_memo_stays_within_its_bound():
+    """After every corpus diagram at n = 2..4 and every character, the
+    package's rules hold at most one table per (negative, last, closing
+    kind), each keyed by local triples of basis indices or None."""
+    for name in corpus_names():
+        diag = load(name)
+        for n in (2, 3, 4):
+            contract_values(diag, build_hn(n), every_character(diag, n))
+    for n in (2, 3, 4):
+        dim = build_hn(n).algebra.dim
+        tables = _rules(build_hn(n)).terms
+        assert set(tables) <= set(itertools.product(
+            (False, True), (False, True), (None, False, True)))
+        indices, runs = set(range(dim)), set(range(dim)) | {None}
+        for table in tables.values():
+            for rem, lt, rt in table:
+                assert rem in indices and lt in runs and rt in runs

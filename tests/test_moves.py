@@ -8,11 +8,12 @@ from suturant import (AddTrivialHandles, CancelFinger, CharacterAssignment,
                       compose_generator_maps, contract, enumerate_multipoints,
                       fox_determinant, fox_matrix, generator_map, homology,
                       invariant_hn, orientation_flip, parse_move_script,
-                      random_move_sequence, rebase, torsion_class,
-                      transfer_exponents, validate)
+                      random_move_sequence, rebase, serialize_diagram,
+                      torsion_class, transfer_exponents, validate)
+from suturant.cli import run
 from suturant.invariant import OrientationSign, SpincRelative
 
-from conftest import SEED, corpus_names, load
+from conftest import SEED, corpus_names, corpus_path, load
 
 
 def transferred_class(cls, gens_old, gens_new, gmap, new_group):
@@ -99,6 +100,48 @@ def test_illegal_moves_raise(trefoil):
         apply_move(trefoil, HandleslideCurve("a1", "a2"))  # closed over arc
     with pytest.raises(IllegalMoveError):
         apply_move(trefoil, ReorderCurves("alpha", "closed", ("a1", "a2")))
+
+
+def slid(diag, line):
+    (move,) = parse_move_script(line)
+    return apply_move(diag, move)
+
+
+def test_endpoint_slide_adds_one_crossing_at_the_ends(trefoil):
+    before = set(serialize_diagram(trefoil).splitlines())
+    after = set(serialize_diagram(
+        slid(trefoil, "finger a2@0 b2@0 +")).splitlines())
+    assert after - before == {"crossing x6 a2 b2 +", "order alpha a2 : x6",
+                              "order beta b2 : x6 x4 x2"}
+    assert before - after == {"order alpha a2 : ", "order beta b2 : x4 x2"}
+
+
+def test_endpoint_slides_keep_what_the_cli_prints(trefoil, tmp_path, capsys):
+    def printed(path):
+        outs = []
+        for argv in (["class", path],
+                     *(["compute", path, "--engine", engine, "--all-chars",
+                        "--n", "3"] for engine in ("fox", "tensor"))):
+            assert run(argv) == 0, argv
+            outs.append(capsys.readouterr().out)
+        return outs
+
+    want = printed(str(corpus_path("trefoil")))
+    for sign in "+-":
+        for pos in (0, 2):
+            path = tmp_path / f"slid{sign}{pos}.hd"
+            path.write_text(serialize_diagram(
+                slid(trefoil, f"finger a2@0 b2@{pos} {sign}")))
+            assert printed(str(path)) == want, (sign, pos)
+
+
+def test_endpoint_slide_refusals(trefoil):
+    with pytest.raises(IllegalMoveError,
+                       match="endpoint slide must happen at an end"):
+        slid(trefoil, "finger a2@1 b2@0 +")
+    with pytest.raises(IllegalMoveError,
+                       match="endpoint slide needs two arcs"):
+        slid(trefoil, "finger a1@0 b2@0 +")
 
 
 def test_handleslide_is_a_tietze_move(hopf):

@@ -2,6 +2,7 @@
 attributes by name; every one of them must exist, or a traced run fails
 while the untraced program still works."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -28,3 +29,23 @@ def test_every_traced_attribute_resolves():
     if "from_coeffs" not in cyclotomic.CyclotomicScalar.__dict__:
         missing.append("suturant.cyclotomic.CyclotomicScalar.from_coeffs")
     assert not missing
+
+
+def test_every_unused_import_is_a_traced_attribute():
+    """An import kept only under ``# noqa: F401`` must be one the tracer
+    wraps at that module; once the tracer no longer wraps it, it goes."""
+    wrapped = {(home, name.split(".")[1])
+               for name, homes in _tracing().TARGETS.items()
+               for home in homes}
+    package = Path(importlib.util.find_spec("suturant").origin).parent
+    sheltered = []
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "# noqa: F401" in line
+                    for line in lines[node.lineno - 1:node.end_lineno]):
+                sheltered += [(path.stem, alias.asname or alias.name)
+                              for alias in node.names]
+    assert set(sheltered) <= wrapped, sorted(set(sheltered) - wrapped)
