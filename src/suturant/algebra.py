@@ -11,18 +11,22 @@ keyed by index tuples, one index per leg, ``()`` being the ground ring.  A
 linear map is a table ``{input key: {output key: coefficient}}``, and one
 sparse linear-map core acts on them: ``apply`` (the image of an element),
 ``compose`` (one map after another, possibly on a few legs only),
-``tensor``, ``koszul`` (the signed flip of two legs) and
+``tensor``, ``product`` (m o (f (x) g) in one pass, without the table of
+f (x) g), ``koszul`` (the signed flip of two legs), ``flipped`` (a map on
+two legs after that flip, by relabelling its keys) and
 ``first_difference``.  ``check_axioms`` states every axiom as equations
 ``lhs == rhs`` between composites of the structure maps over the whole
 basis (dimensions stay small, at most a few dozen), and a failing
 equation is witnessed by the least key on which its sides differ.
-Associativity, and once it holds the evenness of m and the bialgebra
-equation, are checked by one rule: the left factor among a set of
-generators, D^2 triples (for associativity) or D columns per generator
-rather than D^3 or D^2.  The least failing key always has a generator as
-its left factor, so nothing is rescanned over the whole basis for the
-least witness.  The Koszul sign convention is
-``tau(v (x) w) = (-1)^{|v||w|} w (x) v``.
+Associativity, and once it holds the evenness of m, the bialgebra
+equation, eps(x y) = eps(x) eps(y) and the centrality of i_B(B), are
+checked by one rule: one factor among a set of generators, D^2 triples
+(for associativity) or D columns per generator rather than D^3 or D^2.
+A plain unit (two-sided, even, with Delta(u) = u (x) u) satisfies every
+one of these equations, so it is left out of the generators.  The least
+failing key always has a generator as that factor, so nothing is
+rescanned over the whole basis for the least witness.  The Koszul sign
+convention is ``tau(v (x) w) = (-1)^{|v||w|} w (x) v``.
 """
 
 from __future__ import annotations
@@ -99,6 +103,34 @@ def tensor(f, g):
             if col:
                 out[a + b] = col
     return out
+
+
+def product(m, f, g):
+    """m o (f (x) g) in one pass over the columns of f and g, without the
+    table of f (x) g: m acts on the first two legs of each output of
+    f (x) g and the identity on the others, as in ``compose``."""
+    out = {}
+    for a, fa in f.items():
+        for b, gb in g.items():
+            y = {}
+            for o, c in fa.items():
+                for p, d in gb.items():
+                    k = o + p
+                    tail = k[2:]
+                    for t, e in m.get(k[:2], {}).items():
+                        t += tail
+                        y[t] = y.get(t, 0) + c * d * e
+            y = {t: v for t, v in y.items() if v}
+            if y:
+                out[a + b] = y
+    return out
+
+
+def flipped(f, par):
+    """f o tau for a map f on two legs, tau the Koszul flip: the column of
+    (x, y) is f's column of (y, x) times (-1)^{|x||y|}."""
+    return {(j, i): {o: -c for o, c in col.items()} if par[i] and par[j]
+            else col for (i, j), col in f.items()}
 
 
 def koszul(par_v, par_w):
@@ -385,13 +417,13 @@ def _check(rep, name, *equations):
         rep.add(name, True)
 
 
-def _generators(alg):
-    """Basis indices whose products reach the whole basis, chosen greedily
-    in index order: an index is reached once it is chosen, or once it is
-    the single output index of a product e_k e_g with k and g reached (a
-    nonzero multiple of e_o); the least index not yet reached is chosen
-    next."""
-    gens, reached = [], set()
+def _generators(alg, reached):
+    """Basis indices whose products, with the indices already ``reached``,
+    reach the whole basis, chosen greedily in index order: an index is
+    reached once it is chosen, or once it is the single output index of a
+    product e_k e_g with k and g reached (a nonzero multiple of e_o); the
+    least index not yet reached is chosen next."""
+    gens, reached = [], set(reached)
     for start in range(alg.dim):
         if start in reached:
             continue
@@ -424,8 +456,9 @@ def check_axioms(pkg):
     ident = {(i,): {(i,): 1} for i in range(alg.dim)}
     grade = {(i,): {(i,): -1 if p else 1} for i, p in enumerate(par)}
     eps = {(i,): {(): c} for i, c in enumerate(alg.counit_vec) if c}
-    eta = {(): {(alg.unit_index,): 1}}
-    tau = koszul(par, par)
+    u = alg.unit_index
+    eta = {(): {(u,): 1}}
+    tau, m_op = koszul(par, par), flipped(m, par)
     # coordinates cB, cA on B and A, projections PB, PA onto their spans
     cB = {(h,): {(p,): 1} for p, h in enumerate(integ.b_basis)}
     cA = {(h,): {(p,): 1} for p, h in enumerate(coint.a_basis)}
@@ -434,40 +467,53 @@ def check_axioms(pkg):
                   for basis in (integ.b_basis, coint.a_basis))
     H, A, B = alg.label, (lambda p: f"a_{p}"), (lambda p: f"b_{p}")
 
-    # associativity, the evenness of m and the bialgebra equation, with the
-    # left factor among generators: D^2 columns per generator for the first,
-    # D for the others.  Closure: the left factors a satisfying an equation
-    # for all right factors form a subspace closed under products; for
-    # associativity (any bilinear product) ((a b) x) y = (a (b x)) y
-    # = a ((b x) y) = a (b (x y)) = (a b) (x y), and once m is associative
-    # (and, for Delta, even) Delta((a b) y) = Delta(a (b y))
-    # = Delta(a) Delta(b) Delta(y) = Delta(a b) Delta(y), likewise for
-    # grade(a y) = grade(a) grade(y).  Least witness: each generator is the
-    # least index not yet reached, so every index is a multiple of a product
-    # of generators no larger than it; if it fails, so does a generator no
-    # larger, and the least failing key over the whole basis has a generator
-    # on the left.  Without closure the equation runs over the whole basis.
+    # Five equations are checked with one factor among generators, the left
+    # one (associativity, the evenness of m, the bialgebra equation and
+    # eps(x y) = eps(x) eps(y)) or the right one
+    # (i_B(b) x = m^op(i_B(b) (x) x)): D^2 columns per generator for
+    # associativity, D or dim B for the others.  Closure: the factors
+    # satisfying an equation for all other factors form a subspace closed
+    # under products.  For associativity (any bilinear product)
+    # ((a b) x) y = (a (b x)) y = a ((b x) y) = a (b (x y)) = (a b) (x y).
+    # Once m is associative (and, for Delta, even)
+    # Delta((a b) y) = Delta(a (b y)) = Delta(a) Delta(b) Delta(y)
+    # = Delta(a b) Delta(y), likewise for grade(a y) = grade(a) grade(y) and
+    # eps(a y) = eps(a) eps(y).  Once m is associative and even, a
+    # homogeneous x with z x = m^op(z (x) x), z = i_B(b), satisfies it on
+    # each parity part of z: z_0 x = x z_0 and z_1 x = (-1)^{|x|} x z_1.  So
+    # z x = x g^{|x|}(z) with g = grade, x satisfies it for g(z) too, and
+    # z (x y) = x g^{|x|}(z) y = (x y) g^{|x| + |y|}(z), the sign adding up
+    # as |x y| = |x| + |y| for an even m.  Least witness: each generator is
+    # the least index not yet reached, so every index is a multiple of a
+    # product of generators no larger than it and of the unit; if it fails,
+    # so does a generator no larger, and the least failing key over the
+    # whole basis (for i_B, at each b) has a generator as its factor.
+    # Without closure the equation runs over the whole basis.  The unit is
+    # left out of the generators when it is plain: a two-sided unit, even,
+    # with Delta(u) = u (x) u.  A plain unit satisfies the five equations as
+    # that factor, except eps(u y) = eps(u) eps(y) when eps(u) != 1, which
+    # fails eps(u) = 1 in the same line, whose witness is fixed text.
     # Associativity is decided first, as the others rely on it, and
     # reported second
-    on_gens = {(g,): {(g,): 1} for g in _generators(alg)}
-    k = first_difference(
-        compose(m, tensor(compose(m, tensor(on_gens, ident)), ident)),
-        compose(m, tensor(on_gens, m)))
+    unit_left, unit_right = product(m, eta, ident), product(m, ident, eta)
+    dl_eta, eta_eta = compose(dl, eta), tensor(eta, eta)
+    plain = (unit_left == ident == unit_right and not par[u]
+             and dl_eta == eta_eta)
+    on_gens = {(g,): {(g,): 1} for g in _generators(alg, [u] if plain else [])}
+    gens_m = product(m, on_gens, ident)
+    k = first_difference(product(m, gens_m, ident), product(m, on_gens, m))
     wit = "" if k is None else _names(H, H, H)(k)
 
-    def graded_m(left):
-        return (compose(grade, compose(m, tensor(left, ident))),
-                compose(m, tensor(compose(grade, left), grade)))
-
-    graded = graded_m(ident if wit else on_gens)
+    # the factors an equation runs over, and m with the left one
+    gens, gens_m = (ident, m) if wit else (on_gens, gens_m)
+    graded = (compose(grade, gens_m), product(m, compose(grade, gens), grade))
     _check(rep, "parity-compatibility", (*graded, _names(H, H, head="m")),
            (compose(grade, compose(grade, dl), 1), compose(dl, grade),
             _names(H, head="Delta")),
            (compose(grade, s), compose(s, grade), _names(H, head="S")),
            (compose(eps, grade), eps, _names(H, head="eps")))
     rep.add("associativity", not wit, wit)
-    _check(rep, "unitality", (compose(m, tensor(eta, ident)), ident, ""),
-           (compose(m, tensor(ident, eta)), ident, ""))
+    _check(rep, "unitality", (unit_left, ident, ""), (unit_right, ident, ""))
     _check(rep, "coassociativity",
            (compose(dl, dl), compose(dl, dl, 1), _names(H)))
     _check(rep, "counitality", (compose(eps, dl), ident, _names(H)),
@@ -475,18 +521,13 @@ def check_axioms(pkg):
 
     # Delta(xy) = sum (-1)^{|x2||y1|} x1*y1 (x) x2*y2; the product of
     # H (x) H is associative once m is and is even
-    def bialgebra(left):
-        return (compose(dl, compose(m, tensor(left, ident))),
-                compose(m, compose(m, compose(
-                    tau, tensor(compose(dl, left), dl), 1), 2)))
-
-    _check(rep, "bialgebra", (*bialgebra(
-        on_gens if not wit and graded[0] == graded[1] else ident),
-        _names(H, H)))
+    if graded[0] != graded[1]:
+        gens, gens_m = ident, m
+    _check(rep, "bialgebra", (compose(dl, gens_m), compose(m, compose(
+        m, compose(tau, tensor(compose(dl, gens), dl), 1), 2)), _names(H, H)))
     _check(rep, "unit/counit morphisms",
-           (compose(eps, m), tensor(eps, eps), ""),
-           (compose(dl, eta), tensor(eta, eta), ""),
-           (compose(eps, eta), {(): {(): 1}}, ""))
+           (compose(eps, gens_m), tensor(compose(eps, gens), eps), ""),
+           (dl_eta, eta_eta, ""), (compose(eps, eta), {(): {(): 1}}, ""))
     _check(rep, "antipode",
            (compose(m, compose(s, dl)), compose(eta, eps), _names(H)),
            (compose(m, compose(s, dl, 1)), compose(eta, eps), _names(H)))
@@ -495,12 +536,12 @@ def check_axioms(pkg):
     _check(rep, "pi_B o i_B = id_B", (compose(PB, i_b), i_b, ""),
            (compose(pi_b, i_b), id_b, ""))
     # i_B(b) x = (-1)^{|b||x|} x i_B(b) and mu(i_B(b) x) = b * mu(x) in B
-    b_x = tensor(i_b, ident)
     _check(rep, "i_B(B) central",
-           (compose(m, b_x), compose(m, compose(tau, b_x)), _names(B, H)))
-    prod = compose(m, tensor(i_b, compose(i_b, mu)))
+           (product(m, i_b, gens), product(m_op, i_b, gens), _names(B, H)))
+    prod = product(m, i_b, compose(i_b, mu))
     _check(rep, "mu is B-linear", (compose(PB, prod), prod, "product left B"),
-           (compose(mu, compose(m, b_x)), compose(cB, prod), _names(B, H)))
+           (compose(mu, product(m, i_b, ident)), compose(cB, prod),
+            _names(B, H)))
     # (mu (x) id) Delta = (id (x) i_B) Delta_B mu
     d_b = compose(dl, compose(i_b, mu))
     _check(rep, "relative integral relation",
@@ -517,16 +558,16 @@ def check_axioms(pkg):
            (compose(pi_a, compose(dl, iota)),
             compose(iota, compose(cA, compose(cA, d_a), 1), 1), _names(A)))
     # iota(a) x = iota(a * pi_A(x))
-    prod = compose(m, tensor(i_a, compose(i_a, pi_a)))
+    prod = product(m, i_a, compose(i_a, pi_a))
     _check(rep, "relative cointegral relation",
            (compose(PA, prod), prod, "product left A"),
-           (compose(m, tensor(iota, ident)), compose(iota, compose(cA, prod)),
+           (product(m, iota, ident), compose(iota, compose(cA, prod)),
             _names(A, H)))
 
     # b is the distinguished group-like of B; the values of the character
     # a* of A are kept as exponents in Z/astar_order, (0,) being 1
     b = compose(i_b, {(): {(integ.glike_b,): 1}})
-    left_b = compose(m, tensor(b, ident))
+    left_b = product(m, b, ident)
     dl_astar = compose({(p,): {(e % coint.astar_order,): 1}
                         for p, e in enumerate(coint.astar_exps)},
                        compose(pi_a, dl))
@@ -542,13 +583,12 @@ def check_axioms(pkg):
            (compose(PA, s_a), s_a, "S_A left A"),
            (compose(dl_astar, iota), tensor(sign_iota, compose(
                s, compose(iota, compose(cA, s_a)))), _names(A)))
-    # mu m^op = mu m (id (x) Delta_a*), the a* exponent flipped to the front
-    mu_m = compose(mu, m)
-    flip = koszul(par, (0,) * coint.astar_order)
+    # mu m^op = mu m (id (x) Delta_a*), the a* exponent flipped to the back
+    # and 0 put after the left side
+    dl_back = compose(koszul((0,) * coint.astar_order, par), dl_astar)
     _check(rep, "compatibility (3): trace property of mu",
-           (tensor({(): {(0,): 1}}, compose(mu_m, tau)),
-            compose(mu_m, compose(flip, tensor(ident, dl_astar)), 1),
-            _names(H, H)))
+           (compose(tensor(mu, {(): {(0,): 1}}), m_op),
+            compose(mu, product(m, ident, dl_back)), _names(H, H)))
     # Delta^op iota = (id (x) m_b) Delta iota
     dl_iota = compose(dl, iota)
     _check(rep, "compatibility (4): cotrace property of iota",
@@ -573,7 +613,7 @@ def check_axioms(pkg):
                (compose(PA, compose(PA, pairs, 1), 2), pairs,
                 "Delta_A left A (x) A"),
                (compose(PA, prod), prod, "m_A left A"),
-               (compose(m, tensor(f1, compose(dl, f2))), compose(
+               (product(m, f1, compose(dl, f2)), compose(
                    f2, compose(cA, compose(f1, compose(cA, prod)), 1), 1),
                 _names(A, A)))
     return rep

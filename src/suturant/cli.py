@@ -119,6 +119,18 @@ def _check_size(args):
         raise SuturantError(f"--algebra {args.algebra} needs --{flag}")
 
 
+def _check_cyclic_flags(args):
+    """Refuse, with ``--algebra cyclic``, each flag its contraction at the
+    trivial character cannot honour: an explicit ``--engine fox`` and the
+    character and spin-c flags."""
+    given = ["engine fox"] if args.engine == "fox" else []
+    given += [dest.replace("_", "-") for dest in (
+        "char", "order", "all_chars", "offset", "sign")
+        if getattr(args, dest) not in (None, False)]
+    if given:
+        raise SuturantError(f"--algebra cyclic does not take --{given[0]}")
+
+
 def cmd_validate(args):
     rep = validate(_load(args.file))
     print(rep)
@@ -146,6 +158,8 @@ def cmd_compute(args):
     group = homology(diag)
     _check_size(args)
     cyclic = args.algebra == "cyclic"
+    if cyclic:
+        _check_cyclic_flags(args)
     anchor = anchor_multipoint(diag)
     ref = None if anchor is None else _pick_reference(diag, anchor,
                                                       args.multipoint)
@@ -159,8 +173,9 @@ def cmd_compute(args):
         print("no multipoints: unnormalized determinant is 0")
         return 1
     spinc = SpincRelative(ref, _resolve_offset(group, args.offset))
+    sign = args.sign or "+1"
     orient = OrientationSign(
-        "canonical" if args.sign == "canonical" else int(args.sign))
+        "canonical" if sign == "canonical" else int(sign))
 
     order = args.n if args.order is None else args.order
     chis = _resolve_characters(group, order, args.char)
@@ -175,7 +190,7 @@ def cmd_compute(args):
     values = invariant_hn_values(
         diag, args.n, [CharacterAssignment.from_character(chi)
                        for chi in chis],
-        spinc, orient, engine=args.engine)
+        spinc, orient, engine=args.engine or "fox")
     for chi, val in zip(chis, values):
         if args.all_chars:
             print(f"chi[{_chi_label(group, chi)}]: ", end="")
@@ -269,15 +284,16 @@ def build_parser():
 
     q = sub.add_parser("compute", help="run an engine on a diagram")
     q.add_argument("file")
-    q.add_argument("--engine", choices=("fox", "tensor"), default="fox")
+    q.add_argument("--engine", choices=("fox", "tensor"),
+                   help="default: fox for --algebra hn, tensor for cyclic")
     q.add_argument("--algebra", choices=("hn", "cyclic"), default="hn")
     q.add_argument("--n", type=positive_int)
     q.add_argument("--m", type=positive_int)
-    q.add_argument("--char", default="")
+    q.add_argument("--char")
     q.add_argument("--order", type=positive_int)
     q.add_argument("--multipoint")
-    q.add_argument("--offset", default="")
-    q.add_argument("--sign", choices=("+1", "-1", "canonical"), default="+1")
+    q.add_argument("--offset")
+    q.add_argument("--sign", choices=("+1", "-1", "canonical"))
     q.add_argument("--all-chars", action="store_true", dest="all_chars")
     q.add_argument("--eval-float", action="store_true", dest="eval_float")
     q.set_defaults(fn=cmd_compute)

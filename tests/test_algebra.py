@@ -205,15 +205,22 @@ def test_associativity_line_matches_the_exhaustive_reference(dim):
 
 
 def _product_lines_exhaustive(pkg):
-    """Reference for the parity-compatibility and bialgebra lines: every
-    equation over every pair of basis indices, as (ok, witness) by line."""
+    """Reference for the lines checked on generators (associativity,
+    parity-compatibility, bialgebra, unit/counit morphisms and i_B(B)
+    central): every equation over every pair (for associativity, triple) of
+    basis indices, as (ok, witness) by line."""
     alg = pkg.algebra
-    m, dl, s = map(legged, (alg.mul_sc, alg.comul_sc, alg.antipode_sc))
+    m, dl, s, i_b = map(legged, (alg.mul_sc, alg.comul_sc, alg.antipode_sc,
+                                 pkg.integral.i_b))
+    ident = {(i,): {(i,): 1} for i in range(alg.dim)}
     grade = {(i,): {(i,): -1 if p else 1} for i, p in enumerate(alg.parity)}
     eps = {(i,): {(): c} for i, c in enumerate(alg.counit_vec) if c}
+    eta = {(): {(alg.unit_index,): 1}}
     tau = koszul(alg.parity, alg.parity)
-    H = alg.label
+    H, B = alg.label, (lambda p: f"b_{p}")
     rep = Report()
+    wit = _associativity_exhaustive(pkg)
+    rep.add("associativity", not wit, wit)
     _check(rep, "parity-compatibility",
            (compose(grade, m), compose(m, tensor(grade, grade)),
             _names(H, H, head="m")),
@@ -223,27 +230,53 @@ def _product_lines_exhaustive(pkg):
            (compose(eps, grade), eps, _names(H, head="eps")))
     _check(rep, "bialgebra", (compose(dl, m), compose(m, compose(
         m, compose(tau, tensor(dl, dl), 1), 2)), _names(H, H)))
+    _check(rep, "unit/counit morphisms",
+           (compose(eps, m), tensor(eps, eps), ""),
+           (compose(dl, eta), tensor(eta, eta), ""),
+           (compose(eps, eta), {(): {(): 1}}, ""))
+    b_x = tensor(i_b, ident)
+    _check(rep, "i_B(B) central",
+           (compose(m, b_x), compose(m, compose(tau, b_x)), _names(B, H)))
     return {e.check: (e.ok, e.witness) for e in rep.entries}
 
 
+def _plain_unit(alg):
+    """Whether the unit is a two-sided unit, even, with Delta(u) = u (x) u."""
+    u = alg.unit_index
+    return (not alg.parity[u] and alg.comul_sc.get(u) == {(u, u): 1}
+            and all(alg.mul({u: 1}, {x: 1}) == {x: 1}
+                    == alg.mul({x: 1}, {u: 1}) for x in range(alg.dim)))
+
+
+def _left_unit_product(alg):
+    """The product e_a e_b = eps(e_a) e_b: associative, even for an even
+    counit, and its unit is a left unit only."""
+    return {(a, b): {b: alg.counit_vec[a]} if alg.counit_vec[a] else {}
+            for a in range(alg.dim) for b in range(alg.dim)}
+
+
 def _corrupted(pkg, rng):
-    """The package with one or two seeded corruptions of its algebra: a
-    coproduct entry set or removed, a basis parity flipped, a product
-    entry set, or a random product table (see ``_random_table``)."""
-    alg = pkg.algebra
-    dim = alg.dim
+    """The package with one or two seeded corruptions: a coproduct entry set
+    or removed, on any basis element or on the unit; a basis parity flipped,
+    any or the unit's; a product entry set; a random product table (see
+    ``_random_table``); the product of ``_left_unit_product``; or i_B sending
+    one b to a basis element."""
+    alg, integral = pkg.algebra, pkg.integral
+    dim, u = alg.dim, alg.unit_index
     for _ in range(rng.choice((1, 2))):
-        kind = rng.choice(("comul", "comul", "parity", "mul", "table"))
-        if kind == "comul":
+        kind = rng.choice(("comul", "comul", "unit comul", "parity",
+                           "unit parity", "mul", "table", "left unit", "i_b"))
+        if kind in ("comul", "unit comul"):
             table = {i: dict(col) for i, col in alg.comul_sc.items()}
-            col = table.setdefault(rng.randrange(dim), {})
+            col = table.setdefault(
+                u if kind == "unit comul" else rng.randrange(dim), {})
             col[(rng.randrange(dim), rng.randrange(dim))] = rng.choice(
                 (0, 1, -1, 2))
             alg = dataclasses.replace(alg, comul_sc={
                 i: {k: c for k, c in col.items() if c}
                 for i, col in table.items()})
-        elif kind == "parity":
-            flip = rng.randrange(dim)
+        elif kind in ("parity", "unit parity"):
+            flip = u if kind == "unit parity" else rng.randrange(dim)
             alg = dataclasses.replace(alg, parity=tuple(
                 1 - p if i == flip else p for i, p in enumerate(alg.parity)))
         elif kind == "mul":
@@ -251,36 +284,72 @@ def _corrupted(pkg, rng):
             table[(rng.randrange(dim), rng.randrange(dim))] = {
                 rng.randrange(dim): rng.choice((1, -1, 2))}
             alg = dataclasses.replace(alg, mul_sc=table)
-        else:
+        elif kind == "table":
             alg = dataclasses.replace(alg, mul_sc=_random_table(dim, rng))
+        elif kind == "left unit":
+            alg = dataclasses.replace(alg, mul_sc=_left_unit_product(alg))
+        else:
+            i_b = dict(integral.i_b)
+            i_b[rng.randrange(len(i_b))] = {rng.randrange(dim): 1}
+            integral = dataclasses.replace(integral, i_b=i_b)
+    return dataclasses.replace(pkg, algebra=alg, integral=integral)
+
+
+def _left_unit_only(pkg):
+    """The package under ``_left_unit_product`` with i_B(b_0) = z, the last
+    basis element: z u = m^op(z (x) u) fails at the unit u alone among the
+    basis elements of Z/2, and first at u in hn(2), so u must stay a
+    generator."""
+    alg = dataclasses.replace(pkg.algebra,
+                              mul_sc=_left_unit_product(pkg.algebra))
+    integral = dataclasses.replace(pkg.integral, i_b={
+        **pkg.integral.i_b, 0: {alg.dim - 1: 1}})
+    return dataclasses.replace(pkg, algebra=alg, integral=integral)
+
+
+def _right_unit_only(pkg):
+    """The package with e_u z = 0 for the unit u and the last basis element
+    z: u is a right unit only, and associativity fails first at a triple
+    (u, z, y), so u must stay a generator."""
+    u, z = pkg.algebra.unit_index, pkg.algebra.dim - 1
+    alg = dataclasses.replace(pkg.algebra,
+                              mul_sc={**pkg.algebra.mul_sc, (u, z): {}})
     return dataclasses.replace(pkg, algebra=alg)
 
 
 def test_product_lines_match_the_exhaustive_reference():
-    """Checked on generators once associativity holds, the two lines still
-    report what their equations over the whole basis report."""
+    """Checked on generators once associativity holds, with the unit among
+    them or not, the four lines still report what their equations over the
+    whole basis report."""
     rng = random.Random(SEED * 10 + 7)
     seen = set()
-    for pkg in ([build_hn(n) for n in range(1, 5)]
-                + [build_cyclic_group_algebra(m) for m in range(2, 6)]):
-        for _ in range(40):
-            bad = _corrupted(pkg, rng)
-            want = _product_lines_exhaustive(bad)
-            got = {e.check: (e.ok, e.witness)
-                   for e in check_axioms(bad).entries}
-            assert {k: got[k] for k in want} == want, (bad.name, bad.algebra)
-            seen.add((got["associativity"][0],
-                      *(ok for ok, _ in want.values())))
-    # associative tables with either line failing or passing
+    shipped = ([build_hn(n) for n in range(1, 5)]
+               + [build_cyclic_group_algebra(m) for m in range(2, 6)])
+    cases = [case(pkg) for case in (_left_unit_only, _right_unit_only)
+             for pkg in (build_hn(2), build_cyclic_group_algebra(2))]
+    cases += [_corrupted(pkg, rng) for pkg in shipped for _ in range(40)]
+    for bad in cases:
+        want = _product_lines_exhaustive(bad)
+        got = {e.check: (e.ok, e.witness) for e in check_axioms(bad).entries}
+        assert {k: got[k] for k in want} == want, (bad.name, bad.algebra)
+        seen.add((_plain_unit(bad.algebra), *(want[line][0] for line in (
+            "associativity", "parity-compatibility", "bialgebra"))))
+    # associative tables with the parity or the bialgebra line failing or
+    # passing, and associative tables with the unit left out and kept
+    lines = {s[1:] for s in seen}
     assert {(True, True, False), (True, False, False), (True, True, True),
-            (False, True, False)} <= seen
+            (False, True, False)} <= lines
+    assert {(True, True), (False, True)} <= {s[:2] for s in seen}
 
 
 def test_generators_of_the_shipped_algebras():
-    # hn(n): 1, K and X; Z/m: 1 and g, so associativity checks 3 D^2 and
-    # 2 D^2 triples rather than D^3
+    # with the plain unit already reached, hn(n): K and X; Z/m: g, so
+    # associativity checks 2 D^2 and D^2 triples rather than D^3; a unit
+    # that is not plain stays a generator
     for n in (2, 3, 16):
-        assert _generators(build_hn(n).algebra) == [0, 1, n]
-    assert _generators(build_hn(1).algebra) == [0, 1]
+        assert _generators(build_hn(n).algebra, [0]) == [1, n]
+        assert _generators(build_hn(n).algebra, []) == [0, 1, n]
+    assert _generators(build_hn(1).algebra, [0]) == [1]
     for m in (2, 8):
-        assert _generators(build_cyclic_group_algebra(m).algebra) == [0, 1]
+        assert _generators(build_cyclic_group_algebra(m).algebra, [0]) == [1]
+    assert _generators(build_cyclic_group_algebra(1).algebra, [0]) == []

@@ -159,6 +159,26 @@ def test_an_algebra_without_its_size_is_a_failure(capsys):
         assert err == f"error: --algebra {argv[-1]} needs {flag}\n", argv
 
 
+def test_cyclic_refuses_the_flags_it_cannot_honour(capsys):
+    base = ["compute", str(corpus_path("lens_6_1")), "--algebra", "cyclic",
+            "--m", "4"]
+    assert run(base) == 0
+    value = out_of(capsys)
+    assert run(base + ["--engine", "tensor"]) == 0
+    assert out_of(capsys) == value
+    for extra, flag in ((["--engine", "fox"], "--engine fox"),
+                        (["--char", "t=1"], "--char"),
+                        (["--order", "3"], "--order"),
+                        (["--all-chars"], "--all-chars"),
+                        (["--offset", "t"], "--offset"),
+                        (["--sign", "+1"], "--sign"),
+                        (["--sign", "canonical"], "--sign")):
+        assert run(base + extra) == 1, extra
+        out, err = capsys.readouterr()
+        assert out == "", extra
+        assert err == f"error: --algebra cyclic does not take {flag}\n", extra
+
+
 def test_move_script(tmp_path, capsys):
     script = tmp_path / "moves.txt"
     script.write_text("reverse alpha a1\nstabilize\n")
