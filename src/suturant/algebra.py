@@ -12,21 +12,25 @@ linear map is a table ``{input key: {output key: coefficient}}``, and one
 sparse linear-map core acts on them: ``apply`` (the image of an element),
 ``compose`` (one map after another, possibly on a few legs only),
 ``tensor``, ``product`` (m o (f (x) g) in one pass, without the table of
-f (x) g), ``koszul`` (the signed flip of two legs), ``flipped`` (a map on
-two legs after that flip, by relabelling its keys) and
+f (x) g), ``flipped`` and ``swapped`` (a map after or before the signed
+flip tau of two legs, by relabelling its input or its output keys) and
 ``first_difference``.  ``check_axioms`` states every axiom as equations
 ``lhs == rhs`` between composites of the structure maps over the whole
-basis (dimensions stay small, at most a few dozen), and a failing
-equation is witnessed by the least key on which its sides differ.
-Associativity, and once it holds the evenness of m, the bialgebra
-equation, eps(x y) = eps(x) eps(y) and the centrality of i_B(B), are
-checked by one rule: one factor among a set of generators, D^2 triples
-(for associativity) or D columns per generator rather than D^3 or D^2.
-A plain unit (two-sided, even, with Delta(u) = u (x) u) satisfies every
-one of these equations, so it is left out of the generators.  The least
-failing key always has a generator as that factor, so nothing is
-rescanned over the whole basis for the least witness.  The Koszul sign
-convention is ``tau(v (x) w) = (-1)^{|v||w|} w (x) v``.
+basis (dimensions stay small: the ``axioms`` verb takes at most 512), and
+a failing equation is witnessed by the least key on which its sides
+differ.  Associativity, and once it holds the evenness of m, the
+bialgebra equation, eps(x y) = eps(x) eps(y), the centrality of i_B(B)
+and, once i_B(B) is closed under m, the B-linearity of mu, are checked by
+one rule: one factor among a set of generators (of H, or for mu of B),
+D^2 triples (for associativity) or D columns per generator rather than
+D^3 or D^2.  A plain unit (two-sided, even, with Delta(u) = u (x) u)
+satisfies every one of these equations, so it is left out of the
+generators.  The least failing key always has a generator as that
+factor, so nothing is rescanned over the whole basis for the least
+witness.  Once a gate holds, the trace property of mu is checked with
+its second factor among generators too; that decides only a passing
+line, and a failing one runs over the whole basis for its witness.  The
+Koszul sign convention is ``tau(v (x) w) = (-1)^{|v||w|} w (x) v``.
 """
 
 from __future__ import annotations
@@ -83,7 +87,8 @@ def compose(f, g, at=0):
             for o, d in f.get(k[at:at + n], {}).items():
                 t = head + o + tail
                 y[t] = y.get(t, 0) + c * d
-        y = {t: v for t, v in y.items() if v}
+        if 0 in y.values():
+            y = {t: v for t, v in y.items() if v}
         if y:
             out[key] = y
     return out
@@ -107,20 +112,24 @@ def tensor(f, g):
 
 def product(m, f, g):
     """m o (f (x) g) in one pass over the columns of f and g, without the
-    table of f (x) g: m acts on the first two legs of each output of
-    f (x) g and the identity on the others, as in ``compose``."""
+    table of f (x) g: m multiplies each output of f, one leg, by the first
+    leg of each output of g, and the identity acts on the others, as in
+    ``compose``."""
+    split = [(b, [(p[0], p[1:], d) for p, d in gb.items()])
+             for b, gb in g.items()]
     out = {}
     for a, fa in f.items():
-        for b, gb in g.items():
+        for b, gb in split:
             y = {}
-            for o, c in fa.items():
-                for p, d in gb.items():
-                    k = o + p
-                    tail = k[2:]
-                    for t, e in m.get(k[:2], {}).items():
-                        t += tail
-                        y[t] = y.get(t, 0) + c * d * e
-            y = {t: v for t, v in y.items() if v}
+            for (o,), c in fa.items():
+                for p, tail, d in gb:
+                    cd = c * d
+                    for t, e in m.get((o, p), {}).items():
+                        if tail:
+                            t += tail
+                        y[t] = y.get(t, 0) + cd * e
+            if 0 in y.values():
+                y = {t: v for t, v in y.items() if v}
             if y:
                 out[a + b] = y
     return out
@@ -133,11 +142,18 @@ def flipped(f, par):
             else col for (i, j), col in f.items()}
 
 
-def koszul(par_v, par_w):
-    """The flip V (x) W -> W (x) V, v (x) w -> (-1)^{|v||w|} w (x) v, for
-    bases of the given parities."""
-    return {(i, j): {(j, i): -1 if pi and pj else 1}
-            for i, pi in enumerate(par_v) for j, pj in enumerate(par_w)}
+def swapped(f, par, at=0):
+    """tau o f, tau the Koszul flip of the output legs ``at`` and
+    ``at + 1`` of f, by relabelling its outputs: (.., v, w, ..) becomes
+    (.., w, v, ..) times (-1)^{|v||w|}."""
+    out = {}
+    for key, col in f.items():
+        y = {}
+        for o, c in col.items():
+            v, w = o[at], o[at + 1]
+            y[o[:at] + (w, v) + o[at + 2:]] = -c if par[v] and par[w] else c
+        out[key] = y
+    return out
 
 
 def first_difference(f, g):
@@ -404,7 +420,8 @@ def _names(*kinds, head=""):
 def _check(rep, name, *equations):
     """One report line: every (lhs, rhs, witness) equation must hold.  The
     witness, a formatter of the key or fixed text, is that of the least
-    failing key, the earlier equation first on a tie."""
+    failing key, the earlier equation first on a tie.  Returns whether the
+    line passed."""
     fails = []
     for n, (lhs, rhs, wit) in enumerate(equations):
         k = first_difference(lhs, rhs)
@@ -415,30 +432,41 @@ def _check(rep, name, *equations):
         rep.add(name, False, wit if isinstance(wit, str) else wit(k))
     else:
         rep.add(name, True)
+    return not fails
 
 
-def _generators(alg, reached):
-    """Basis indices whose products, with the indices already ``reached``,
-    reach the whole basis, chosen greedily in index order: an index is
-    reached once it is chosen, or once it is the single output index of a
-    product e_k e_g with k and g reached (a nonzero multiple of e_o); the
-    least index not yet reached is chosen next."""
-    gens, reached = [], set(reached)
-    for start in range(alg.dim):
-        if start in reached:
+def _diagonal(indices):
+    """The identity on the basis indices given."""
+    return {(i,): {(i,): 1} for i in indices}
+
+
+def _generators(table, dim, reached):
+    """Basis indices whose products under the legged product ``table`` on
+    ``dim`` basis elements, with the indices already ``reached``, reach the
+    whole basis, chosen greedily in index order: an index is reached once it
+    is chosen, or once it is the single output index of a product e_k e_g
+    with k and g reached (a nonzero multiple of e_o: the table holds no
+    zero coefficient); the least index not yet reached is chosen next."""
+    gens, order, seen = [], list(reached), [False] * dim
+    for i in order:
+        seen[i] = True
+    for start in range(dim):
+        if seen[start]:
             continue
         gens.append(start)
-        reached.add(start)
+        seen[start] = True
+        order.append(start)
         todo = [start]
         while todo:
             new = todo.pop()
-            for k in list(reached):
+            for k in order:             # grows as indices are reached
                 for pair in ((k, new), (new, k)):
-                    col = alg.mul_sc.get(pair, {})
+                    col = table.get(pair, {})
                     if len(col) == 1:
-                        (o, c), = col.items()
-                        if c and o not in reached:
-                            reached.add(o)
+                        (o,), = col
+                        if not seen[o]:
+                            seen[o] = True
+                            order.append(o)
                             todo.append(o)
     return gens
 
@@ -453,23 +481,24 @@ def check_axioms(pkg):
     m, dl, s, i_b, mu, pi_b, iota, i_a, pi_a = map(legged, (
         alg.mul_sc, alg.comul_sc, alg.antipode_sc, integ.i_b, integ.mu,
         integ.pi_b, coint.iota, coint.i_a, coint.pi_a))
-    ident = {(i,): {(i,): 1} for i in range(alg.dim)}
+    ident = _diagonal(range(alg.dim))
     grade = {(i,): {(i,): -1 if p else 1} for i, p in enumerate(par)}
     eps = {(i,): {(): c} for i, c in enumerate(alg.counit_vec) if c}
     u = alg.unit_index
     eta = {(): {(u,): 1}}
-    tau, m_op = koszul(par, par), flipped(m, par)
+    m_op = flipped(m, par)
     # coordinates cB, cA on B and A, projections PB, PA onto their spans
     cB = {(h,): {(p,): 1} for p, h in enumerate(integ.b_basis)}
     cA = {(h,): {(p,): 1} for p, h in enumerate(coint.a_basis)}
     PB, PA = ({(h,): {(h,): 1} for (h,) in c} for c in (cB, cA))
-    id_b, id_a = ({(p,): {(p,): 1} for p in range(len(basis))}
+    id_b, id_a = (_diagonal(range(len(basis)))
                   for basis in (integ.b_basis, coint.a_basis))
     H, A, B = alg.label, (lambda p: f"a_{p}"), (lambda p: f"b_{p}")
 
-    # Five equations are checked with one factor among generators, the left
-    # one (associativity, the evenness of m, the bialgebra equation and
-    # eps(x y) = eps(x) eps(y)) or the right one
+    # Six equations are checked with one factor among generators, the left
+    # one (associativity, the evenness of m, the bialgebra equation,
+    # eps(x y) = eps(x) eps(y), and mu(i_B(b) x) = b mu(x) with b among
+    # the generators of B's own product) or the right one
     # (i_B(b) x = m^op(i_B(b) (x) x)): D^2 columns per generator for
     # associativity, D or dim B for the others.  Closure: the factors
     # satisfying an equation for all other factors form a subspace closed
@@ -483,23 +512,31 @@ def check_axioms(pkg):
     # each parity part of z: z_0 x = x z_0 and z_1 x = (-1)^{|x|} x z_1.  So
     # z x = x g^{|x|}(z) with g = grade, x satisfies it for g(z) too, and
     # z (x y) = x g^{|x|}(z) y = (x y) g^{|x| + |y|}(z), the sign adding up
-    # as |x y| = |x| + |y| for an even m.  Least witness: each generator is
-    # the least index not yet reached, so every index is a multiple of a
-    # product of generators no larger than it and of the unit; if it fails,
-    # so does a generator no larger, and the least failing key over the
-    # whole basis (for i_B, at each b) has a generator as its factor.
-    # Without closure the equation runs over the whole basis.  The unit is
-    # left out of the generators when it is plain: a two-sided unit, even,
-    # with Delta(u) = u (x) u.  A plain unit satisfies the five equations as
-    # that factor, except eps(u y) = eps(u) eps(y) when eps(u) != 1, which
-    # fails eps(u) = 1 in the same line, whose witness is fixed text.
+    # as |x y| = |x| + |y| for an even m.  B's product b c is the
+    # coordinates in B of i_B(b) i_B(c); once m is associative and i_B(B)
+    # is closed under it, i_B(b c) = i_B(b) i_B(c) (checked on dim B^2
+    # pairs; as i_B lands in B's span, the first equation of the pi_B line,
+    # the line's products lie in B too), and
+    # mu(i_B(b c) x) = mu(i_B(b) i_B(c) x) = b mu(i_B(c) x) = (b c) mu(x).
+    # Least witness: each generator is the least index not yet reached, so
+    # every index is a multiple of a product of generators no larger than
+    # it and of the unit; if it fails, so does a generator no larger, and
+    # the least failing key over the whole basis (for i_B(B) central, at
+    # each b) has a generator as its factor.  Without closure the equation
+    # runs over the whole basis.  The unit is left out of the generators
+    # when it is plain: a two-sided unit, even, with Delta(u) = u (x) u.  A
+    # plain unit satisfies the five equations on H as that factor, except
+    # eps(u y) = eps(u) eps(y) when eps(u) != 1, which fails eps(u) = 1 in
+    # the same line, whose witness is fixed text.  B's unit, the position
+    # that i_B sends to a plain unit of H, is left out of B's generators
+    # when it is a left unit of B's product: mu(i_B(u_B) x) = u_B mu(x).
     # Associativity is decided first, as the others rely on it, and
     # reported second
     unit_left, unit_right = product(m, eta, ident), product(m, ident, eta)
     dl_eta, eta_eta = compose(dl, eta), tensor(eta, eta)
     plain = (unit_left == ident == unit_right and not par[u]
              and dl_eta == eta_eta)
-    on_gens = {(g,): {(g,): 1} for g in _generators(alg, [u] if plain else [])}
+    on_gens = _diagonal(_generators(m, alg.dim, [u] if plain else []))
     gens_m = product(m, on_gens, ident)
     k = first_difference(product(m, gens_m, ident), product(m, on_gens, m))
     wit = "" if k is None else _names(H, H, H)(k)
@@ -507,11 +544,12 @@ def check_axioms(pkg):
     # the factors an equation runs over, and m with the left one
     gens, gens_m = (ident, m) if wit else (on_gens, gens_m)
     graded = (compose(grade, gens_m), product(m, compose(grade, gens), grade))
-    _check(rep, "parity-compatibility", (*graded, _names(H, H, head="m")),
-           (compose(grade, compose(grade, dl), 1), compose(dl, grade),
-            _names(H, head="Delta")),
-           (compose(grade, s), compose(s, grade), _names(H, head="S")),
-           (compose(eps, grade), eps, _names(H, head="eps")))
+    even = _check(rep, "parity-compatibility",
+                  (*graded, _names(H, H, head="m")),
+                  (compose(grade, compose(grade, dl), 1), compose(dl, grade),
+                   _names(H, head="Delta")),
+                  (compose(grade, s), compose(s, grade), _names(H, head="S")),
+                  (compose(eps, grade), eps, _names(H, head="eps")))
     rep.add("associativity", not wit, wit)
     _check(rep, "unitality", (unit_left, ident, ""), (unit_right, ident, ""))
     _check(rep, "coassociativity",
@@ -523,8 +561,9 @@ def check_axioms(pkg):
     # H (x) H is associative once m is and is even
     if graded[0] != graded[1]:
         gens, gens_m = ident, m
-    _check(rep, "bialgebra", (compose(dl, gens_m), compose(m, compose(
-        m, compose(tau, tensor(compose(dl, gens), dl), 1), 2)), _names(H, H)))
+    bialgebra = _check(rep, "bialgebra", (compose(dl, gens_m), compose(
+        m, compose(m, swapped(tensor(compose(dl, gens), dl), par, 1), 2)),
+        _names(H, H)))
     _check(rep, "unit/counit morphisms",
            (compose(eps, gens_m), tensor(compose(eps, gens), eps), ""),
            (dl_eta, eta_eta, ""), (compose(eps, eta), {(): {(): 1}}, ""))
@@ -533,14 +572,25 @@ def check_axioms(pkg):
            (compose(m, compose(s, dl, 1)), compose(eta, eps), _names(H)))
     _check(rep, "involutivity S^2 = id", (compose(s, s), ident, _names(H)))
 
-    _check(rep, "pi_B o i_B = id_B", (compose(PB, i_b), i_b, ""),
+    i_b_in_b = compose(PB, i_b)
+    _check(rep, "pi_B o i_B = id_B", (i_b_in_b, i_b, ""),
            (compose(pi_b, i_b), id_b, ""))
     # i_B(b) x = (-1)^{|b||x|} x i_B(b) and mu(i_B(b) x) = b * mu(x) in B
     _check(rep, "i_B(B) central",
            (product(m, i_b, gens), product(m_op, i_b, gens), _names(B, H)))
-    prod = product(m, i_b, compose(i_b, mu))
+    b_b = product(m, i_b, i_b)
+    mul_b, rows = compose(cB, b_b), id_b
+    if not wit and i_b_in_b == i_b and compose(i_b, mul_b) == b_b:
+        u_b = next((p for (p,), col in i_b.items() if col == {(u,): 1}),
+                   None)
+        plain_b = plain and u_b is not None and all(
+            mul_b.get((u_b, q)) == {(q,): 1} for (q,) in id_b)
+        rows = _diagonal(_generators(mul_b, len(id_b),
+                                     [u_b] if plain_b else []))
+    left = compose(i_b, rows)
+    prod = product(m, left, compose(i_b, mu))
     _check(rep, "mu is B-linear", (compose(PB, prod), prod, "product left B"),
-           (compose(mu, product(m, i_b, ident)), compose(cB, prod),
+           (compose(mu, product(m, left, ident)), compose(cB, prod),
             _names(B, H)))
     # (mu (x) id) Delta = (id (x) i_B) Delta_B mu
     d_b = compose(dl, compose(i_b, mu))
@@ -550,7 +600,7 @@ def check_axioms(pkg):
 
     _check(rep, "pi_A o i_A = id_A", (compose(pi_a, i_a), id_a, ""))
     _check(rep, "pi_A cocentral",
-           (compose(pi_a, dl), compose(pi_a, compose(tau, dl)), _names(H)))
+           (compose(pi_a, dl), compose(pi_a, swapped(dl, par)), _names(H)))
     # (pi_A (x) id) Delta iota = (id (x) iota) Delta_A
     d_a = compose(dl, i_a)
     _check(rep, "iota is A-colinear",
@@ -565,12 +615,14 @@ def check_axioms(pkg):
             _names(A, H)))
 
     # b is the distinguished group-like of B; the values of the character
-    # a* of A are kept as exponents in Z/astar_order, (0,) being 1
+    # a* of A are kept as exponents in Z/astar_order, (0,) being 1, and
+    # psi = a* pi_A is valued in the group ring of the exponents
+    order = coint.astar_order
     b = compose(i_b, {(): {(integ.glike_b,): 1}})
     left_b = product(m, b, ident)
-    dl_astar = compose({(p,): {(e % coint.astar_order,): 1}
-                        for p, e in enumerate(coint.astar_exps)},
-                       compose(pi_a, dl))
+    psi = compose({(p,): {(e % order,): 1}
+                   for p, e in enumerate(coint.astar_exps)}, pi_a)
+    dl_astar = compose(psi, dl)
     sign_mu = {(): {(): -1 if integ.mu_parity else 1}}
     sign_iota = {(): {(0,): -1 if coint.iota_parity else 1}}
     s_b = compose(s, compose(i_b, compose(mu, s)))
@@ -584,15 +636,47 @@ def check_axioms(pkg):
            (compose(dl_astar, iota), tensor(sign_iota, compose(
                s, compose(iota, compose(cA, s_a)))), _names(A)))
     # mu m^op = mu m (id (x) Delta_a*), the a* exponent flipped to the back
-    # and 0 put after the left side
-    dl_back = compose(koszul((0,) * coint.astar_order, par), dl_astar)
+    # (an even leg: no sign) and 0 put after the left side; that is,
+    # (-1)^{|x||y|} mu(y x) = mu(x phi(y)) with phi(y) = psi(y_1) y_2.  It
+    # holds for y z when it holds for y and z once m is associative, the
+    # parity-compatibility line (m and Delta even) and the bialgebra line
+    # pass, psi is 0 on odd basis elements and psi(y z) = psi(y) psi(z):
+    # (-1)^{|x||y z|} mu(y z x) = (-1)^{|x||z| + |y||z|} psi(y_1) mu(z x y_2)
+    # = (-1)^{|z|(|y| + |y_2|)} psi(y_1) psi(z_1) mu(x y_2 z_2), the sign 1
+    # as y_1 is even, and phi(y z) = psi(y_1 z_1) y_2 z_2, the bialgebra
+    # sign 1 as z_1 is even.  psi(g x) = psi(g) psi(x) for all x is itself
+    # closed under products of g, by associativity, so it is checked with g
+    # among generators, the unit among them unless it is plain with
+    # psi(u) = 1 (then it holds at u, as does the trace property).  So y
+    # among generators shows that the line passes.  It gives no least
+    # witness: y is the second leg of the key (x, y), and the y that pass
+    # for one fixed x are not closed under products, so a failing line runs
+    # over the whole basis again
+    one = {(): {(0,): 1}}
+    y_gens = on_gens if compose(psi, eta) == one else {
+        **on_gens, (u,): {(u,): 1}}
+    mul_r = {(e, f): {((e + f) % order,): 1}
+             for e in range(order) for f in range(order)}
+    gate = (not wit and even and bialgebra
+            and not any(par[h] for (h,) in psi)
+            and compose(psi, product(m, y_gens, ident))
+            == product(mul_r, compose(psi, y_gens), psi))
+    dl_back = {k: {o[::-1]: c for o, c in col.items()}
+               for k, col in dl_astar.items()}
+    mu_0 = tensor(mu, one)
+
+    def trace(ys):
+        return (compose(mu_0, product(m_op, ident, ys)),
+                compose(mu, product(m, ident, compose(dl_back, ys))))
+    sides = trace(y_gens if gate else ident)
+    if gate and sides[0] != sides[1]:
+        sides = trace(ident)
     _check(rep, "compatibility (3): trace property of mu",
-           (compose(tensor(mu, {(): {(0,): 1}}), m_op),
-            compose(mu, product(m, ident, dl_back)), _names(H, H)))
+           (*sides, _names(H, H)))
     # Delta^op iota = (id (x) m_b) Delta iota
     dl_iota = compose(dl, iota)
     _check(rep, "compatibility (4): cotrace property of iota",
-           (compose(tau, dl_iota), compose(left_b, dl_iota, 1), _names(A)))
+           (swapped(dl_iota, par), compose(left_b, dl_iota, 1), _names(A)))
     _check(rep, "compatibility (5): pi_B i_A = eta_B eps_A",
            (compose(pi_b, i_a),
             compose(cB, compose(eta, compose(eps, i_a))), _names(A)))

@@ -111,12 +111,21 @@ def _chi_label(group, chi):
     return ",".join(bits) if bits else "trivial"
 
 
+# The largest package dimension (2n for hn, m for cyclic) that ``axioms``
+# checks: hn(n) has n^2-entry tables, and the suite's time grows about
+# fourfold per doubling of n.
+AXIOMS_MAX_DIM = 512
+
+
 def _check_size(args):
-    """Refuse an ``--algebra`` given without its size: ``--n`` for hn,
-    ``--m`` for cyclic."""
-    flag = "m" if args.algebra == "cyclic" else "n"
+    """Refuse an ``--algebra`` given without its size (``--n`` for hn,
+    ``--m`` for cyclic) or with the other algebra's."""
+    flag, other = ("m", "n") if args.algebra == "cyclic" else ("n", "m")
     if getattr(args, flag) is None:
         raise SuturantError(f"--algebra {args.algebra} needs --{flag}")
+    if getattr(args, other) is not None:
+        raise SuturantError(
+            f"--algebra {args.algebra} does not take --{other}")
 
 
 def _check_cyclic_flags(args):
@@ -236,8 +245,12 @@ def cmd_compare(args):
 
 def cmd_axioms(args):
     _check_size(args)
-    pkg = (build_hn(args.n) if args.algebra == "hn"
-           else build_cyclic_group_algebra(args.m))
+    hn = args.algebra == "hn"
+    dim = 2 * args.n if hn else args.m
+    if dim > AXIOMS_MAX_DIM:
+        raise SuturantError(f"--algebra {args.algebra} gives dimension {dim}; "
+                            f"axioms checks at most {AXIOMS_MAX_DIM}")
+    pkg = build_hn(args.n) if hn else build_cyclic_group_algebra(args.m)
     rep = check_axioms(pkg)
     print(rep)
     return 0 if rep.passed else 1

@@ -7,7 +7,7 @@ import pytest
 from suturant import (build_cyclic_group_algebra, build_hn, check_axioms,
                       coproduct_power)
 from suturant.algebra import (_check, _generators, _names, apply, compose,
-                              first_difference, koszul, legged, tensor)
+                              first_difference, legged, tensor)
 from suturant.report import Report
 from conftest import SEED
 
@@ -204,14 +204,23 @@ def test_associativity_line_matches_the_exhaustive_reference(dim):
     assert 0 < failing < 60
 
 
+def koszul(par_v, par_w):
+    """The flip V (x) W -> W (x) V, v (x) w -> (-1)^{|v||w|} w (x) v, as a
+    table, for bases of the given parities."""
+    return {(i, j): {(j, i): -1 if pi and pj else 1}
+            for i, pi in enumerate(par_v) for j, pj in enumerate(par_w)}
+
+
 def _product_lines_exhaustive(pkg):
     """Reference for the lines checked on generators (associativity,
-    parity-compatibility, bialgebra, unit/counit morphisms and i_B(B)
-    central): every equation over every pair (for associativity, triple) of
-    basis indices, as (ok, witness) by line."""
-    alg = pkg.algebra
-    m, dl, s, i_b = map(legged, (alg.mul_sc, alg.comul_sc, alg.antipode_sc,
-                                 pkg.integral.i_b))
+    parity-compatibility, bialgebra, unit/counit morphisms, i_B(B) central,
+    mu is B-linear and the trace property of mu): every equation over every
+    pair (for associativity, triple) of basis indices, the Koszul flip as a
+    table, as (ok, witness) by line."""
+    alg, integral, coint = pkg.algebra, pkg.integral, pkg.cointegral
+    m, dl, s, i_b, mu, pi_a = map(legged, (
+        alg.mul_sc, alg.comul_sc, alg.antipode_sc, integral.i_b,
+        integral.mu, coint.pi_a))
     ident = {(i,): {(i,): 1} for i in range(alg.dim)}
     grade = {(i,): {(i,): -1 if p else 1} for i, p in enumerate(alg.parity)}
     eps = {(i,): {(): c} for i, c in enumerate(alg.counit_vec) if c}
@@ -237,7 +246,61 @@ def _product_lines_exhaustive(pkg):
     b_x = tensor(i_b, ident)
     _check(rep, "i_B(B) central",
            (compose(m, b_x), compose(m, compose(tau, b_x)), _names(B, H)))
+    c_b = {(h,): {(p,): 1} for p, h in enumerate(integral.b_basis)}
+    p_b = {(h,): {(h,): 1} for h in integral.b_basis}
+    prod = compose(m, tensor(i_b, compose(i_b, mu)))
+    _check(rep, "mu is B-linear", (compose(p_b, prod), prod, "product left B"),
+           (compose(mu, compose(m, b_x)), compose(c_b, prod), _names(B, H)))
+    dl_astar = compose({(p,): {(e % coint.astar_order,): 1}
+                        for p, e in enumerate(coint.astar_exps)},
+                       compose(pi_a, dl))
+    dl_back = compose(koszul((0,) * coint.astar_order, alg.parity), dl_astar)
+    _check(rep, "compatibility (3): trace property of mu",
+           (compose(tensor(mu, {(): {(0,): 1}}), compose(m, tau)),
+            compose(mu, compose(m, tensor(ident, dl_back))), _names(H, H)))
     return {e.check: (e.ok, e.witness) for e in rep.entries}
+
+
+def _b_closed(pkg):
+    """Whether i_B(B) is closed under m: each i_B(b) i_B(c) lies in the span
+    of B's basis and is i_B of its coordinates there."""
+    alg, integral = pkg.algebra, pkg.integral
+    pos = {h: p for p, h in enumerate(integral.b_basis)}
+    for b in range(len(pos)):
+        for c in range(len(pos)):
+            z = alg.mul(integral.i_b.get(b, {}), integral.i_b.get(c, {}))
+            if any(h not in pos for h in z) or z != apply(
+                    integral.i_b, {pos[h]: v for h, v in z.items()}):
+                return False
+    return True
+
+
+def _psi(pkg, x):
+    """a* pi_A(x) in the group ring of Z/astar_order, as {exponent: c}."""
+    coint, out = pkg.cointegral, {}
+    for p, c in apply(coint.pi_a, x).items():
+        e = coint.astar_exps[p] % coint.astar_order
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _psi_multiplicative(pkg):
+    """Whether psi = a* pi_A is 0 on odd basis elements and
+    psi(x y) = psi(x) psi(y) for every pair of basis elements."""
+    alg, order = pkg.algebra, pkg.cointegral.astar_order
+    if any(_psi(pkg, {x: 1}) for x in range(alg.dim) if alg.parity[x]):
+        return False
+    for x in range(alg.dim):
+        for y in range(alg.dim):
+            want = {}
+            for e, c in _psi(pkg, {x: 1}).items():
+                for f, d in _psi(pkg, {y: 1}).items():
+                    k = (e + f) % order
+                    want[k] = want.get(k, 0) + c * d
+            if _psi(pkg, alg.mul({x: 1}, {y: 1})) != {
+                    k: c for k, c in want.items() if c}:
+                return False
+    return True
 
 
 def _plain_unit(alg):
@@ -259,13 +322,18 @@ def _corrupted(pkg, rng):
     """The package with one or two seeded corruptions: a coproduct entry set
     or removed, on any basis element or on the unit; a basis parity flipped,
     any or the unit's; a product entry set; a random product table (see
-    ``_random_table``); the product of ``_left_unit_product``; or i_B sending
-    one b to a basis element."""
-    alg, integral = pkg.algebra, pkg.integral
+    ``_random_table``); the product of ``_left_unit_product``; i_B sending
+    one b to a basis element, or adding a basis element to one i_B(b) (so
+    that i_B(B) is no longer closed under m); an entry of mu set; an entry
+    of pi_A set, or a* changed (so that psi = a* pi_A is not multiplicative
+    or not 0 on odd elements); or psi(u) != 1, by pi_A = 0 or by pi_A(u)
+    set."""
+    alg, integral, coint = pkg.algebra, pkg.integral, pkg.cointegral
     dim, u = alg.dim, alg.unit_index
     for _ in range(rng.choice((1, 2))):
         kind = rng.choice(("comul", "comul", "unit comul", "parity",
-                           "unit parity", "mul", "table", "left unit", "i_b"))
+                           "unit parity", "mul", "table", "left unit", "i_b",
+                           "i_b sum", "mu", "psi", "psi", "psi unit"))
         if kind in ("comul", "unit comul"):
             table = {i: dict(col) for i, col in alg.comul_sc.items()}
             col = table.setdefault(
@@ -288,11 +356,34 @@ def _corrupted(pkg, rng):
             alg = dataclasses.replace(alg, mul_sc=_random_table(dim, rng))
         elif kind == "left unit":
             alg = dataclasses.replace(alg, mul_sc=_left_unit_product(alg))
-        else:
+        elif kind in ("i_b", "i_b sum"):
             i_b = dict(integral.i_b)
-            i_b[rng.randrange(len(i_b))] = {rng.randrange(dim): 1}
-            integral = dataclasses.replace(integral, i_b=i_b)
-    return dataclasses.replace(pkg, algebra=alg, integral=integral)
+            b, h = rng.randrange(len(i_b)), rng.randrange(dim)
+            i_b[b] = ({**i_b[b], h: i_b[b].get(h, 0) + 1}
+                      if kind == "i_b sum" else {h: 1})
+            integral = dataclasses.replace(integral, i_b={
+                p: {k: c for k, c in col.items() if c}
+                for p, col in i_b.items()})
+        elif kind == "mu":
+            mu = dict(integral.mu)
+            mu[rng.randrange(dim)] = {
+                rng.randrange(len(integral.b_basis)): rng.choice((1, -1, 2))}
+            integral = dataclasses.replace(integral, mu=mu)
+        elif kind == "psi" and rng.random() < 0.3:
+            order = rng.choice((2, 3))
+            coint = dataclasses.replace(
+                coint, astar_order=order, astar_exps=tuple(
+                    rng.randrange(order) for _ in coint.astar_exps))
+        elif kind == "psi":
+            pi_a = dict(coint.pi_a)
+            pi_a[rng.randrange(dim)] = {
+                rng.randrange(len(coint.a_basis)): rng.choice((1, -1, 2))}
+            coint = dataclasses.replace(coint, pi_a=pi_a)
+        else:
+            coint = dataclasses.replace(coint, pi_a={} if rng.random() < 0.5
+                                        else {**coint.pi_a, u: {0: 2}})
+    return dataclasses.replace(pkg, algebra=alg, integral=integral,
+                               cointegral=coint)
 
 
 def _left_unit_only(pkg):
@@ -317,39 +408,81 @@ def _right_unit_only(pkg):
     return dataclasses.replace(pkg, algebra=alg)
 
 
+def _right_unit_product(pkg):
+    """The package under the product e_a e_b = eps(e_b) e_a: associative and
+    even, its unit a right unit only, and i_B(B) closed under it, so that
+    mu(i_B(b) x) = b mu(x) must still be checked at B's unit."""
+    alg = pkg.algebra
+    return dataclasses.replace(pkg, algebra=dataclasses.replace(alg, mul_sc={
+        (a, b): {a: alg.counit_vec[b]} if alg.counit_vec[b] else {}
+        for a in range(alg.dim) for b in range(alg.dim)}))
+
+
+def _unit_psi_negated(pkg):
+    """The package with psi(u) = -1, by pi_A(u) negated: on Z/1, whose one
+    basis element is the unit, only the unit shows that the trace property
+    fails, so u must stay a generator of that line."""
+    coint = pkg.cointegral
+    pi_a = {**coint.pi_a, pkg.algebra.unit_index: {
+        p: -c for p, c in coint.pi_a[pkg.algebra.unit_index].items()}}
+    return dataclasses.replace(
+        pkg, cointegral=dataclasses.replace(coint, pi_a=pi_a))
+
+
 def test_product_lines_match_the_exhaustive_reference():
-    """Checked on generators once associativity holds, with the unit among
-    them or not, the four lines still report what their equations over the
-    whole basis report."""
+    """Checked on generators once associativity holds (and, for mu, once
+    i_B(B) is closed under m, and for the trace property of mu, once its
+    gate holds), with the unit among them or not, the seven lines still
+    report what their equations over the whole basis report."""
     rng = random.Random(SEED * 10 + 7)
     seen = set()
     shipped = ([build_hn(n) for n in range(1, 5)]
                + [build_cyclic_group_algebra(m) for m in range(2, 6)])
-    cases = [case(pkg) for case in (_left_unit_only, _right_unit_only)
+    cases = [case(pkg) for case in (_left_unit_only, _right_unit_only,
+                                    _right_unit_product)
              for pkg in (build_hn(2), build_cyclic_group_algebra(2))]
+    cases.append(_unit_psi_negated(build_cyclic_group_algebra(1)))
     cases += [_corrupted(pkg, rng) for pkg in shipped for _ in range(40)]
+    b_runs, trace_runs = set(), set()
     for bad in cases:
         want = _product_lines_exhaustive(bad)
         got = {e.check: (e.ok, e.witness) for e in check_axioms(bad).entries}
         assert {k: got[k] for k in want} == want, (bad.name, bad.algebra)
         seen.add((_plain_unit(bad.algebra), *(want[line][0] for line in (
             "associativity", "parity-compatibility", "bialgebra"))))
+        assoc = want["associativity"][0]
+        b_runs.add((assoc and _b_closed(bad), want["mu is B-linear"][0]))
+        trace_runs.add((
+            assoc and want["parity-compatibility"][0]
+            and want["bialgebra"][0] and _psi_multiplicative(bad),
+            _psi(bad, bad.algebra.unit()) == {0: 1},
+            want["compatibility (3): trace property of mu"][0]))
     # associative tables with the parity or the bialgebra line failing or
     # passing, and associative tables with the unit left out and kept
     lines = {s[1:] for s in seen}
     assert {(True, True, False), (True, False, False), (True, True, True),
             (False, True, False)} <= lines
     assert {(True, True), (False, True)} <= {s[:2] for s in seen}
+    # each gate holding, with the line passing or failing, and failing;
+    # psi(u) = 1 and not, the trace gate holding
+    assert {(True, True), (True, False), (False, False)} <= b_runs
+    assert {(True, True), (True, False), (False, False)} <= {
+        (gate, ok) for gate, _, ok in trace_runs}
+    assert {(True, True), (True, False)} <= {
+        (gate, unit) for gate, unit, _ in trace_runs}
 
 
 def test_generators_of_the_shipped_algebras():
     # with the plain unit already reached, hn(n): K and X; Z/m: g, so
     # associativity checks 2 D^2 and D^2 triples rather than D^3; a unit
     # that is not plain stays a generator
+    def gens(pkg, reached):
+        return _generators(legged(pkg.algebra.mul_sc), pkg.algebra.dim,
+                           reached)
     for n in (2, 3, 16):
-        assert _generators(build_hn(n).algebra, [0]) == [1, n]
-        assert _generators(build_hn(n).algebra, []) == [0, 1, n]
-    assert _generators(build_hn(1).algebra, [0]) == [1]
+        assert gens(build_hn(n), [0]) == [1, n]
+        assert gens(build_hn(n), []) == [0, 1, n]
+    assert gens(build_hn(1), [0]) == [1]
     for m in (2, 8):
-        assert _generators(build_cyclic_group_algebra(m).algebra, [0]) == [1]
-    assert _generators(build_cyclic_group_algebra(1).algebra, [0]) == []
+        assert gens(build_cyclic_group_algebra(m), [0]) == [1]
+    assert gens(build_cyclic_group_algebra(1), [0]) == []

@@ -159,6 +159,36 @@ def test_an_algebra_without_its_size_is_a_failure(capsys):
         assert err == f"error: --algebra {argv[-1]} needs {flag}\n", argv
 
 
+def test_an_algebra_refuses_the_other_algebras_size(capsys):
+    trefoil = str(corpus_path("trefoil"))
+    for argv, flag in (
+            (["axioms", "--algebra", "hn", "--n", "2", "--m", "3"], "--m"),
+            (["axioms", "--algebra", "cyclic", "--m", "3", "--n", "2"],
+             "--n"),
+            (["compute", trefoil, "--algebra", "hn", "--n", "2", "--m", "3"],
+             "--m"),
+            (["compute", trefoil, "--algebra", "cyclic", "--m", "3", "--n",
+              "2"], "--n")):
+        assert run(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        algebra = argv[argv.index("--algebra") + 1]
+        assert err == f"error: --algebra {algebra} does not take {flag}\n"
+
+
+def test_axioms_refuses_a_package_above_its_dimension_budget(capsys):
+    assert cli.AXIOMS_MAX_DIM == 512
+    for argv, dim in ((["--algebra", "hn", "--n", "257"], 514),
+                      (["--algebra", "hn", "--n", "100000000000"],
+                       200000000000),
+                      (["--algebra", "cyclic", "--m", "513"], 513)):
+        assert run(["axioms", *argv]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err == (f"error: --algebra {argv[1]} gives dimension {dim}; "
+                       "axioms checks at most 512\n")
+
+
 def test_cyclic_refuses_the_flags_it_cannot_honour(capsys):
     base = ["compute", str(corpus_path("lens_6_1")), "--algebra", "cyclic",
             "--m", "4"]
