@@ -111,21 +111,28 @@ def _chi_label(group, chi):
     return ",".join(bits) if bits else "trivial"
 
 
-# The largest package dimension (2n for hn, m for cyclic) that ``axioms``
-# checks: hn(n) has n^2-entry tables, and the suite's time grows about
-# fourfold per doubling of n.
-AXIOMS_MAX_DIM = 512
+# The largest package dimension (2n for hn, m for cyclic) that ``compute``
+# and ``axioms`` build, on either engine: hn(n) has n^2-entry tables,
+# cyclic(512) alone peaks at about 100 MiB, and the axiom suite's time grows
+# about fourfold per doubling of the dimension.
+MAX_DIM = 512
 
 
 def _check_size(args):
     """Refuse an ``--algebra`` given without its size (``--n`` for hn,
-    ``--m`` for cyclic) or with the other algebra's."""
+    ``--m`` for cyclic), with the other algebra's, or with a dimension above
+    :data:`MAX_DIM`."""
     flag, other = ("m", "n") if args.algebra == "cyclic" else ("n", "m")
-    if getattr(args, flag) is None:
+    size = getattr(args, flag)
+    if size is None:
         raise SuturantError(f"--algebra {args.algebra} needs --{flag}")
     if getattr(args, other) is not None:
         raise SuturantError(
             f"--algebra {args.algebra} does not take --{other}")
+    dim = size if args.algebra == "cyclic" else 2 * size
+    if dim > MAX_DIM:
+        raise SuturantError(f"--algebra {args.algebra} gives dimension {dim}; "
+                            f"{args.verb} takes at most {MAX_DIM}")
 
 
 def _check_cyclic_flags(args):
@@ -245,12 +252,8 @@ def cmd_compare(args):
 
 def cmd_axioms(args):
     _check_size(args)
-    hn = args.algebra == "hn"
-    dim = 2 * args.n if hn else args.m
-    if dim > AXIOMS_MAX_DIM:
-        raise SuturantError(f"--algebra {args.algebra} gives dimension {dim}; "
-                            f"axioms checks at most {AXIOMS_MAX_DIM}")
-    pkg = build_hn(args.n) if hn else build_cyclic_group_algebra(args.m)
+    pkg = (build_hn(args.n) if args.algebra == "hn"
+           else build_cyclic_group_algebra(args.m))
     rep = check_axioms(pkg)
     print(rep)
     return 0 if rep.passed else 1

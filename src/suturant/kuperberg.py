@@ -12,13 +12,15 @@ alpha curves in family order and each alpha's crossings in its own order,
 and merges equal frontier states after every crossing.  A state is keyed
 by the basis index of the current alpha's not-yet-split coproduct factor
 and, per beta curve, the basis indices of its maximal runs of placed
-slots, or only the parity of its product once the beta is complete.  At a
-crossing the factor is split by the coproduct (the last crossing of an
-alpha takes it whole, an alpha without crossings contributes the counit of
-its seed), the antipode acts if the crossing is negative, and the slot is
-multiplied into its beta as left run * slot * right run.  Completing a
-beta evaluates it; a beta without crossings is evaluated on the unit at
-the start.
+slots, or only the parity of its product once the beta is complete.  When
+the package supercommutes (see below) a beta's slots are placed in the
+order they arrive, each at the right end of what the beta holds, so an
+open beta holds exactly one run.  At a crossing the factor is split by the
+coproduct (the last crossing of an alpha takes it whole, an alpha without
+crossings contributes the counit of its seed), the antipode acts if the
+crossing is negative, and the slot is multiplied into its beta as left
+run * slot * right run.  Completing a beta evaluates it; a beta without
+crossings is evaluated on the unit at the start.
 
 The terms a state contributes at a crossing depend only on three basis
 indices of its key, the remainder and the runs left and right of the
@@ -42,6 +44,19 @@ slot flips the sign by the parity of the content already placed later in
 traversal order, the runs after it on its own beta and everything placed
 on later betas.
 
+Arrival order: assume the product is associative and even (both are
+lines of the axiom suite), and that it supercommutes, e_a e_b =
+(-1)^(|a||b|) e_b e_a on every pair of basis elements, a = b included.
+Then it supercommutes on homogeneous elements, and for the slots L of a
+beta placed before position j, R placed after it and s at j,
+L * s * R = (-1)^(|s||R|) (L * R) * s.  The factor (-1)^(|s||R|) is
+exactly the own-beta part of the Koszul sign above.  So a sweep that
+multiplies each slot into the right end of its beta, L * R * s, and pays
+the sign of later betas only gives every final state the same value.  The
+shipped packages H_n and Z/m supercommute; ``_Rules`` finds out once per
+package, and a package that does not takes the sweep in each beta's own
+order, the same code with the slot's home position.
+
 Scalars: a character of order N reads the group-like b^t of B as
 x^(e * t), e its exponent on the beta, so every value is an integer vector
 over exponents mod N, an element of Z[x]/(x^N - 1).  Only a completing
@@ -59,7 +74,7 @@ rational cointegral prefactor is applied.  Everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .algebra import apply
 from .cyclotomic import CyclotomicScalar
@@ -123,15 +138,38 @@ def _closing(pkg, closed):
     return out
 
 
+def _supercommutes(alg):
+    """Whether e_a e_b = (-1)^(|a||b|) e_b e_a on every pair of basis
+    indices, a = b included, so e_a^2 = 0 for odd a.  Row by row: the
+    products e_a e_b and e_b e_a for b > a are compared as two lists, and
+    only a row that differs is read pair by pair with the sign.  A zero
+    coefficient stored on one side only reads as a difference, which costs
+    the sweep speed, never a value."""
+    mul, par, dim = alg.mul_sc, alg.parity, alg.dim
+    for a in range(dim):
+        if par[a] and mul.get((a, a)):
+            return False
+        later = range(a + 1, dim)
+        row = list(map(mul.get, zip(repeat(a), later)))
+        col = list(map(mul.get, zip(later, repeat(a))))
+        if row != col and not all(
+                par[a] and par[b]
+                and (ab or {}) == {k: -c for k, c in (ba or {}).items()}
+                for b, ab, ba in zip(later, row, col) if ab != ba):
+            return False
+    return True
+
+
 class _Rules:
     """What the sweep reads from a package alone: ``unit_a``, the alpha
     ``seeds`` and the ``closing`` tables, each keyed by the curve's
-    ``closed``, and the ``terms`` of :func:`_expand`, filled as sweeps meet
-    them.  ``terms`` holds one table per (negative, last, closing kind),
-    the kind None when the crossing completes no beta, so at most 12
-    tables; each is keyed by the local triple (remainder, left run, right
-    run), a basis index and two basis indices or None, so it holds at most
-    dim * (dim + 1)^2 entries."""
+    ``closed``, whether the product ``supercommutes`` (see
+    :func:`contract_values`), and the ``terms`` of :func:`_expand`, filled
+    as sweeps meet them.  ``terms`` holds one table per (negative, last,
+    closing kind), the kind None when the crossing completes no beta, so at
+    most 12 tables; each is keyed by the local triple (remainder, left run,
+    right run), a basis index and two basis indices or None, so it holds at
+    most dim * (dim + 1)^2 entries."""
 
     def __init__(self, pkg):
         coint = pkg.cointegral
@@ -140,6 +178,7 @@ class _Rules:
                       False: apply(coint.i_a, {unit_a: 1})}
         self.closing = {closed: _closing(pkg, closed)
                         for closed in (True, False)}
+        self.supercommutes = _supercommutes(pkg.algebra)
         self.terms = {}
 
 
@@ -267,7 +306,11 @@ def contract_values(based, pkg, assignments):
     from one sweep whose state values hold one block per assignment.  What
     depends on the package alone comes from its :func:`_rules`, shared by
     every call with the same package; only each beta's shift table, which
-    depends on the diagram and the characters, is built per call."""
+    depends on the diagram and the characters, is built per call.  When the
+    rules say the product supercommutes, each slot goes to the next free
+    position of its beta rather than its home position there, so a beta
+    holds one run and the Koszul tail counts later betas only (the module
+    docstring says why the values are the same)."""
     for chars in assignments:
         check_admissible(based, pkg.integral.glike_b_order, chars)
     alg, integ, coint = pkg.algebra, pkg.integral, pkg.cointegral
@@ -312,6 +355,8 @@ def contract_values(based, pkg, assignments):
                   for key, vec in states.items() for i, ci in seed.items()}
         for t, xid in enumerate(c.order):
             b, j = home[xid]
+            if rules.supercommutes:
+                j = len(placed[b])
             done = len(placed[b]) + 1 == len(betas[b].order)
             states = _cross(states, alg, rules, b, j, placed[b],
                             based.crossing(xid).sign < 0,

@@ -177,7 +177,7 @@ def test_an_algebra_refuses_the_other_algebras_size(capsys):
 
 
 def test_axioms_refuses_a_package_above_its_dimension_budget(capsys):
-    assert cli.AXIOMS_MAX_DIM == 512
+    assert cli.MAX_DIM == 512
     for argv, dim in ((["--algebra", "hn", "--n", "257"], 514),
                       (["--algebra", "hn", "--n", "100000000000"],
                        200000000000),
@@ -186,7 +186,29 @@ def test_axioms_refuses_a_package_above_its_dimension_budget(capsys):
         out, err = capsys.readouterr()
         assert out == "", argv
         assert err == (f"error: --algebra {argv[1]} gives dimension {dim}; "
-                       "axioms checks at most 512\n")
+                       "axioms takes at most 512\n")
+
+
+def test_compute_refuses_a_package_above_the_same_budget(capsys):
+    """Both engines refuse the same dimensions, before any package is
+    built, and both still take dimension 512."""
+    trefoil = str(corpus_path("trefoil"))
+    for engine in ("fox", "tensor"):
+        base = ["compute", trefoil, "--char", "t=1", "--engine", engine]
+        for n, dim in (("257", 514), ("100000000000", 200000000000)):
+            assert run(base + ["--n", n]) == 1, (engine, n)
+            out, err = capsys.readouterr()
+            assert out == "", (engine, n)
+            assert err == (f"error: --algebra hn gives dimension {dim}; "
+                           "compute takes at most 512\n")
+        assert run(base + ["--n", "256"]) == 0, engine
+        assert out_of(capsys) == "1 - x + x^2 (mod Φ_256)\n"
+    assert run(["compute", str(corpus_path("lens_3_1")), "--algebra",
+                "cyclic", "--m", "513"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: --algebra cyclic gives dimension 513; "
+                   "compute takes at most 512\n")
 
 
 def test_cyclic_refuses_the_flags_it_cannot_honour(capsys):

@@ -14,8 +14,9 @@ from suturant import (Character, CharacterAssignment, CyclotomicScalar,
                       build_hn, contract, contract_values, coproduct_power,
                       enumerate_multipoints, evaluate, fox_determinant,
                       homology, rebase)
+from suturant import kuperberg
 from suturant.algebra import (RelativeCointegralData, RelativeIntegralData,
-                              apply)
+                              apply, check_axioms)
 from suturant.diagram import perm_sign
 from suturant.errors import (ArcCurveError, CharacterMismatchError,
                              CyclotomicArithmeticError, OddScalarError,
@@ -345,20 +346,33 @@ def walked(based, pkg):
     return total
 
 
+def in_beta_order(pkg):
+    """A copy of the package whose sweep multiplies each beta's slots in
+    the beta's own order, keeping a run per stretch of placed slots, as it
+    does for a package that does not supercommute."""
+    copy = dataclasses.replace(pkg)
+    _rules(copy).supercommutes = False
+    return copy
+
+
 @pytest.mark.parametrize("name", ["hopf", "trefoil", "figure8", "lens_2_1"])
 def test_sweep_matches_the_term_walk_with_odd_products(name):
-    """Also with b1 reversed, and after growth to d = 3."""
+    """Also with b1 reversed, and after growth to d = 3, with each beta's
+    slots multiplied in arrival order and in the beta's own order: the odd
+    products x y = -y x are where the arrival order's sign shows."""
     based = based_at_first(load(name))
     pkg = exterior_package()
+    assert _rules(pkg).supercommutes
     for diag in (based, apply_move(based, ReverseCurve("b1")),
                  anchored(grown(load(name), 3, random.Random(SEED)))):
         want = walked(diag, pkg)
-        assert contract(diag, pkg, CharacterAssignment.trivial()) == \
-            CyclotomicScalar.integer(want, 1)
-        # one sweep, one block per order
-        assert contract_values(diag, pkg, [CharacterAssignment.trivial(n)
-                                           for n in (1, 3, 2)]) == \
-            [CyclotomicScalar.integer(want, n) for n in (1, 3, 2)]
+        for copy in (pkg, in_beta_order(pkg)):
+            assert contract(diag, copy, CharacterAssignment.trivial()) == \
+                CyclotomicScalar.integer(want, 1)
+            # one sweep, one block per order
+            assert contract_values(diag, copy, [
+                CharacterAssignment.trivial(n) for n in (1, 3, 2)]) == \
+                [CyclotomicScalar.integer(want, n) for n in (1, 3, 2)]
 
 
 def per_character(diag, pkg, assignments):
@@ -474,3 +488,145 @@ def test_the_rule_memo_stays_within_its_bound():
         for table in tables.values():
             for rem, lt, rt in table:
                 assert rem in indices and lt in runs and rt in runs
+
+
+def test_both_product_orders_agree_on_hn():
+    """H_2 and H_3 at every character, on every corpus diagram, seeded move
+    copies and rotations of them: the sweep in arrival order gives what
+    the sweep in each beta's own order gives."""
+    bases = [(name, load(name)) for name in corpus_names()]
+    pkgs = {n: (build_hn(n), in_beta_order(build_hn(n))) for n in (2, 3)}
+    for label, diag in moved_and_rotated(bases):
+        for n, (pkg, ordered) in pkgs.items():
+            assert _rules(pkg).supercommutes
+            chars = every_character(diag, n)
+            assert contract_values(diag, pkg, chars) == \
+                contract_values(diag, ordered, chars), (label, n)
+
+
+def test_a_supercommutative_sweep_keeps_one_run_per_beta(monkeypatch):
+    """Every frontier key entering a crossing holds, per beta, at most one
+    run or the parity of a completed beta; in each beta's own order the
+    same sweep holds several runs on one beta."""
+    widest, cross = [], kuperberg._cross
+
+    def spy(states, *args):
+        widest.append(max((len(p) for key in states for p in key[1:]
+                           if not isinstance(p, int)), default=0))
+        return cross(states, *args)
+
+    monkeypatch.setattr(kuperberg, "_cross", spy)
+    diag = slid_and_back(load("hopf"), 3)
+    for pkg in (build_hn(3), exterior_package()):
+        contract_values(diag, pkg, [CharacterAssignment.trivial(3)])
+        assert widest and max(widest) == 1, pkg.name
+        widest.clear()
+        contract_values(diag, in_beta_order(pkg),
+                        [CharacterAssignment.trivial(3)])
+        assert max(widest) > 1, pkg.name
+        widest.clear()
+
+
+def symmetric_group_package():
+    """The group algebra of S_3, built from its multiplication table as
+    :func:`build_cyclic_group_algebra` builds Z/m: basis the six
+    permutations of (0, 1, 2), identity first, all even, integral delta_e,
+    cointegral the sum of all group elements.  It does not commute, so its
+    sweep keeps each beta's runs in the beta's own order.  Its
+    homomorphism counts cannot see that order: reversing every product
+    gives the opposite group, and S_3^op is S_3 by inversion."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    m = len(perms)
+    mul_sc = {(i, j): {index[tuple(p[x] for x in q)]: 1}
+              for i, p in enumerate(perms) for j, q in enumerate(perms)}
+    antipode_sc = {i: {index[tuple(sorted(range(3), key=p.__getitem__))]: 1}
+                   for i, p in enumerate(perms)}
+    alg = PresentedAlgebra(m, tuple("".join(map(str, p)) for p in perms),
+                           (0,) * m, mul_sc,
+                           {i: {(i, i): 1} for i in range(m)}, antipode_sc,
+                           (1,) * m, 0)
+    integral = RelativeIntegralData(
+        b_basis=(0,), i_b={0: {0: 1}}, pi_b={i: {0: 1} for i in range(m)},
+        mu={0: {0: 1}}, glike_b=0, glike_b_order=1, b_dlog=(0,),
+        mu_parity=0)
+    cointegral = RelativeCointegralData(
+        a_basis=(0,), pi_a={i: {0: 1} for i in range(m)}, i_a={0: {0: 1}},
+        iota={0: {i: 1 for i in range(m)}}, astar_exps=(0,), astar_order=1,
+        iota_prefactor=Fraction(1), iota_parity=0)
+    return HopfPackage(alg, integral, cointegral, name="S_3")
+
+
+def s3_homomorphisms(diag):
+    """|Hom(<closed betas | closed alpha words>, S_3)| by brute force, a
+    letter on an arc beta read as the identity."""
+    perms = list(itertools.permutations(range(3)))
+    gens = [c.id for c in diag.family("beta", "closed")]
+    words = [[(diag.crossing(x).beta, diag.crossing(x).sign) for x in c.order
+              if diag.crossing(x).beta in gens]
+             for c in diag.family("alpha", "closed")]
+    count = 0
+    for images in itertools.product(perms, repeat=len(gens)):
+        image = dict(zip(gens, images))
+        for word in words:
+            p = perms[0]
+            for beta, sign in word:
+                q = image[beta]
+                if sign < 0:
+                    q = tuple(sorted(range(3), key=q.__getitem__))
+                p = tuple(p[x] for x in q)
+            if p != perms[0]:
+                break
+        else:
+            count += 1
+    return count
+
+
+def test_the_group_algebra_of_s3_counts_homomorphisms():
+    """Its axiom suite passes, it does not supercommute, and its
+    contraction at the trivial character is the homomorphism count on
+    every corpus diagram and its slide-and-back growth to each d <= 3."""
+    pkg = symmetric_group_package()
+    assert check_axioms(pkg).passed
+    assert not _rules(pkg).supercommutes
+    triv = CharacterAssignment.trivial()
+    for name in corpus_names():
+        base = load(name)
+        for d in range(base.d, 4):
+            diag = slid_and_back(base, d)
+            assert contract(diag, pkg, triv) == CyclotomicScalar.integer(
+                s3_homomorphisms(diag), 1), (name, d)
+
+
+def test_the_supercommutation_flag():
+    """H_n, Z/m and the exterior algebra supercommute; S_3 does not, nor
+    does the exterior algebra with an odd square x^2 = 1, which commutes
+    on every pair of distinct basis elements."""
+    ext = exterior_package()
+    mul = dict(ext.algebra.mul_sc)
+    mul.update({(1, 1): {0: 1}, (1, 3): {2: 1}, (3, 1): {2: -1}})
+    clifford = dataclasses.replace(ext, algebra=dataclasses.replace(
+        ext.algebra, mul_sc=mul))
+    for pkg, flag in ((build_hn(1), True), (build_hn(4), True),
+                      (build_cyclic_group_algebra(5), True), (ext, True),
+                      (symmetric_group_package(), False), (clifford, False)):
+        assert _rules(pkg).supercommutes is flag, pkg.name
+
+
+@pytest.mark.parametrize("name,d,ns", [("trefoil", 3, (2, 3)),
+                                       ("figure8", 3, (2, 3)),
+                                       ("hopf", 4, (3,)),
+                                       ("lens_3_1", 4, (3,))])
+def test_engines_agree_past_the_old_frontier_wall(name, d, ns):
+    """Slide-and-back growth that took the sweep seconds to minutes while
+    it kept a run per stretch of each beta's placed slots: the contraction
+    equals the evaluated Fox determinant at every character."""
+    diag = slid_and_back(load(name), d)
+    g = homology(diag)
+    based = anchored(diag)
+    det = fox_determinant(based, g)
+    for n in ns:
+        chars = all_characters(g, n)
+        assert contract_values(based, build_hn(n), [
+            CharacterAssignment.from_character(chi) for chi in chars]) == \
+            [evaluate(det, chi) for chi in chars], (name, d, n)
