@@ -9,9 +9,11 @@ where torsion gives Z[H_1] zero divisors: Kronecker substitution packs each
 lifted entry into one integer, and fraction-free elimination runs on the
 integers (:func:`determinant`).
 
-The Fox matrix is built in H_1 coordinates: one walk per closed alpha
-(:func:`crossing_classes`) classes each crossing, and entry (a, b) sums
-sign * t^class over the crossings of a with b.  The word-level
+The Fox matrix reads each closed alpha's crossings twice: once for its
+relator (:func:`homology`), and once in one walk (:func:`_walk`, the only
+statement of the class rule) that classes each crossing and adds its sign
+to entry (a, b) = sum sign * t^class over the crossings of a with b, keyed
+already in normal form.  The word-level
 :func:`fox_derivative` uses the closed occurrence formula
 
     dw/dx = sum_j m_j (A_j x^{-eps_j})
@@ -29,9 +31,10 @@ from dataclasses import dataclass
 from operator import add, mul, sub
 
 from .cyclotomic import CyclotomicScalar
-from .diagram import FreeWord, alpha_word, fraction_free_det
+from .diagram import FreeWord, fraction_free_det
 from .errors import (GroupMismatchError, InvalidCharacterError,
-                     NonSquareError, NotDivisibleError, UnknownGeneratorError)
+                     NonSquareError, NotDivisibleError, UnknownCurveError,
+                     UnknownGeneratorError)
 
 
 # ---------------------------------------------------------------------------
@@ -42,15 +45,8 @@ def fox_derivative(word, gen):
     """List of (prefix word, sign): one signed word per occurrence of
     gen^{+-1}.  For a positive occurrence the word is the bare prefix; for a
     negative one the prefix times gen^{-1}."""
-    out = []
-    for j, (g, e) in enumerate(word.letters):
-        if g != gen:
-            continue
-        if e == 1:
-            out.append((FreeWord(word.letters[:j]), 1))
-        else:
-            out.append((FreeWord(word.letters[:j + 1]), -1))
-    return out
+    return [(FreeWord(word.letters[:j + (e < 0)]), e)
+            for j, (g, e) in enumerate(word.letters) if g == gen]
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +192,8 @@ class AbelianGroup:
 
     def project(self, exponents):
         """Normal form of a generator-exponent vector."""
-        coords = [0] * self.ncoords
-        for g, e in zip(range(len(self.gens)), exponents):
-            if e:
-                for t in range(self.ncoords):
-                    coords[t] += e * self.projection[g][t]
-        return self.normalize(coords)
+        return self.normalize([sum(map(mul, exponents, column))
+                               for column in zip(*self.projection)])
 
     def project_word(self, word):
         exps = [0] * len(self.gens)
@@ -214,12 +206,8 @@ class AbelianGroup:
 
     def lift(self, coords):
         """A representative generator-exponent vector of a normal form."""
-        out = [0] * len(self.gens)
-        for t, c in enumerate(coords):
-            if c:
-                for g in range(len(self.gens)):
-                    out[g] += c * self.section[t][g]
-        return tuple(out)
+        return tuple(sum(c * row[g] for c, row in zip(coords, self.section))
+                     for g in range(len(self.gens)))
 
     def identity(self):
         return tuple([0] * self.ncoords)
@@ -244,16 +232,29 @@ def presented_group(gens, relation_rows):
 
 
 def homology(diag):
-    """H_1 presented on the beta duals with one relation per closed alpha."""
+    """H_1 presented on the beta duals with one relation per closed alpha,
+    its crossings' signs summed at their betas in one read of its order."""
     gens = diag.beta_generators()
     pos = {g: i for i, g in enumerate(gens)}
     rows = []
     for c in diag.closed_alphas:
         row = [0] * len(gens)
-        for g, e in alpha_word(diag, c.id).letters:
-            row[pos[g]] += e
+        for x in _crossings(diag, c.order):
+            if x.beta not in pos:
+                raise UnknownGeneratorError(x.beta)
+            row[pos[x.beta]] += x.sign
         rows.append(row)
     return presented_group(gens, rows)
+
+
+def _crossings(diag, order):
+    """The crossings of a sequence of ids (UnknownCurveError for an id the
+    diagram lacks, as ``diag.crossing`` raises)."""
+    index = diag.crossing_index
+    try:
+        return [index[xid] for xid in order]
+    except KeyError as err:
+        raise UnknownCurveError(f"crossing {err.args[0]}") from None
 
 
 class GroupRingElement:
@@ -270,6 +271,13 @@ class GroupRingElement:
                 kk = group.normalize(k)
                 clean[kk] = clean.get(kk, 0) + c
         self.terms = {k: c for k, c in clean.items() if c}
+
+    @classmethod
+    def _normal(cls, group, terms):
+        """An element on terms already in normal form, none of them zero."""
+        el = object.__new__(cls)
+        el.group, el.terms = group, terms
+        return el
 
     @classmethod
     def zero(cls, group):
@@ -389,13 +397,9 @@ def abelianize(word_or_terms, group):
     """Image in Z[H_1] of a FreeWord (a single monomial) or of a signed-word
     list as produced by :func:`fox_derivative`."""
     if isinstance(word_or_terms, FreeWord):
-        return GroupRingElement.monomial(
-            group, group.project_word(word_or_terms))
-    out = GroupRingElement.zero(group)
-    for word, sign in word_or_terms:
-        out = out + GroupRingElement.monomial(
-            group, group.project_word(word), sign)
-    return out
+        word_or_terms = [(word_or_terms, 1)]
+    return sum((GroupRingElement.monomial(group, group.project_word(w), s)
+                for w, s in word_or_terms), GroupRingElement.zero(group))
 
 
 def coordinate_name(group, t):
@@ -432,53 +436,70 @@ def render_group_ring(el):
         else:
             body = f"{abs(coeff)} {mono}"
         parts.append(("-" if coeff < 0 else "+", body))
-    sign, first = parts[0]
-    text = ("-" if sign == "-" else "") + first
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    text = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
+    return text + "".join(f" {sign} {body}" for sign, body in parts[1:])
 
 
 # ---------------------------------------------------------------------------
 # Fox matrix, determinant, multipoint expansion
 # ---------------------------------------------------------------------------
 
-def crossing_classes(diag, group):
-    """Crossing id -> class in H_1 of the word from its closed alpha's
-    basepoint up to the crossing's own basepoint, which sits before a
-    positive crossing and after a negative one.  One walk per closed alpha
-    with a running normal-form vector."""
+def _walk(group, crossings, cols):
+    """The one walk along a closed alpha from its basepoint, for its
+    crossings' classes in H_1 and its Fox row.  The class rule: a
+    crossing's class is that of the word up to its own basepoint, which
+    sits before a positive crossing and after a negative one.  The running
+    class is kept in normal form; each crossing's sign is added at its
+    class to the row's entry at column ``cols[beta]``, if any."""
     step = dict(zip(group.gens, group.projection))
-    out = {}
-    for c in diag.closed_alphas:
-        acc = group.identity()
-        for xid in c.order:
-            x = diag.crossing(xid)
-            if x.beta not in step:
-                raise UnknownGeneratorError(x.beta)
-            after = tuple(map(add if x.sign > 0 else sub, acc, step[x.beta]))
-            out[xid] = group.normalize(acc if x.sign > 0 else after)
-            acc = after
-    return out
+    tidy = group.normalize if group.torsion else tuple
+    acc, classes, row = group.identity(), [], [{} for _ in cols]
+    for x in crossings:
+        if x.beta not in step:
+            raise UnknownGeneratorError(x.beta)
+        if x.sign > 0:
+            k, acc = acc, tidy(map(add, acc, step[x.beta]))
+        else:
+            k = acc = tidy(map(sub, acc, step[x.beta]))
+        classes.append(k)
+        if x.beta in cols:
+            entry = row[cols[x.beta]]
+            entry[k] = entry.get(k, 0) + x.sign
+    return classes, row
 
 
-def fox_matrix(diag, group=None, classes=None):
+def crossing_classes(diag, group):
+    """Crossing id -> class in H_1 (:func:`_walk`) on the closed alphas."""
+    return {xid: k for c in diag.closed_alphas for xid, k in zip(
+        c.order, _walk(group, _crossings(diag, c.order), {})[0])}
+
+
+def multipoint_class(diag, group, picks):
+    """The sum in H_1 of the picks' crossing classes, each pick's alpha
+    walked only up to the pick."""
+    total = group.identity()
+    for xid in picks:
+        order = diag.curve(diag.crossing(xid).alpha).order
+        if xid not in order:
+            raise UnknownCurveError(f"crossing {xid} is not on its alpha")
+        upto = _crossings(diag, order[:order.index(xid) + 1])
+        total = tuple(map(add, total, _walk(group, upto, {})[0][-1]))
+    return group.normalize(total)
+
+
+def fox_matrix(diag, group=None):
     """Matrix of abelianized Fox derivatives: rows the closed alpha words,
-    columns the closed beta duals, entries in Z[H_1].  ``classes`` is the
-    :func:`crossing_classes` result when the caller already has it."""
+    columns the closed beta duals, entries in Z[H_1], one :func:`_walk`
+    per row.  Its classes are in normal form, so the entries are taken as
+    they are, zero sums dropped."""
     group = group or homology(diag)
-    if classes is None:
-        classes = crossing_classes(diag, group)
     cols = {c.id: j for j, c in enumerate(diag.closed_betas)}
     rows = []
     for a in diag.closed_alphas:
-        row = [{} for _ in cols]
-        for xid in a.order:
-            x = diag.crossing(xid)
-            if x.beta in cols:
-                entry = row[cols[x.beta]]
-                entry[classes[xid]] = entry.get(classes[xid], 0) + x.sign
-        rows.append([GroupRingElement(group, e) for e in row])
+        row = _walk(group, _crossings(diag, a.order), cols)[1]
+        rows.append([GroupRingElement._normal(group, e if all(e.values())
+                                              else {k: c for k, c in e.items()
+                                                    if c}) for e in row])
     return rows
 
 
@@ -515,24 +536,36 @@ def determinant(mat):
         raise NonSquareError("empty matrix has no ring context here")
     group = mat[0][0].group
     rows = [[el.terms for el in row] for row in mat]
-    row_lows, row_spans, row_norm = _line_bounds(rows)
-    col_lows, col_spans, col_norm = _line_bounds(list(zip(*rows)))
-    if not row_norm * col_norm:                 # a zero row or column
+    # each line's keys and l1 norm in one pass: rows 0..n-1, columns n..2n-1
+    keys, norms = [[] for _ in range(2 * n)], [0] * (2 * n)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row, n):
+            if entry:
+                norm = sum(map(abs, entry.values()))
+                for t in (i, j):
+                    keys[t] += entry
+                    norms[t] += norm
+    if 0 in norms:                              # a zero row or column
         return GroupRingElement.zero(group)
+    coords = [list(zip(*line)) for line in keys]
+    lows = [tuple(map(min, c)) for c in coords]
+    spreads = [tuple(map(sub, map(max, c), lo)) for c, lo in zip(coords, lows)]
+    row_spans, col_spans = ([sum(s) for s in zip(*spreads[k:k + n])]
+                            for k in (0, n))
     by_row = [r <= c for r, c in zip(row_spans, col_spans)]
     spans = list(map(min, row_spans, col_spans))
     strides = [math.prod(s + 1 for s in spans[:v]) for v in range(len(spans))]
-    bits = min(row_norm, col_norm).bit_length() + 1
+    bits = min(math.prod(norms[:n]), math.prod(norms[n:])).bit_length() + 1
     on_rows = [s if r else 0 for s, r in zip(strides, by_row)]
     on_cols = list(map(sub, strides, on_rows))
-    row_offs = [sum(map(mul, low, on_rows)) for low in row_lows]
-    col_offs = [sum(map(mul, low, on_cols)) for low in col_lows]
+    row_offs = [sum(map(mul, low, on_rows)) for low in lows[:n]]
+    col_offs = [sum(map(mul, low, on_cols)) for low in lows[n:]]
     det = fraction_free_det([
         [sum(c << bits * (sum(map(mul, k, strides)) - ro - co)
              for k, c in entry.items())
          for entry, co in zip(row, col_offs)]
         for row, ro in zip(rows, row_offs)])
-    shift = [sum(low[v] for low in (row_lows if r else col_lows))
+    shift = [sum(low[v] for low in (lows[:n] if r else lows[n:]))
              for v, r in enumerate(by_row)]
     terms, base = {}, 1 << bits
     box = [range(low, low + span + 1) for low, span in zip(shift, spans)]
@@ -549,50 +582,24 @@ def determinant(mat):
     return GroupRingElement(group, terms)
 
 
-def _line_bounds(lines):
-    """For the lines (rows or columns) of a matrix of term dicts: the least
-    exponent of each coordinate in each line, the spread max - min of each
-    coordinate summed over the lines, and the product of the l1 norms of
-    the lines (0 when a line is zero)."""
-    lows, spreads, norm = [], [], 1
-    for line in lines:
-        keys = [k for entry in line for k in entry]
-        lows.append(tuple(map(min, zip(*keys))))
-        spreads.append(tuple(map(sub, map(max, zip(*keys)), lows[-1])))
-        norm *= sum(abs(c) for entry in line for c in entry.values())
-    return lows, [sum(s) for s in zip(*spreads)], norm
-
-
-def fox_determinant(diag, group=None, classes=None):
+def fox_determinant(diag, group=None):
     """det of the Fox matrix; the empty (d = 0) determinant is 1."""
     group = group or homology(diag)
     if not diag.closed_alphas:
         return GroupRingElement.one(group)
-    return determinant(fox_matrix(diag, group, classes))
+    return determinant(fox_matrix(diag, group))
 
 
 def multipoint_expansion(diag, group=None):
-    """Sum over multipoints of sign times the abelianized prefix product.
-
-    The prefix of a pick runs from the curve's basepoint up to the pick's
-    own basepoint: the pick letter itself is excluded at a positive pick and
-    included at a negative one.
-    """
+    """Sum over multipoints of sign times the multipoint's class
+    (:func:`multipoint_class`)."""
     from .diagram import enumerate_multipoints, multipoint_sign
     group = group or homology(diag)
     total = GroupRingElement.zero(group)
     for mp in enumerate_multipoints(diag):
-        exps = [0] * len(group.gens)
-        pos = {g: i for i, g in enumerate(group.gens)}
-        for xid in mp.picks:
-            x = diag.crossing(xid)
-            order = diag.curve(x.alpha).order
-            upto = order.index(xid) + (0 if x.sign > 0 else 1)
-            for t in range(upto):
-                y = diag.crossing(order[t])
-                exps[pos[y.beta]] += y.sign
         total = total + GroupRingElement.monomial(
-            group, group.project(exps), multipoint_sign(diag, mp))
+            group, multipoint_class(diag, group, mp.picks),
+            multipoint_sign(diag, mp))
     return total
 
 
@@ -635,16 +642,10 @@ class Character:
 
 def all_characters(group, order):
     """Every character of the group into Z/order, deterministic order."""
-    choices = []
-    for _ in range(group.rank):
-        choices.append(range(order))
-    for d in group.torsion:
-        step = order // math.gcd(d, order)
-        choices.append(range(0, order, step))
-    out = []
-    for exps in itertools.product(*choices):
-        out.append(Character(group, order, tuple(exps)))
-    return out
+    choices = [range(order)] * group.rank + [
+        range(0, order, order // math.gcd(d, order)) for d in group.torsion]
+    return [Character(group, order, exps)
+            for exps in itertools.product(*choices)]
 
 
 def evaluate(el, chi):

@@ -42,9 +42,9 @@ from .errors import (AmbiguousOrientationError, InvalidCharacterError,
                      InvalidMultipointError, InvalidReferenceError,
                      NotDivisibleError)
 from .foxcalc import (GroupRingElement, InvariantClass, canonical_class,
-                      class_equal, crossing_classes,
-                      divide_by_element_minus_one, evaluate, fox_determinant,
-                      homology, smith_normal_form)
+                      class_equal, divide_by_element_minus_one, evaluate,
+                      fox_determinant, homology, multipoint_class,
+                      smith_normal_form)
 from .kuperberg import check_admissible, contract_values
 # Not called here: kept as a module attribute because the benchmark tracer
 # (perfbench/tracing.py) wraps suturant.invariant.contract.
@@ -144,22 +144,20 @@ def _matchable(alphas, options, taken):
 
 
 def _normalization(diag, spinc, orient):
-    """Check the reference and return the group, the diagram's
-    :func:`crossing_classes` and the unit delta * t^h that normalizes a
-    value read at the diagram's own basepoints: h is the offset minus the
-    anchor's classes, delta the resolved orientation sign."""
+    """Check the reference and return the group and the unit delta * t^h
+    that normalizes a value read at the diagram's own basepoints: h is the
+    offset minus the anchor's class (:func:`foxcalc.multipoint_class`, each
+    closed alpha walked up to its pick), delta the orientation sign."""
     group = homology(diag)
     try:
         _check_multipoint(diag, spinc.reference)
     except InvalidMultipointError:
         raise InvalidReferenceError(
             f"{spinc.reference} is not a multipoint of the diagram") from None
-    classes = crossing_classes(diag, group)
-    coords = spinc.offset_coords(group)
-    for xid in anchor_multipoint(diag).picks:
-        coords = tuple(map(sub, coords, classes[xid]))
-    unit = GroupRingElement.monomial(group, coords, orient.resolve(diag))
-    return group, classes, unit
+    h = map(sub, spinc.offset_coords(group),
+            multipoint_class(diag, group, anchor_multipoint(diag).picks))
+    return group, GroupRingElement.monomial(group, tuple(h),
+                                            orient.resolve(diag))
 
 
 def invariant_hn(diag, n, chars, spinc, orient=OrientationSign(),
@@ -190,7 +188,7 @@ def invariant_hn_values(diag, n, assignments, spinc,
     if engine == "fox":
         base = invariant_h0(diag, spinc, orient)
     elif engine == "tensor":
-        base = _normalization(diag, spinc, orient)[2]
+        base = _normalization(diag, spinc, orient)[1]
     else:
         raise ValueError(f"unknown engine {engine!r}")
     values = []
@@ -209,8 +207,8 @@ def invariant_h0(diag, spinc, orient=OrientationSign()):
     determinant is the one :func:`torsion_class` takes, at the diagram's
     own basepoints, so h is the offset minus the anchor's class; the
     reference is only checked."""
-    group, classes, unit = _normalization(diag, spinc, orient)
-    return fox_determinant(diag, group, classes) * unit
+    group, unit = _normalization(diag, spinc, orient)
+    return fox_determinant(diag, group) * unit
 
 
 def torsion_class(diag):

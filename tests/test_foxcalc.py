@@ -1,19 +1,25 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
-from suturant import (Character, FreeWord, GroupRingElement, abelianize,
-                      all_characters, alpha_word, canonical_class,
-                      class_equal, determinant, divide_by_element_minus_one,
+import suturant
+from suturant import (Character, CharacterAssignment, FreeWord,
+                      GroupRingElement, OrientationSign, SpincRelative,
+                      abelianize, all_characters, alpha_word,
+                      canonical_class, class_equal,
+                      determinant, divide_by_element_minus_one,
                       enumerate_multipoints, epsilon_class, evaluate,
                       fox_derivative, fox_determinant, fox_matrix, homology,
-                      multipoint_expansion, presented_group,
-                      smith_normal_form)
+                      invariant_h0, invariant_hn_values, multipoint_expansion,
+                      presented_group, smith_normal_form, torsion_class)
 from suturant.errors import (InvalidCharacterError, NonSquareError,
-                             NotDivisibleError)
+                             NotDivisibleError, UnknownCurveError,
+                             UnknownGeneratorError)
 from suturant.diagram import fraction_free_det
-from suturant.foxcalc import _Laurent, crossing_classes
+from suturant.foxcalc import _Laurent, crossing_classes, multipoint_class
+from suturant.invariant import _normalization, anchor_multipoint
 
 from conftest import (SEED, corpus_names, load, moved_and_rotated,
                       slid_and_back)
@@ -360,6 +366,43 @@ def test_determinant_edge_cases():
     assert not determinant(cases[-1][0]).is_zero()
 
 
+def test_determinant_bounds_on_random_sparse_matrices():
+    """Seeded sparse 1x1 to 4x4 matrices over Z^2 x Z/3: empty entries,
+    negative exponents, a zero row and a zero column, and lines whose t1
+    grows down the columns and t2 along the rows, so that rows give the
+    smaller t1 span and columns the smaller t2 span."""
+    g = presented_group(("x", "y", "z"), [[0, 0, 3]])
+    assert (g.rank, g.torsion) == (2, (3,))
+    rng = random.Random(SEED + 13)
+
+    def entry(i, j, tilt):
+        if rng.random() < 0.4:
+            return GroupRingElement.zero(g)
+        return GroupRingElement(g, {
+            (rng.randint(-3, 2) + tilt * 5 * i,
+             rng.randint(-3, 2) + tilt * 5 * j,
+             rng.randrange(3)): rng.choice((-2, -1, 1, 3))
+            for _ in range(rng.randint(1, 3))})
+
+    zero_lines = 0
+    for trial in range(400):
+        n = 1 + trial % 4
+        mat = [[entry(i, j, trial % 3 == 0) for j in range(n)]
+               for i in range(n)]
+        if trial % 5 == 1:
+            mat[rng.randrange(n)] = [GroupRingElement.zero(g)] * n
+        if trial % 5 == 2:
+            k = rng.randrange(n)
+            mat = [row[:k] + [GroupRingElement.zero(g)] + row[k + 1:]
+                   for row in mat]
+        got = determinant(mat)
+        assert got == _lifted_det(mat), mat
+        if trial % 5 in (1, 2):
+            assert got.is_zero()
+            zero_lines += 1
+    assert zero_lines == 160
+
+
 def _class_rule_cases():
     """Every corpus diagram, seeded move copies and rotated copies of each,
     and bases with and without torsion grown by slides to d = 4 and 8."""
@@ -367,6 +410,96 @@ def _class_rule_cases():
     for name in ("hopf", "trefoil", "figure8", "lens_3_1", "lens_6_1"):
         for d in (4, 8):
             yield f"{name} grown to {d}", slid_and_back(load(name), d)
+
+
+def test_homology_reads_the_alpha_words():
+    """H_1 summed from the crossings equals the group presented by the
+    exponent sums of the alpha words."""
+    for label, diag in _class_rule_cases():
+        gens = diag.beta_generators()
+        rows = [[alpha_word(diag, c.id).exponent_sums().get(b, 0)
+                 for b in gens] for c in diag.closed_alphas]
+        assert homology(diag) == presented_group(gens, rows), label
+
+
+def test_normalization_unit_from_the_anchor_classes():
+    """The unit of the normalization, from the anchor's picks alone, equals
+    the one built from the full crossing_classes dict, at a seeded offset
+    and both orientation signs, on every case with a multipoint."""
+    rng = random.Random(SEED + 14)
+    for label, diag in _class_rule_cases():
+        anchor = anchor_multipoint(diag)
+        if anchor is None:
+            continue
+        group = homology(diag)
+        classes = crossing_classes(diag, group)
+        offset = tuple(rng.randint(-3, 3) for _ in range(group.ncoords))
+        coords = offset
+        for xid in anchor.picks:
+            coords = tuple(a - b for a, b in zip(coords, classes[xid]))
+        for sign in (1, -1):
+            spinc = SpincRelative(anchor, GroupRingElement.monomial(
+                group, offset))
+            got = _normalization(diag, spinc, OrientationSign(sign))
+            assert got == (group, GroupRingElement.monomial(
+                group, coords, sign)), (label, sign)
+
+
+def test_compute_path_reads_no_alpha_word_and_no_class_dict(monkeypatch):
+    """With alpha_word and crossing_classes made to fail, torsion_class,
+    invariant_h0 and invariant_hn_values on both engines still give their
+    values: the corpus cases on both engines, the grown ones on Fox, the
+    invariants wherever there is a multipoint."""
+    rng = random.Random(SEED + 15)
+    runs = []
+    for label, diag in _class_rule_cases():
+        calls = [lambda d=diag: torsion_class(d)]
+        if anchor_multipoint(diag) is not None:
+            spinc = SpincRelative(anchor_multipoint(diag))
+            chars = [CharacterAssignment.from_character(rng.choice(
+                all_characters(homology(diag), 2)))]
+            engines = ("fox",) if "grown" in label else ("fox", "tensor")
+            calls.append(lambda d=diag, s=spinc: invariant_h0(d, s))
+            calls += [lambda d=diag, s=spinc, c=chars, e=e:
+                      invariant_hn_values(d, 2, c, s, engine=e)
+                      for e in engines]
+        runs += [(label, call, call()) for call in calls]
+
+    def fail(*args):
+        raise AssertionError("the compute path read it")
+
+    for module in (suturant, suturant.diagram, suturant.foxcalc,
+                   suturant.invariant):
+        for name in ("alpha_word", "crossing_classes"):
+            monkeypatch.setattr(module, name, fail, raising=False)
+    for label, call, want in runs:
+        assert call() == want, label
+
+
+def test_fox_path_errors_on_unvalidated_diagrams(trefoil):
+    """A crossing whose beta is no curve raises UnknownGeneratorError, and
+    an alpha order naming no crossing raises UnknownCurveError, from every
+    Fox-path function."""
+    g = homology(trefoil)
+    bad_beta = replace(trefoil, crossings=tuple(
+        replace(x, beta="zz") if x.id == "x1" else x
+        for x in trefoil.crossings))
+    no_crossing = trefoil.with_curves(
+        replace(c, order=c.order + ("x9",)) if c.id == "a1" else c
+        for c in trefoil.curves)
+    for diag, error in ((bad_beta, UnknownGeneratorError),
+                        (no_crossing, UnknownCurveError)):
+        for call in (lambda: homology(diag),
+                     lambda: crossing_classes(diag, g),
+                     lambda: fox_matrix(diag), lambda: fox_matrix(diag, g),
+                     lambda: torsion_class(diag)):
+            with pytest.raises(error):
+                call()
+    with pytest.raises(UnknownGeneratorError):
+        multipoint_class(bad_beta, g, ("x3",))
+    with pytest.raises(UnknownCurveError):
+        multipoint_class(replace(trefoil, crossings=trefoil.crossings + (
+            replace(trefoil.crossing("x1"), id="x9"),)), g, ("x9",))
 
 
 def test_fox_matrix_is_the_abelianized_fox_derivative():
@@ -397,6 +530,8 @@ def test_multipoint_class_differences_are_change_of_basepoint_classes():
             return [sum(col) for col in zip(
                 g.identity(), *(classes[xid] for xid in mp.picks))]
 
+        for mp in mps:
+            assert multipoint_class(diag, g, mp.picks) == g.normalize(h(mp))
         pairs = (itertools.product(mps, mps) if fixed is None else
                  [p for y in mps for p in ((mps[fixed], y), (y, mps[fixed]))])
         for x, y in pairs:
