@@ -10,21 +10,24 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 
 from .algebra import build_cyclic_group_algebra, build_hn, check_axioms
 from .diagram import (enumerate_multipoints, multipoint_permutation,
                       parse_diagram, serialize_diagram, validate)
 from .errors import SuturantError
-from .foxcalc import (GroupRingElement, all_characters, class_equal,
-                      coordinate_name, homology)
+from .foxcalc import (Character, GroupRingElement, character_exponents,
+                      class_equal, coordinate_name, homology)
 from .invariant import (OrientationSign, SpincRelative, anchor_multipoint,
                         invariant_hn_values, torsion_class)
-# Not called here: kept as a module attribute because the benchmark tracer
-# (perfbench/tracing.py) wraps suturant.cli.invariant_hn.
-from .invariant import invariant_hn  # noqa: F401
 from .kuperberg import CharacterAssignment, contract
 from .moves import apply_move, parse_move_script
+# Not called here: kept as module attributes because the benchmark tracer
+# (perfbench/tracing.py) wraps suturant.cli.all_characters and
+# suturant.cli.invariant_hn.
+from .foxcalc import all_characters  # noqa: F401
+from .invariant import invariant_hn  # noqa: F401
 
 
 def _read(path):
@@ -75,7 +78,8 @@ def _name_vector(group, name, unknown):
 
 def _resolve_characters(group, order, spec_text):
     """Characters of the given order matching ``k=v`` constraints; keys are
-    names in the sense of :func:`_name_vector`."""
+    names in the sense of :func:`_name_vector`.  A coordinate key fixes its
+    exponent before the characters are built; a beta-id key filters them."""
     pairs = []
     if spec_text:
         for item in spec_text.split(","):
@@ -83,9 +87,18 @@ def _resolve_characters(group, order, spec_text):
                 raise SuturantError(f"bad --char entry {item!r}")
             k, v = item.split("=", 1)
             pairs.append((k.strip(), _integer(v, item, "--char") % order))
-    constraints = [(_name_vector(group, k, f"unknown character key {k!r}"),
-                    v) for k, v in pairs]
-    return [chi for chi in all_characters(group, order)
+    names = [coordinate_name(group, t) for t in range(group.ncoords)]
+    choices = character_exponents(group, order)
+    constraints = []
+    for k, v in pairs:
+        vec = _name_vector(group, k, f"unknown character key {k!r}")
+        if k in names:
+            t = names.index(k)
+            choices[t] = [v] if v in choices[t] else []
+        else:
+            constraints.append((vec, v))
+    return [chi for chi in (Character(group, order, exps)
+                            for exps in itertools.product(*choices))
             if all(chi.exponent(vec) == v for vec, v in constraints)]
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, mul, sub
+from operator import add, mod, mul, sub
 
 from .cyclotomic import CyclotomicScalar
 from .diagram import FreeWord, fraction_free_det
@@ -59,40 +59,53 @@ def smith_normal_form(rows, ncols):
     Only the column transform is kept: V maps original coordinates to
     normal-form coordinates (x -> x V), and Vinv sections them back.
     ``diag`` lists the invariant factors d_1 | d_2 | ... (zeros trimmed).
+
+    R's rows and V's rows share one list, so each column operation is one
+    walk over both, and row operations change R's rows in place.  One
+    routine clears row and column t and makes the pivot positive: the
+    main pass calls it after its pivot search, and the divisibility repair
+    after adding column i + 1 to column i, at i and at i + 1.
     """
-    m = len(rows)
-    n = ncols
+    m, n = len(rows), ncols
     a = [list(r) + [0] * (n - len(r)) for r in rows]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    stack = a + v
 
     def col_op(j, k, q):
         # col_k -= q * col_j  on a and v;  row_j += q * row_k on vinv
-        for r in a:
-            r[k] -= q * r[j]
-        for r in v:
+        for r in stack:
             r[k] -= q * r[j]
         for t in range(n):
             vinv[j][t] += q * vinv[k][t]
 
     def col_swap(j, k):
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-        for r in v:
+        for r in stack:
             r[j], r[k] = r[k], r[j]
         vinv[j], vinv[k] = vinv[k], vinv[j]
 
-    def col_neg(j):
-        for r in a:
-            r[j] = -r[j]
-        for r in v:
-            r[j] = -r[j]
-        for t in range(n):
-            vinv[j][t] = -vinv[j][t]
-
-    def row_op(i, k, q):
-        for t in range(n):
-            a[k][t] -= q * a[i][t]
+    def clear(t):
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    for s in range(n):      # in place: the row is stacked
+                        a[i][s] -= q * a[t][s]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+                        dirty = True
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    col_op(t, j, a[t][j] // a[t][t])
+                    if a[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+        if a[t][t] < 0:
+            for r in stack:
+                r[t] = -r[t]
+            vinv[t] = [-x for x in vinv[t]]
 
     t = 0
     while t < min(m, n):
@@ -110,27 +123,7 @@ def smith_normal_form(rows, ncols):
             a[t], a[i] = a[i], a[t]
         if j != t:
             col_swap(t, j)
-        # clear row and column t
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(t, i, q)
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(t, j, q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        if a[t][t] < 0:
-            col_neg(t)
+        clear(t)
         t += 1
 
     # enforce the divisibility chain by 2x2 repairs
@@ -141,21 +134,8 @@ def smith_normal_form(rows, ncols):
         for i in range(rank - 1):
             if a[i + 1][i + 1] % a[i][i] != 0:
                 col_op(i + 1, i, -1)   # col_i += col_{i+1}
-                while a[i][i + 1] or a[i + 1][i]:
-                    if a[i + 1][i]:
-                        q = a[i + 1][i] // a[i][i]
-                        row_op(i, i + 1, q)
-                        if a[i + 1][i]:
-                            a[i], a[i + 1] = a[i + 1], a[i]
-                    if a[i][i + 1]:
-                        q = a[i][i + 1] // a[i][i]
-                        col_op(i, i + 1, q)
-                        if a[i][i + 1]:
-                            col_swap(i, i + 1)
-                if a[i][i] < 0:
-                    col_neg(i)
-                if a[i + 1][i + 1] < 0:
-                    col_neg(i + 1)
+                clear(i)
+                clear(i + 1)
                 changed = True
     diag = [a[i][i] for i in range(rank) if a[i][i] != 0]
     return diag, v, vinv
@@ -640,12 +620,17 @@ class Character:
         return all(e % self.order == 0 for e in self.exps)
 
 
+def character_exponents(group, order):
+    """The exponents a character into Z/order may give each normal-form
+    coordinate: all on Z, the multiples of order / gcd(d, order) on Z/d."""
+    return [range(order)] * group.rank + [
+        range(0, order, order // math.gcd(d, order)) for d in group.torsion]
+
+
 def all_characters(group, order):
     """Every character of the group into Z/order, deterministic order."""
-    choices = [range(order)] * group.rank + [
-        range(0, order, order // math.gcd(d, order)) for d in group.torsion]
-    return [Character(group, order, exps)
-            for exps in itertools.product(*choices)]
+    return [Character(group, order, exps) for exps in
+            itertools.product(*character_exponents(group, order))]
 
 
 def evaluate(el, chi):
@@ -677,38 +662,28 @@ class InvariantClass:
         return str(self.representative)
 
 
-def _free_shift(el):
-    """Translate so the minimum exponent in each free coordinate is 0."""
-    g = el.group
-    if not el.terms:
-        return el
-    shift = [0] * g.ncoords
-    for i in range(g.rank):
-        shift[i] = -min(k[i] for k in el.terms)
-    return el.translate(tuple(shift))
-
-
 def canonical_class(el):
     """Among all +-g*el, fix the free translate by the minimum-exponent
     shift, then pick the torsion translate and sign whose flattened
     (key, coefficient) sequence is lexicographically extremal with a
-    positive leading coefficient."""
+    positive leading coefficient.  Each translate is taken on the term
+    keys, sorted once; the greatest (coefficients, keys) pair is kept."""
     g = el.group
     if el.is_zero():
         return InvariantClass(el)
-    candidates = []
-    torsion_ranges = [range(d) for d in g.torsion]
-    for tshift in itertools.product(*torsion_ranges):
-        coords = tuple([0] * g.rank + list(tshift))
-        shifted = _free_shift(el.translate(coords))
-        for sign in (1, -1):
-            cand = shifted * sign
-            flat = cand.sorted_terms()
-            if flat[0][1] > 0:
-                candidates.append((tuple(c for _, c in flat),
-                                   tuple(k for k, _ in flat), cand))
-    candidates.sort(key=lambda t: (t[0], t[1]), reverse=True)
-    return InvariantClass(candidates[0][2])
+    low = [min(k[i] for k in el.terms) for i in range(g.rank)]
+    terms = [(tuple(map(sub, k[:g.rank], low)), k[g.rank:], c)
+             for k, c in el.terms.items()]
+    best = None
+    for tshift in itertools.product(*map(range, g.torsion)):
+        keys, coeffs = zip(*sorted(
+            (free + tuple(map(mod, map(add, tors, tshift), g.torsion)), c)
+            for free, tors, c in terms))
+        sign = 1 if coeffs[0] > 0 else -1
+        cand = (tuple(sign * c for c in coeffs), keys)
+        best = cand if best is None else max(best, cand)
+    coeffs, keys = best
+    return InvariantClass(GroupRingElement(g, dict(zip(keys, coeffs))))
 
 
 def class_equal(a, b):

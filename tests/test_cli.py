@@ -2,7 +2,8 @@ from dataclasses import replace
 
 import pytest
 
-from suturant import cli, serialize_diagram
+from suturant import (Character, all_characters, cli, homology,
+                      serialize_diagram)
 from suturant.cli import run
 
 from conftest import corpus_names, corpus_path, load
@@ -299,6 +300,34 @@ def test_non_integer_char_or_offset_is_an_error(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and entry in err, argv
         assert "Traceback" not in err, argv
+
+
+def test_a_coordinate_key_fixes_its_exponent_before_the_product(
+        monkeypatch, capsys):
+    # the characters and their order are those of filtering every character
+    for name, order, spec in (
+            ("hopf", 4, "t1=1,b1=3"), ("hopf", 4, "t2=1,t2=3"),
+            ("hopf", 4, "b4=1,t3=1,t3=5"), ("hopf", 3, ""),
+            ("lens_6_1", 4, "t=2"), ("lens_6_1", 4, "t=1"),
+            ("lens_6_1", 4, "b1=2"), ("trefoil", 5, "b1=3,t=1"),
+            ("figure8", 6, "t=7")):
+        group = homology(load(name))
+        pairs = [item.split("=") for item in spec.split(",") if item]
+        wanted = [(cli._name_vector(group, k, k), int(v) % order)
+                  for k, v in pairs]
+        assert cli._resolve_characters(group, order, spec) == [
+            chi for chi in all_characters(group, order)
+            if all(chi.exponent(vec) == v for vec, v in wanted)], (name, spec)
+    # hopf has rank 3: filtering all of them would build 50^3 characters
+    built = []
+    check = Character.__post_init__
+    monkeypatch.setattr(Character, "__post_init__",
+                        lambda chi: (built.append(chi), check(chi))[1])
+    argv = ["compute", str(corpus_path("hopf")), "--n", "2", "--order", "50",
+            "--char", "t1=25,t2=0,t3=25"]
+    assert run(argv) == 0
+    assert [chi.exps for chi in built] == [(25, 0, 25)]
+    assert out_of(capsys).strip()
 
 
 def test_failing_character_prints_no_partial_output(capsys):

@@ -113,18 +113,40 @@ def test_unknot_homology():
     assert (g.rank, g.torsion) == (1, ())
 
 
+# (rows, the exact (diag, V, Vinv)): each takes the divisibility repair
+_SNF_PINNED = [
+    ([[2, 0], [0, 3]], ([1, 6], [[1, 3], [1, 2]], [[-2, 3], [1, -1]])),
+    ([[4, 0], [0, 6]], ([2, 12], [[1, 3], [1, 2]], [[-2, 3], [1, -1]])),
+    ([[0, 4], [6, 0]], ([2, 12], [[1, 2], [1, 3]], [[3, -2], [-1, 1]])),
+    ([[2, 0, 0], [0, 3, 0], [0, 0, 5]],
+     ([1, 1, 30], [[1, 3, 15], [1, 2, 10], [0, 1, 6]],
+      [[-2, 3, 0], [6, -6, -5], [-1, 1, 1]])),
+]
+
+
 def test_smith_normal_form_properties():
     rng = random.Random(SEED + 2)
+    cases = []
     for _ in range(60):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
-        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        cases.append([[rng.randint(-5, 5) for _ in range(n)]
+                      for _ in range(m)])
+    cases += [rows for rows, _ in _SNF_PINNED]
+    for rows in cases:
+        n = len(rows[0])
+        diag = smith_normal_form(rows, n)[0]
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:])), rows
         group = presented_group([f"g{i}" for i in range(n)], rows)
         # every relation row projects to the identity
         for row in rows:
             assert group.project(row) == group.identity()
+        # every section row projects to its unit vector
+        for c, row in enumerate(group.section):
+            assert group.project(row) == group.normalize(
+                [int(c == k) for k in range(group.ncoords)]), rows
         # full-rank square case: |det| = product of torsion orders
-        if m == n:
+        if len(rows) == n:
             det = _permutation_det(rows)
             if det != 0:
                 prod = 1
@@ -132,6 +154,8 @@ def test_smith_normal_form_properties():
                     prod *= d
                 assert group.rank == 0
                 assert prod == abs(det)
+    for rows, pinned in _SNF_PINNED:
+        assert smith_normal_form(rows, len(rows[0])) == pinned
 
 
 def _permutation_det(mat):
@@ -609,21 +633,52 @@ def test_class_equality_examples():
                            canonical_class(one + t + t * t))
 
 
-def test_canonical_class_is_a_fixed_point():
-    g = presented_group(("t", "s"), [[0, 4]])
+def _greatest_translate(el):
+    """Brute force over every +-g translate with each free coordinate's
+    least exponent 0 and a positive leading coefficient: the greatest
+    (coefficients, keys) pair."""
+    g = el.group
+    shifts = [range(-3, 4)] * g.rank + [range(d) for d in g.torsion]
+    best = None
+    for coords in itertools.product(*shifts):
+        for sign in (1, -1):
+            flat = el.translate(coords, sign).sorted_terms()
+            keys = [k for k, _ in flat]
+            if flat[0][1] > 0 and all(min(col) == 0
+                                      for col in list(zip(*keys))[:g.rank]):
+                pair = (tuple(c for _, c in flat), tuple(keys))
+                best = pair if best is None else max(best, pair)
+    return best
+
+
+@pytest.mark.parametrize("rows", [
+    [[0]],                                  # Z
+    [[0, 4]],                               # Z x Z/4
+    [[6]],                                  # Z/6
+    [[2, 0], [0, 4]],                       # Z/2 x Z/4
+    [[0, 0, 3]],                            # Z^2 x Z/3
+], ids=["free1", "free1_tors4", "tors6", "tors2_4", "free2_tors3"])
+def test_canonical_class_is_a_fixed_point(rows):
+    g = presented_group([f"g{i}" for i in range(len(rows[0]))], rows)
     rng = random.Random(SEED + 6)
     for _ in range(40):
         el = GroupRingElement(g, {
-            g.normalize((rng.randint(-3, 3), rng.randint(0, 3))):
+            g.normalize([rng.randint(-3, 3) for _ in range(g.rank)]
+                        + [rng.randrange(d) for d in g.torsion]):
                 rng.randint(-3, 3)
             for _ in range(4)})
         cls = canonical_class(el)
         again = canonical_class(cls.representative)
         assert cls.representative == again.representative
         # every +-translate lands on the same representative
-        shifted = el.translate(g.normalize((rng.randint(-2, 2),
-                                            rng.randint(0, 3))), -1)
+        shifted = el.translate(g.normalize(
+            [rng.randint(-2, 2) for _ in range(g.rank)]
+            + [rng.randrange(d) for d in g.torsion]), -1)
         assert class_equal(cls, canonical_class(shifted))
+        if not el.is_zero():
+            flat = cls.representative.sorted_terms()
+            assert _greatest_translate(el) == (
+                tuple(c for _, c in flat), tuple(k for k, _ in flat))
 
 
 def test_exact_division():
