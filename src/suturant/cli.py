@@ -184,7 +184,6 @@ def cmd_compute(args):
     diag = _load_valid(args.file)
     if diag is None:
         return 1
-    group = homology(diag)
     _check_size(args)
     cyclic = args.algebra == "cyclic"
     if cyclic:
@@ -201,6 +200,7 @@ def cmd_compute(args):
     if ref is None:
         print("no multipoints: unnormalized determinant is 0")
         return 1
+    group = homology(diag)
     spinc = SpincRelative(ref, _resolve_offset(group, args.offset))
     sign = args.sign or "+1"
     orient = OrientationSign(

@@ -7,6 +7,11 @@ a rotation and never a separate field.  Nothing here checks that the data
 embeds in an actual surface: every computation downstream is a function of
 the combinatorics alone.
 
+The order rule (:func:`order_rule`): each id on a curve's order is a
+crossing of that curve, and each crossing sits exactly once on its alpha's
+order and once on its beta's.  :func:`validate` reports from it, and the
+index both engines read (``ExtendedDiagram.ordered``) raises from it.
+
 File format (UTF-8, line oriented, ``#`` starts a comment):
 
     diagram <name>
@@ -23,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .errors import (DuplicateIdError, InvalidMultipointError,
-                     ParseError, UnknownCurveError)
+from .errors import (DuplicateIdError, InvalidMultipointError, ParseError,
+                     UnknownCurveError, UnknownGeneratorError)
 from .report import Report
 
 
@@ -91,17 +96,16 @@ class ExtendedDiagram:
     crossings: tuple
     named_multipoints: dict = field(default_factory=dict, compare=False)
 
-    # -- lookups ----------------------------------------------------------
+    # -- lookups, built on first use; not fields, so == and hash skip them -
 
     @cached_property
     def curve_index(self):
-        """id -> curve, built on first use (not a field: equality and
-        hashing stay those of the fields)."""
+        """id -> curve."""
         return {c.id: c for c in self.curves}
 
     @cached_property
     def crossing_index(self):
-        """id -> crossing, built on first use."""
+        """id -> crossing."""
         return {x.id: x for x in self.crossings}
 
     def curve(self, cid):
@@ -120,17 +124,64 @@ class ExtendedDiagram:
         return tuple(c for c in self.curves if c.family == fam
                      and (topology is None or c.topology == topology))
 
-    @property
+    @cached_property
     def closed_alphas(self):
         return self.family("alpha", "closed")
 
-    @property
+    @cached_property
     def closed_betas(self):
         return self.family("beta", "closed")
 
     @property
     def d(self):
         return len(self.closed_alphas)
+
+    @cached_property
+    def row(self):
+        """Closed alpha id -> its row, its place among the closed alphas."""
+        return {c.id: i for i, c in enumerate(self.closed_alphas)}
+
+    @cached_property
+    def column(self):
+        """Closed beta id -> its column, its place among the closed betas."""
+        return {c.id: j for j, c in enumerate(self.closed_betas)}
+
+    @cached_property
+    def meets(self):
+        """Per closed alpha, by row, its crossings with closed betas in id
+        order, read from the crossings alone."""
+        rows = [[] for _ in self.closed_alphas]
+        for x in sorted(self.crossings, key=lambda x: x.id):
+            if x.alpha in self.row and x.beta in self.column:
+                rows[self.row[x.alpha]].append(x)
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def ordered(self):
+        """Curve id -> its crossings in its order.  A crossing naming no
+        curve of a family raises UnknownGeneratorError; then the first
+        breach of :func:`order_rule`, alphas first, UnknownCurveError."""
+        for x in self.crossings:
+            for fam in ("alpha", "beta"):
+                c = self.curve_index.get(getattr(x, fam))
+                if c is None or c.family != fam:
+                    raise UnknownGeneratorError(getattr(x, fam))
+        for fam in ("alpha", "beta"):
+            breaches, _, missing = order_rule(self, fam)
+            if breaches or missing:
+                raise UnknownCurveError(breaches[0][1] if breaches else
+                                        f"crossing {missing[0]} on no {fam}")
+        return {c.id: tuple(map(self.crossing_index.get, c.order))
+                for c in self.curves}
+
+    @cached_property
+    def place(self):
+        """Crossing id -> [position on its alpha's order, on its beta's]."""
+        place = {}
+        for c in self.curves:
+            for i, x in enumerate(self.ordered[c.id]):
+                place.setdefault(x.id, [0, 0])[c.family == "beta"] = i
+        return place
 
     def beta_generators(self):
         """Dual generators of pi_1: every beta curve, closed first."""
@@ -225,6 +276,31 @@ def serialize_diagram(diag):
 # validation
 # ---------------------------------------------------------------------------
 
+def order_rule(diag, fam):
+    """The order rule on one family: each id on a curve's order is a
+    crossing of that curve, listed once there, and each crossing is listed
+    on its own curve's order.  Returns the breaches in reading order, each
+    a (witness, error message) pair, then the crossings listed more than
+    once and those never listed."""
+    index = diag.crossing_index
+    breaches, counts = [], dict.fromkeys(index, 0)
+    for c in diag.family(fam):
+        seen = set()
+        for xid in c.order:
+            if xid not in index:
+                breaches.append((f"{xid} on {c.id}", f"crossing {xid}"))
+                continue
+            for broken, what in ((getattr(index[xid], fam) != c.id, "not on"),
+                                 (xid in seen, "repeated on")):
+                if broken:
+                    breaches.append((f"{xid} {what} {c.id}",
+                                     f"crossing {xid} {what} {c.id}"))
+            seen.add(xid)
+            counts[xid] += 1
+    return (breaches, [xid for xid, n in counts.items() if n > 1],
+            [xid for xid, n in counts.items() if not n])
+
+
 def validate(diag):
     rep = Report()
 
@@ -243,24 +319,10 @@ def validate(diag):
         rep.add(f"OrderingConvention[{fam}]", ok,
                 "closed curves must precede arcs")
 
-    for fam, side in (("alpha", "alpha"), ("beta", "beta")):
-        counts = {x.id: 0 for x in diag.crossings}
-        ok_membership, wit = True, ""
-        for c in diag.family(fam):
-            seen = set()
-            for xid in c.order:
-                if xid not in diag.crossing_index:
-                    ok_membership, wit = False, f"{xid} on {c.id}"
-                    continue
-                if getattr(diag.crossing(xid), side) != c.id:
-                    ok_membership, wit = False, f"{xid} not on {c.id}"
-                if xid in seen:
-                    ok_membership, wit = False, f"{xid} repeated on {c.id}"
-                seen.add(xid)
-                counts[xid] = counts.get(xid, 0) + 1
-        rep.add(f"Membership[{fam}]", ok_membership, wit)
-        dbl = [xid for xid, n in counts.items() if n > 1]
-        missing = [xid for xid, n in counts.items() if n == 0]
+    for fam in ("alpha", "beta"):
+        breaches, dbl, missing = order_rule(diag, fam)
+        rep.add(f"Membership[{fam}]", not breaches,
+                breaches[-1][0] if breaches else "")
         rep.add(f"DoubleUse[{fam}]", not dbl, ", ".join(dbl))
         rep.add(f"Coverage[{fam}]", not missing, ", ".join(missing))
 
@@ -282,17 +344,15 @@ def validate(diag):
 # ---------------------------------------------------------------------------
 
 def _check_multipoint(diag, mp):
-    alphas = [c.id for c in diag.closed_alphas]
-    betas = {c.id for c in diag.closed_betas}
-    if len(mp.picks) != len(alphas):
+    if len(mp.picks) != diag.d:
         raise InvalidMultipointError(
-            f"{len(mp.picks)} picks for {len(alphas)} closed alpha curves")
+            f"{len(mp.picks)} picks for {diag.d} closed alpha curves")
     seen_a, seen_b = set(), set()
     for xid in mp.picks:
-        if xid not in diag.crossing_index:
+        x = diag.crossing_index.get(xid)
+        if x is None:
             raise InvalidMultipointError(f"unknown crossing {xid}")
-        x = diag.crossing(xid)
-        if x.alpha not in alphas or x.beta not in betas:
+        if x.alpha not in diag.row or x.beta not in diag.column:
             raise InvalidMultipointError(f"{xid} not on closed curves")
         if x.alpha in seen_a or x.beta in seen_b:
             raise InvalidMultipointError(f"{xid} reuses a curve")
@@ -302,12 +362,10 @@ def _check_multipoint(diag, mp):
 
 def multipoint_permutation(diag, mp):
     """The induced map: closed-alpha position -> closed-beta position."""
-    apos = {c.id: i for i, c in enumerate(diag.closed_alphas)}
-    bpos = {c.id: i for i, c in enumerate(diag.closed_betas)}
-    sigma = [None] * len(apos)
+    sigma = [None] * diag.d
     for xid in mp.picks:
         x = diag.crossing(xid)
-        sigma[apos[x.alpha]] = bpos[x.beta]
+        sigma[diag.row[x.alpha]] = diag.column[x.beta]
     return tuple(sigma)
 
 
@@ -315,20 +373,14 @@ def enumerate_multipoints(diag):
     """All perfect matchings of closed alphas to closed betas through
     shared crossings, in lexicographic order on the sorted pick ids.  A
     crossing lies on one alpha, so the leaves of the search are distinct."""
-    alphas = diag.closed_alphas
-    betas = {c.id for c in diag.closed_betas}
-    by_alpha = []
-    for a in alphas:
-        opts = [x for x in diag.crossings
-                if x.alpha == a.id and x.beta in betas]
-        by_alpha.append(opts)
+    meets = diag.meets
     found = []
 
     def rec(i, used_beta, picks):
-        if i == len(alphas):
+        if i == len(meets):
             found.append(Multipoint(tuple(sorted(picks))))
             return
-        for x in by_alpha[i]:
+        for x in meets[i]:
             if x.beta not in used_beta:
                 rec(i + 1, used_beta | {x.beta}, picks + [x.id])
 
@@ -359,34 +411,25 @@ def perm_sign(seq):
 # basepoints
 # ---------------------------------------------------------------------------
 
-def _rotate_for_pick(order, pick, sign):
-    """Rotate a cyclic order so the basepoint sits just before (positive
-    pick) or just after (negative pick) the pick.  Positive: the pick
-    becomes the first entry; negative: the last."""
-    i = order.index(pick)
-    if sign > 0:
-        return order[i:] + order[:i]
-    return order[i + 1:] + order[:i + 1]
+def _starts(diag, mp):
+    """Closed curve id -> the position its basepoint moves to for the
+    multipoint: just before a positive pick, just after a negative one."""
+    _check_multipoint(diag, mp)
+    start = {}
+    for xid in mp.picks:
+        x = diag.crossing(xid)
+        for cid, at in zip((x.alpha, x.beta), diag.place[xid]):
+            start[cid] = at + (x.sign < 0)
+    return start
 
 
 def rebase(diag, mp):
     """Diagram rotated so each closed curve's list starts at the basepoint
     determined by the multipoint.  Idempotent for the same multipoint."""
-    _check_multipoint(diag, mp)
-    pick_of = {}
-    for xid in mp.picks:
-        x = diag.crossing(xid)
-        pick_of[x.alpha] = x
-        pick_of[x.beta] = x
-    curves = []
-    for c in diag.curves:
-        if c.closed and c.id in pick_of:
-            x = pick_of[c.id]
-            curves.append(replace(
-                c, order=_rotate_for_pick(c.order, x.id, x.sign)))
-        else:
-            curves.append(c)
-    return diag.with_curves(curves)
+    start = _starts(diag, mp)
+    return diag.with_curves(
+        replace(c, order=c.order[start[c.id]:] + c.order[:start[c.id]])
+        if c.id in start else c for c in diag.curves)
 
 
 # ---------------------------------------------------------------------------
@@ -395,20 +438,16 @@ def rebase(diag, mp):
 
 def alpha_word(diag, alpha_id):
     """Read a based alpha curve: one letter (beta-dual)^sign per crossing."""
-    c = diag.curve(alpha_id)
-    if c.family != "alpha":
+    if diag.curve(alpha_id).family != "alpha":
         raise UnknownCurveError(f"{alpha_id} is not an alpha curve")
-    xs = [diag.crossing(xid) for xid in c.order]
-    return FreeWord(tuple((x.beta, x.sign) for x in xs))
+    return FreeWord(tuple((x.beta, x.sign) for x in diag.ordered[alpha_id]))
 
 
 def beta_word(diag, beta_id):
     """Beta-side reading; the stored (alpha, beta) sign is negated."""
-    c = diag.curve(beta_id)
-    if c.family != "beta":
+    if diag.curve(beta_id).family != "beta":
         raise UnknownCurveError(f"{beta_id} is not a beta curve")
-    xs = [diag.crossing(xid) for xid in c.order]
-    return FreeWord(tuple((x.alpha, -x.sign) for x in xs))
+    return FreeWord(tuple((x.alpha, -x.sign) for x in diag.ordered[beta_id]))
 
 
 def epsilon_class(diag, mp_x, mp_y):
@@ -416,23 +455,12 @@ def epsilon_class(diag, mp_x, mp_y):
     the arc from the x-basepoint to the y-basepoint, concatenated in curve
     order.  Its abelianization is the difference of the two multipoints'
     relative classes."""
-    _check_multipoint(diag, mp_x)
-    _check_multipoint(diag, mp_y)
-    pick_on = {}
-    for mp, slot in ((mp_x, 0), (mp_y, 1)):
-        for xid in mp.picks:
-            x = diag.crossing(xid)
-            pick_on.setdefault(x.alpha, [None, None])[slot] = x
+    lo, hi = _starts(diag, mp_x), _starts(diag, mp_y)
     letters = []
     for c in diag.closed_alphas:
-        px, py = pick_on[c.id]
-        # first crossing at or after the basepoint of each pick
-        start = c.order.index(px.id) + (0 if px.sign > 0 else 1)
-        stop = c.order.index(py.id) + (0 if py.sign > 0 else 1)
-        k = len(c.order)
-        for t in range(start, start + (stop - start) % k):
-            x = diag.crossing(c.order[t % k])
-            letters.append((x.beta, x.sign))
+        xs, k = diag.ordered[c.id], lo[c.id]
+        letters += ((x.beta, x.sign)
+                    for x in (xs * 2)[k:k + (hi[c.id] - k) % len(xs)])
     return FreeWord(tuple(letters))
 
 
@@ -442,14 +470,10 @@ def epsilon_class(diag, mp_x, mp_y):
 
 def intersection_matrix(diag):
     """d x d matrix of signed intersection numbers of closed curves."""
-    alphas = diag.closed_alphas
-    betas = diag.closed_betas
-    apos = {c.id: i for i, c in enumerate(alphas)}
-    bpos = {c.id: i for i, c in enumerate(betas)}
-    mat = [[0] * len(betas) for _ in alphas]
-    for x in diag.crossings:
-        if x.alpha in apos and x.beta in bpos:
-            mat[apos[x.alpha]][bpos[x.beta]] += x.sign
+    mat = [[0] * len(diag.closed_betas) for _ in diag.closed_alphas]
+    for row, meets in zip(mat, diag.meets):
+        for x in meets:
+            row[diag.column[x.beta]] += x.sign
     return mat
 
 

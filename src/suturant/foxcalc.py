@@ -9,11 +9,11 @@ where torsion gives Z[H_1] zero divisors: Kronecker substitution packs each
 lifted entry into one integer, and fraction-free elimination runs on the
 integers (:func:`determinant`).
 
-The Fox matrix reads each closed alpha's crossings twice: once for its
-relator (:func:`homology`), and once in one walk (:func:`_walk`, the only
-statement of the class rule) that classes each crossing and adds its sign
-to entry (a, b) = sum sign * t^class over the crossings of a with b, keyed
-already in normal form.  The word-level
+The Fox matrix reads each closed alpha's crossings from the diagram's index
+twice: once for its relator (:func:`homology`), and once in one walk
+(:func:`_walk`, the only statement of the class rule) that classes each
+crossing and adds its sign to entry (a, b) = sum sign * t^class over the
+crossings of a with b, keyed already in normal form.  The word-level
 :func:`fox_derivative` uses the closed occurrence formula
 
     dw/dx = sum_j m_j (A_j x^{-eps_j})
@@ -33,8 +33,7 @@ from operator import add, mod, mul, sub
 from .cyclotomic import CyclotomicScalar
 from .diagram import FreeWord, fraction_free_det
 from .errors import (GroupMismatchError, InvalidCharacterError,
-                     NonSquareError, NotDivisibleError, UnknownCurveError,
-                     UnknownGeneratorError)
+                     NonSquareError, NotDivisibleError, UnknownGeneratorError)
 
 
 # ---------------------------------------------------------------------------
@@ -214,27 +213,16 @@ def presented_group(gens, relation_rows):
 def homology(diag):
     """H_1 presented on the beta duals with one relation per closed alpha,
     its crossings' signs summed at their betas in one read of its order."""
+    ordered = diag.ordered          # even at d = 0: it checks the orders
     gens = diag.beta_generators()
     pos = {g: i for i, g in enumerate(gens)}
     rows = []
     for c in diag.closed_alphas:
         row = [0] * len(gens)
-        for x in _crossings(diag, c.order):
-            if x.beta not in pos:
-                raise UnknownGeneratorError(x.beta)
+        for x in ordered[c.id]:
             row[pos[x.beta]] += x.sign
         rows.append(row)
     return presented_group(gens, rows)
-
-
-def _crossings(diag, order):
-    """The crossings of a sequence of ids (UnknownCurveError for an id the
-    diagram lacks, as ``diag.crossing`` raises)."""
-    index = diag.crossing_index
-    try:
-        return [index[xid] for xid in order]
-    except KeyError as err:
-        raise UnknownCurveError(f"crossing {err.args[0]}") from None
 
 
 class GroupRingElement:
@@ -435,8 +423,6 @@ def _walk(group, crossings, cols):
     tidy = group.normalize if group.torsion else tuple
     acc, classes, row = group.identity(), [], [{} for _ in cols]
     for x in crossings:
-        if x.beta not in step:
-            raise UnknownGeneratorError(x.beta)
         if x.sign > 0:
             k, acc = acc, tidy(map(add, acc, step[x.beta]))
         else:
@@ -450,8 +436,8 @@ def _walk(group, crossings, cols):
 
 def crossing_classes(diag, group):
     """Crossing id -> class in H_1 (:func:`_walk`) on the closed alphas."""
-    return {xid: k for c in diag.closed_alphas for xid, k in zip(
-        c.order, _walk(group, _crossings(diag, c.order), {})[0])}
+    return {x.id: k for c in diag.closed_alphas for x, k in zip(
+        diag.ordered[c.id], _walk(group, diag.ordered[c.id], {})[0])}
 
 
 def multipoint_class(diag, group, picks):
@@ -459,10 +445,7 @@ def multipoint_class(diag, group, picks):
     walked only up to the pick."""
     total = group.identity()
     for xid in picks:
-        order = diag.curve(diag.crossing(xid).alpha).order
-        if xid not in order:
-            raise UnknownCurveError(f"crossing {xid} is not on its alpha")
-        upto = _crossings(diag, order[:order.index(xid) + 1])
+        upto = diag.ordered[diag.crossing(xid).alpha][:diag.place[xid][0] + 1]
         total = tuple(map(add, total, _walk(group, upto, {})[0][-1]))
     return group.normalize(total)
 
@@ -473,10 +456,9 @@ def fox_matrix(diag, group=None):
     per row.  Its classes are in normal form, so the entries are taken as
     they are, zero sums dropped."""
     group = group or homology(diag)
-    cols = {c.id: j for j, c in enumerate(diag.closed_betas)}
     rows = []
     for a in diag.closed_alphas:
-        row = _walk(group, _crossings(diag, a.order), cols)[1]
+        row = _walk(group, diag.ordered[a.id], diag.column)[1]
         rows.append([GroupRingElement._normal(group, e if all(e.values())
                                               else {k: c for k, c in e.items()
                                                     if c}) for e in row])

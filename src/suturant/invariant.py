@@ -40,7 +40,7 @@ from .diagram import Multipoint, _check_multipoint, canonical_sign
 from .diagram import enumerate_multipoints, epsilon_class, rebase  # noqa: F401
 from .errors import (AmbiguousOrientationError, InvalidCharacterError,
                      InvalidMultipointError, InvalidReferenceError,
-                     NotDivisibleError)
+                     NonSquareError, NotDivisibleError)
 from .foxcalc import (GroupRingElement, InvariantClass, canonical_class,
                       class_equal, divide_by_element_minus_one, evaluate,
                       fox_determinant, homology, multipoint_class,
@@ -97,57 +97,54 @@ def anchor_multipoint(diag):
     None when the diagram has none.
 
     A greedy lexicographic matching: the crossings between closed alphas
-    and closed betas are taken in sorted id order, and one is accepted when
-    its alpha and beta are unused and the closed alphas left over can still
-    be matched to distinct unused closed betas.  A skipped crossing lies in
-    no multipoint that contains the picks accepted before it.  So the
-    multipoints containing the first k picks have no other pick below the
-    k-th, and the next accepted crossing is the least further pick among
-    them.  Each test is Kuhn's augmenting-path matching, O(d * E) for E
-    such crossings."""
-    alphas = [c.id for c in diag.closed_alphas]
-    betas = {c.id for c in diag.closed_betas}
-    options = {a: [] for a in alphas}
-    edges = sorted((x for x in diag.crossings
-                    if x.alpha in options and x.beta in betas),
-                   key=lambda x: x.id)
-    for x in edges:
-        options[x.alpha].append(x.beta)
+    and closed betas (``meets``) are taken in sorted id order, and one is
+    accepted when its alpha and beta are unused and the closed alphas left
+    over can still be matched to distinct unused closed betas.  A skipped
+    crossing lies in no multipoint that contains the picks accepted before
+    it.  So the multipoints containing the first k picks have no other pick
+    below the k-th, and the next accepted crossing is the least further
+    pick among them.  Each test is Kuhn's augmenting-path matching,
+    O(d * E) for E such crossings."""
+    meets = diag.meets
     picks, used_a, used_b = [], set(), set()
-    for x in edges:
+    for x in sorted((x for row in meets for x in row), key=lambda x: x.id):
         if x.alpha in used_a or x.beta in used_b:
             continue
-        rest = [a for a in alphas if a not in used_a and a != x.alpha]
-        if _matchable(rest, options, used_b | {x.beta}):
+        rest = [row for a, row in zip(diag.closed_alphas, meets)
+                if a.id not in used_a and a.id != x.alpha]
+        if _matchable(rest, used_b | {x.beta}):
             picks.append(x.id)
             used_a.add(x.alpha)
             used_b.add(x.beta)
-    return Multipoint(tuple(picks)) if len(picks) == len(alphas) else None
+    return Multipoint(tuple(picks)) if len(picks) == diag.d else None
 
 
-def _matchable(alphas, options, taken):
-    """Whether the alphas can be matched to distinct betas outside
-    ``taken``, ``options[a]`` listing the betas alpha ``a`` crosses: one
-    augmenting-path search per alpha (Kuhn)."""
-    owner = {}                  # beta -> alpha matched to it
+def _matchable(rows, taken):
+    """Whether ``rows``, closed alphas' crossings with closed betas, match
+    distinct betas outside ``taken``: one augmenting path per row (Kuhn)."""
+    owner = {}                  # beta -> row matched to it
 
-    def augment(a, seen):
-        for b in options[a]:
-            if b not in taken and b not in seen:
-                seen.add(b)
-                if b not in owner or augment(owner[b], seen):
-                    owner[b] = a
+    def augment(row, seen):
+        for x in row:
+            if x.beta not in taken and x.beta not in seen:
+                seen.add(x.beta)
+                if x.beta not in owner or augment(owner[x.beta], seen):
+                    owner[x.beta] = row
                     return True
         return False
 
-    return all(augment(a, set()) for a in alphas)
+    return all(augment(row, set()) for row in rows)
 
 
 def _normalization(diag, spinc, orient):
-    """Check the reference and return the group and the unit delta * t^h
-    that normalizes a value read at the diagram's own basepoints: h is the
-    offset minus the anchor's class (:func:`foxcalc.multipoint_class`, each
-    closed alpha walked up to its pick), delta the orientation sign."""
+    """Check the diagram (balanced; the order rule, in
+    :func:`foxcalc.homology`) and the reference, and return the group and
+    the unit delta * t^h that normalizes a value read at the diagram's own
+    basepoints: h is the offset minus the anchor's class
+    (:func:`foxcalc.multipoint_class`), delta the orientation sign."""
+    if diag.d != len(diag.closed_betas):
+        raise NonSquareError(f"{diag.d} closed alpha vs "
+                             f"{len(diag.closed_betas)} closed beta")
     group = homology(diag)
     try:
         _check_multipoint(diag, spinc.reference)

@@ -315,9 +315,9 @@ def contract_values(based, pkg, assignments):
         check_admissible(based, pkg.integral.glike_b_order, chars)
     alg, integ, coint = pkg.algebra, pkg.integral, pkg.cointegral
     rules = _rules(pkg)
+    ordered, place = based.ordered, based.place
     alphas, betas = based.family("alpha"), based.family("beta")
-    home = {xid: (b, j) for b, c in enumerate(betas)
-            for j, xid in enumerate(c.order)}
+    beta_pos = {c.id: b for b, c in enumerate(betas)}
     orders = [chars.order for chars in assignments]
     starts = list(accumulate(orders, initial=0))
     # per beta, its kind and its shift table: per discrete log t, the index
@@ -353,13 +353,11 @@ def contract_values(based, pkg, assignments):
         # keys are distinct
         states = {(i,) + key[1:]: [ci * v for v in vec]
                   for key, vec in states.items() for i, ci in seed.items()}
-        for t, xid in enumerate(c.order):
-            b, j = home[xid]
-            if rules.supercommutes:
-                j = len(placed[b])
+        for t, x in enumerate(ordered[c.id]):
+            b = beta_pos[x.beta]
+            j = len(placed[b]) if rules.supercommutes else place[x.id][1]
             done = len(placed[b]) + 1 == len(betas[b].order)
-            states = _cross(states, alg, rules, b, j, placed[b],
-                            based.crossing(xid).sign < 0,
+            states = _cross(states, alg, rules, b, j, placed[b], x.sign < 0,
                             t == len(c.order) - 1,
                             closing[b] if done else None)
             placed[b].add(j)
@@ -394,10 +392,8 @@ def basepoint_shift(based, curve_id, new_start, pkg, chars):
     if not 0 <= new_start < k:
         raise ArcCurveError(f"position {new_start} out of range")
     if c.family == "alpha":
-        exp = 0
-        for xid in c.order[new_start:]:
-            x = based.crossing(xid)
-            exp += x.sign * chars.psi_exponent(x.beta)
+        exp = sum(x.sign * chars.psi_exponent(x.beta)
+                  for x in based.ordered[curve_id][new_start:])
         return CyclotomicScalar.root_power(exp, chars.order)
     # beta curve: the unit is <a*, segment word>, every alpha dual read as
     # the A-group-like unit_a

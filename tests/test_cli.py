@@ -232,6 +232,28 @@ def test_cyclic_refuses_the_flags_it_cannot_honour(capsys):
         assert err == f"error: --algebra cyclic does not take {flag}\n", extra
 
 
+def test_compute_reads_h1_only_after_its_flags_and_never_for_cyclic(
+        monkeypatch, capsys):
+    """H_1 is read after the size and flag checks, and only on the hn
+    path: a refused --n 300 and every --algebra cyclic run finish without
+    it, the cyclic value byte for byte."""
+    base = ["compute", str(corpus_path("lens_6_1")), "--algebra", "cyclic",
+            "--m", "4"]
+    assert run(base) == 0
+    value = out_of(capsys)
+
+    def refuse(diag):
+        raise AssertionError("homology read")
+
+    monkeypatch.setattr(cli, "homology", refuse)
+    assert run(base) == 0
+    assert out_of(capsys) == value
+    assert run(["compute", str(corpus_path("trefoil")), "--n", "300"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: --algebra hn gives dimension 600; "
+                              "compute takes at most 512\n")
+
+
 def test_move_script(tmp_path, capsys):
     script = tmp_path / "moves.txt"
     script.write_text("reverse alpha a1\nstabilize\n")

@@ -66,3 +66,35 @@ def test_the_cli_has_no_character_path_of_its_own():
                          "evaluate", "invariant_h0", "check_admissible")))
     assert private == []
     assert ("invariant", "invariant_hn_values") in names
+
+
+def order_rebuilds(module):
+    """Where ``module`` reads the diagram's id maps or searches an order
+    itself: each read of ``crossing_index`` or ``curve_index``, and each
+    ``.index(`` call on a curve's ``order``, as (line, source)."""
+    path = PACKAGE / f"{module}.py"
+    text = path.read_text()
+    out = []
+    for node in ast.walk(ast.parse(text, str(path))):
+        if isinstance(node, ast.Attribute):
+            found = node.attr in ("crossing_index", "curve_index")
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "index"):
+            owner = node.func.value
+            found = "order" in (getattr(owner, "attr", None),
+                                getattr(owner, "id", None))
+        else:
+            found = False
+        if found:
+            out.append((node.lineno, ast.get_source_segment(text, node)))
+    return out
+
+
+def test_where_a_crossing_sits_is_read_from_one_index():
+    """Both engines, the assembly and the command line read the curve
+    orders only through the diagram's index (``ordered`` and ``place``),
+    which keeps the order rule; none rebuilds its own view of them."""
+    assert {module: order_rebuilds(module)
+            for module in ("foxcalc", "kuperberg", "invariant", "cli")} == {
+        "foxcalc": [], "kuperberg": [], "invariant": [], "cli": []}
