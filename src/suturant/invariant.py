@@ -136,15 +136,21 @@ def _matchable(rows, taken):
     return all(augment(row, set()) for row in rows)
 
 
+def _check_balanced(diag):
+    """Refuse a diagram whose closed alphas and closed betas differ in
+    number: its Fox matrix is not square and it has no multipoint."""
+    if diag.d != len(diag.closed_betas):
+        raise NonSquareError(f"{diag.d} closed alpha vs "
+                             f"{len(diag.closed_betas)} closed beta")
+
+
 def _normalization(diag, spinc, orient):
-    """Check the diagram (balanced; the order rule, in
+    """Check the diagram (:func:`_check_balanced`; the order rule, in
     :func:`foxcalc.homology`) and the reference, and return the group and
     the unit delta * t^h that normalizes a value read at the diagram's own
     basepoints: h is the offset minus the anchor's class
     (:func:`foxcalc.multipoint_class`), delta the orientation sign."""
-    if diag.d != len(diag.closed_betas):
-        raise NonSquareError(f"{diag.d} closed alpha vs "
-                             f"{len(diag.closed_betas)} closed beta")
+    _check_balanced(diag)
     group = homology(diag)
     try:
         _check_multipoint(diag, spinc.reference)
@@ -214,7 +220,8 @@ def torsion_class(diag):
     is chosen: rotating a closed alpha curve conjugates its relator, which
     multiplies its Fox row by a group element.  A diagram with closed
     curves but no multipoint has vanishing determinant and the class is
-    zero."""
+    zero; an unbalanced one is refused, as by the invariants."""
+    _check_balanced(diag)
     return canonical_class(fox_determinant(diag, homology(diag)))
 
 

@@ -10,32 +10,58 @@ or the projection (arc), and evaluates its character there.
 The contraction evaluates the network in one fixed order, a sweep over the
 alpha curves in family order and each alpha's crossings in its own order,
 and merges equal frontier states after every crossing.  A state is keyed
-by the basis index of the current alpha's not-yet-split coproduct factor
-and, per beta curve, the basis indices of its maximal runs of placed
-slots, or only the parity of its product once the beta is complete.  When
-the package supercommutes (see below) a beta's slots are placed in the
-order they arrive, each at the right end of what the beta holds, so an
-open beta holds exactly one run.  At a crossing the factor is split by the
-coproduct (the last crossing of an alpha takes it whole, an alpha without
-crossings contributes the counit of its seed), the antipode acts if the
-crossing is negative, and the slot is multiplied into its beta as left
-run * slot * right run.  Completing a beta evaluates it; a beta without
-crossings is evaluated on the unit at the start.
+by the orbit representative (see below) of the current alpha's
+not-yet-split coproduct factor and, per beta curve, the representatives
+of its maximal runs of placed slots, or only the parity of its product
+once the beta is complete.  When the package supercommutes (see below) a
+beta's slots are placed in the order they arrive, each at the right end
+of what the beta holds, so an open beta holds exactly one run.  At a
+crossing the factor is split by the coproduct (the last crossing of an
+alpha takes it whole, an alpha without crossings contributes the counit
+of its seed), the antipode acts if the crossing is negative, and the slot
+is multiplied into its beta as left run * slot * right run.  Completing a
+beta evaluates it; a beta without crossings is evaluated on the unit at
+the start.
 
-The terms a state contributes at a crossing depend only on three basis
-indices of its key, the remainder and the runs left and right of the
-slot, and on the crossing: its sign, whether it is the alpha's last, and
-whether it completes a closed beta, an arc or none.  The coproduct split,
-the antipode, left run * slot * right run and, if the beta completes, its
-image in B read in discrete logs of b depend on H alone.  So they are
-expanded once per package and process, the first time any sweep meets
-the configuration, and kept in the package's memo with the package's
-other character-free rules: the alpha seeds and the closing tables.
+Orbits of b: let b = i_B(glike_b), of order n = ``glike_b_order``, and
+suppose that b is an even basis element and central, and that left
+multiplication by b permutes the basis in orbits of exactly n elements,
+so that each basis element is b^t c for one representative c and one
+degree t mod n.  Suppose also that both closing tables shift by one
+degree along an orbit (mu(b x) = b mu(x), pi_B(b x) = b pi_B(x)) and
+that Delta(b x) = (b (x) b) Delta(x) and S(b x) = b^-1 S(x) on every
+basis element x.  Then a run b^t c, a slot s and a run b^u d on one beta
+multiply to b^(t + u) (c s d), which closes to x^(e * (t + u)) times what
+c s d closes to: a run is keyed by its representative, and its degree
+goes into the value as soon as its slot is placed.  And a remainder
+b^a r splits into (b^a s) (x) (b^a r'), the slot becoming b^-a S(s) at a
+negative crossing: b^a lands on every later slot of the alpha, so the
+remainder is keyed by r and the value takes x^(a * F), F the signed sum
+of the character exponents over the alpha's crossings after the split
+(over all of them at the seed).  b is even, so a representative has the
+parity of its orbit and the Koszul signs read from keys do not change.
+The sweep reads Delta and S only through the two equivariances, so
+Delta(b) = b (x) b and S(b) b = 1, which they give at a group-like unit,
+are not checked apart.  ``_Rules`` checks the conditions once per
+package; if one fails, every basis element is its own representative at
+degree 0, which is the sweep without the fold, on the same code path.
+H_n, free over B = <K>, has the orbits {K^i} and {K^i X}: a key holds one
+of 2 representatives where it held one of 2n basis elements.
+
+The terms a state contributes at a crossing depend only on three
+representatives in its key, the remainder and the runs left and right of
+the slot, and on the crossing: its sign, whether it is the alpha's last,
+and whether it completes a closed beta, an arc or none.  The coproduct
+split, the antipode, left run * slot * right run and, if the beta
+completes, its image in B read in discrete logs of b, each split into
+representatives and degrees, depend on H alone.  So they are expanded
+once per package and process, the first time any sweep meets the
+configuration, and kept in the package's memo with the package's other
+character-free rules: the orbits, the alpha seeds and the closing tables.
 Each state looks its triple up once and applies what is its own: the
-Koszul sign of the odd-slot terms and the untouched parts of its key,
-into which it splices the new run or the completed beta's parity.  This
-is the per-state expansion term by term, so the frontier and its values
-are unchanged.
+Koszul sign of the odd-slot terms, its character degrees and the
+untouched parts of its key, into which it splices the new run or the
+completed beta's parity.
 
 Koszul sign: rerouting the slots from alpha order to beta-traversal order
 (the betas in family order, each in its own order) costs the inversion
@@ -59,16 +85,17 @@ order, the same code with the slot's home position.
 
 Scalars: a character of order N reads the group-like b^t of B as
 x^(e * t), e its exponent on the beta, so every value is an integer vector
-over exponents mod N, an element of Z[x]/(x^N - 1).  Only a completing
-beta reads the character; the splits, antipodes, products and signs
-before it do not.  So ``contract_values`` runs one sweep for a list of
-characters: a state's value is one such block per character, in list
-order, each block of its own N, and when a beta completes each block is
-multiplied by its own x^(e * t).  A completing beta's terms stay in
-discrete logs of b; the beta's one shift table, built per call, gives
-per discrete log t the index each value entry moves to.  The sum over
-the final states is reduced modulo Phi_N once per block, then the single
-rational cointegral prefactor is applied.  Everything is exact.
+over exponents mod N, an element of Z[x]/(x^N - 1).  Only degrees read the
+character: a run's, a remainder's and those of a completing beta's image;
+the splits, antipodes, products and signs do not.  So ``contract_values``
+runs one sweep for a list of characters: a state's value is one such
+block per character, in list order, each block of its own N.  A term of a
+crossing carries its degrees as pairs (t, a), t of its run or of its
+beta's image and a of its remainder, and each block j is multiplied by
+x^(e_j * t + F_j * a); the crossing's one shift table, filled per pair as
+the sweep meets it, gives the index each value entry moves to.  The sum
+over the final states is reduced modulo Phi_N once per block, then the
+single rational cointegral prefactor is applied.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -125,15 +152,17 @@ def check_admissible(diag, n, chars):
 
 def _closing(pkg, closed):
     """Per basis index i of H, mu(e_i) (closed beta) or pi_B(e_i) (arc) as
-    {discrete log with respect to b: coefficient}; a character reads b^t
-    as x^(e * t), e its exponent on the beta."""
+    {discrete log with respect to b, mod its order: coefficient}; a
+    character reads b^t as x^(e * t), e its exponent on the beta, and every
+    admissible e has n * e = 0 mod N, n the order of b."""
     integ = pkg.integral
     table = integ.mu if closed else integ.pi_b
+    n = integ.glike_b_order
     out = {}
     for i in range(pkg.algebra.dim):
         poly = out[i] = {}
         for pos, c in apply(table, {i: 1}).items():
-            t = integ.b_dlog[pos]
+            t = integ.b_dlog[pos] % n
             poly[t] = poly.get(t, 0) + c
     return out
 
@@ -160,16 +189,62 @@ def _supercommutes(alg):
     return True
 
 
+def _orbits(pkg, closing):
+    """Per basis index, its orbit representative, the least index of its
+    orbit, and its degree under left multiplication by b, as two tuples,
+    when the conditions of the module docstring hold; otherwise every
+    index is its own representative at degree 0.  A zero coefficient
+    stored on one side only reads as a difference, which costs the sweep
+    speed, never a value."""
+    alg, integ = pkg.algebra, pkg.integral
+    dim, n = alg.dim, integ.glike_b_order
+    mul, comul, antipode = alg.mul_sc, alg.comul_sc, alg.antipode_sc
+    plain = tuple(range(dim)), (0,) * dim
+    b = apply(integ.i_b, {integ.glike_b: 1})
+    g = next(iter(b), None)
+    if b != {g: 1} or alg.parity[g]:
+        return plain
+    step = []                   # b e_i = e_step(i) = e_i b
+    for i in range(dim):
+        col = mul.get((g, i), {})
+        if mul.get((i, g), {}) != col:
+            return plain
+        if list(col.values()) != [1]:
+            return plain
+        step.extend(col)
+    rep, deg = [None] * dim, [0] * dim
+    for i in range(dim):
+        j = i
+        for t in range(n if rep[i] is None else 0):
+            if rep[j] is not None:
+                return plain
+            rep[j], deg[j], j = i, t, step[j]
+        if j != i:
+            return plain
+    back = {j: i for i, j in enumerate(step)}
+    for i, j in enumerate(step):
+        if (any(table[j] != {(t + 1) % n: c for t, c in table[i].items()}
+                for table in closing.values())
+                or comul.get(j, {}) != {(step[x], step[y]): c for (x, y), c
+                                        in comul.get(i, {}).items()}
+                or antipode.get(j, {}) != {back[x]: c for x, c
+                                           in antipode.get(i, {}).items()}):
+            return plain
+    return tuple(rep), tuple(deg)
+
+
 class _Rules:
     """What the sweep reads from a package alone: ``unit_a``, the alpha
     ``seeds`` and the ``closing`` tables, each keyed by the curve's
-    ``closed``, whether the product ``supercommutes`` (see
-    :func:`contract_values`), and the ``terms`` of :func:`_expand`, filled
-    as sweeps meet them.  ``terms`` holds one table per (negative, last,
-    closing kind), the kind None when the crossing completes no beta, so at
-    most 12 tables; each is keyed by the local triple (remainder, left run,
-    right run), a basis index and two basis indices or None, so it holds at
-    most dim * (dim + 1)^2 entries."""
+    ``closed``, each basis index's orbit representative ``rep`` and degree
+    ``deg`` (see :func:`_orbits`), whether the product ``supercommutes``
+    (see :func:`contract_values`), and the ``terms`` of :func:`_expand`,
+    filled as sweeps meet them.  ``terms`` holds one table per (negative,
+    last, closing kind), the kind None when the crossing completes no beta,
+    so at most 12 tables; each is keyed by the local triple (remainder,
+    left run, right run), a representative and two representatives or
+    None, so with r representatives, dim / n when the package folds and
+    dim when it does not, it holds at most r * (r + 1)^2 entries."""
 
     def __init__(self, pkg):
         coint = pkg.cointegral
@@ -178,6 +253,7 @@ class _Rules:
                       False: apply(coint.i_a, {unit_a: 1})}
         self.closing = {closed: _closing(pkg, closed)
                         for closed in (True, False)}
+        self.rep, self.deg = _orbits(pkg, self.closing)
         self.supercommutes = _supercommutes(pkg.algebra)
         self.terms = {}
 
@@ -191,13 +267,31 @@ def _rules(pkg):
     return rules
 
 
-def _times(vec, poly, shift):
-    """vec times the polynomial {discrete log t: coefficient} blockwise,
-    ``shift[t]`` giving the index each entry of vec goes to when its block
-    is multiplied by the character's reading of b^t."""
-    out = [0] * len(vec)
-    for t, c in poly.items():
-        for k, v in zip(shift[t], vec):
+class _Shifts(dict):
+    """The shift table of one crossing: per degree pair (t, a), filled as
+    the sweep meets it, the index each entry of a value moves to when
+    block j, of order N_j, is multiplied by x^(run_j * t + rest_j * a).
+    ``run`` holds the exponents of the crossing's beta and ``rest`` their
+    signed sums over the alpha's crossings after it."""
+
+    def __init__(self, starts, orders, run, rest):
+        super().__init__()
+        self.blocks = list(zip(starts, orders, run, rest))
+
+    def __missing__(self, key):
+        t, a = key
+        moved = self[key] = [lo + (k + e * t + f * a) % n
+                             for lo, n, e, f in self.blocks for k in range(n)]
+        return moved
+
+
+def _add(out, vec, poly, shift, sign=1):
+    """Add sign * vec times the polynomial {(t, a): coefficient} to out,
+    blockwise, ``shift[t, a]`` giving the index each entry of vec moves to
+    (see :class:`_Shifts`); returns out."""
+    for ta, c in poly.items():
+        c *= sign
+        for k, v in zip(shift[ta], vec):
             out[k] += c * v
     return out
 
@@ -207,16 +301,18 @@ def _parity(part, par):
     return part if isinstance(part, int) else sum(par[i] for i in part)
 
 
-def _expand(alg, rem, lt, rt, neg, last, closing):
+def _expand(alg, rep, deg, rem, lt, rt, neg, last, closing):
     """The terms of one local configuration at a crossing: the factor
     ``rem`` split by the coproduct into slot and rest (taken whole at the
     alpha's last crossing), the antipode on the slot if ``neg``, and the
     product ``lt`` * slot * ``rt`` with the runs that are not None.  Returns
-    whether a term has an odd slot and the terms: (rest, run index, odd,
-    coefficient), or (rest, parity, odd, {discrete log: coefficient}) when
-    ``closing``, the beta's table of :func:`_closing`, completes it.  The
-    terms depend on the package alone, so the sweep keeps them in
-    :attr:`_Rules.terms`."""
+    whether a term has an odd slot and the terms: (rest, run, odd,
+    {(t, a): coefficient}) with the rest and the run read as
+    representatives (``rep``) and degrees (``deg``), t the run's and a the
+    rest's, or (rest, parity, odd, {(t, a): coefficient}), t the discrete
+    log of the product's image, when ``closing``, the beta's table of
+    :func:`_closing`, completes it.  The terms depend on the package
+    alone, so the sweep keeps them in :attr:`_Rules.terms`."""
     par, mul = alg.parity, alg.mul_sc
     comul, antipode = alg.comul_sc, alg.antipode_sc
     acc = {}
@@ -230,30 +326,30 @@ def _expand(alg, rem, lt, rt, neg, last, closing):
                 for m, cm in prod.items():
                     k = (rest, m, par[s])
                     acc[k] = acc.get(k, 0) + c * cs * cu * cm
-    if closing is None:
-        terms = [(rest, m, odd, c) for (rest, m, odd), c in acc.items() if c]
-    else:
-        polys = {}
-        for (rest, m, odd), c in acc.items():
-            poly = polys.setdefault((rest, par[m], odd), {})
-            for t, ct in closing[m].items():
-                poly[t] = poly.get(t, 0) + c * ct
-        terms = [(rest, p, odd, {t: c for t, c in poly.items() if c})
-                 for (rest, p, odd), poly in polys.items()
-                 if any(poly.values())]
+    polys = {}
+    for (rest, m, odd), c in acc.items():
+        r, a = (None, 0) if rest is None else (rep[rest], deg[rest])
+        if closing is None:
+            part, image = rep[m], {deg[m]: c}
+        else:
+            part, image = par[m], {t: c * ct for t, ct in closing[m].items()}
+        poly = polys.setdefault((r, part, odd), {})
+        for t, ct in image.items():
+            poly[t, a] = poly.get((t, a), 0) + ct
+    terms = [(r, part, odd, {ta: c for ta, c in poly.items() if c})
+             for (r, part, odd), poly in polys.items() if any(poly.values())]
     return any(term[2] for term in terms), terms
 
 
-def _cross(states, alg, rules, b, j, placed, neg, last, closing):
+def _cross(states, alg, rules, b, j, placed, neg, last, kind, shift):
     """The frontier after placing the next slot of the current alpha at
     position j of beta b, where ``placed`` holds the positions of b filled
-    before and ``closing`` is, if this completes b, b's kind (``closed``)
-    and shift table (see :func:`_times`).  Each state looks its local
-    triple up once, in the table of ``rules`` for (``neg``, ``last``,
-    kind), which :func:`_expand` fills the first time any sweep against
+    before, ``kind`` is b's ``closed`` if this completes b and None if not,
+    and ``shift`` is the crossing's :class:`_Shifts`.  Each state looks its
+    local triple up once, in the table of ``rules`` for (``neg``, ``last``,
+    ``kind``), which :func:`_expand` fills the first time any sweep against
     the package meets the triple."""
     par = alg.parity
-    kind, shift = (None, None) if closing is None else closing
     memo = rules.terms.setdefault((neg, last, kind), {})
     table = None if kind is None else rules.closing[kind]
     r = sum(1 for p in placed if p < j and p + 1 not in placed)
@@ -266,7 +362,8 @@ def _cross(states, alg, rules, b, j, placed, neg, last, closing):
                  runs[r] if right else None)
         expansion = memo.get(local)
         if expansion is None:
-            expansion = memo[local] = _expand(alg, *local, neg, last, table)
+            expansion = memo[local] = _expand(
+                alg, rules.rep, rules.deg, *local, neg, last, table)
         has_odd, terms = expansion
         head, later = key[1:1 + b], key[2 + b:]
         tail = 0
@@ -277,21 +374,16 @@ def _cross(states, alg, rules, b, j, placed, neg, last, closing):
                 tail = tails[shared] = (
                     sum(par[i] for i in runs[r:])
                     + sum(_parity(p, par) for p in later)) % 2
-        if closing is None:
+        if kind is None:
             pre, post = runs[:lo], runs[hi:]
-        for rest, part, odd, weight in terms:
-            sign = -1 if odd and tail else 1
-            if closing is None:
-                part, value, c = pre + (part,) + post, vec, sign * weight
-            else:
-                value, c = _times(vec, weight, shift), sign
+        for rest, part, odd, poly in terms:
+            if kind is None:
+                part = pre + (part,) + post
             new = (rest,) + head + (part,) + later
             cur = out.get(new)
             if cur is None:
-                out[new] = [c * v for v in value]
-            else:
-                for k, v in enumerate(value):
-                    cur[k] += c * v
+                cur = out[new] = [0] * len(vec)
+            _add(cur, vec, poly, shift, -1 if odd and tail else 1)
     return {key: vec for key, vec in out.items() if any(vec)}
 
 
@@ -305,8 +397,8 @@ def contract_values(based, pkg, assignments):
     """The unnormalized scalar at each of ``assignments``, in their order,
     from one sweep whose state values hold one block per assignment.  What
     depends on the package alone comes from its :func:`_rules`, shared by
-    every call with the same package; only each beta's shift table, which
-    depends on the diagram and the characters, is built per call.  When the
+    every call with the same package; only the shift tables, which depend
+    on the diagram and the characters, are built per call.  When the
     rules say the product supercommutes, each slot goes to the next free
     position of its beta rather than its home position there, so a beta
     holds one run and the Koszul tail counts later betas only (the module
@@ -320,25 +412,22 @@ def contract_values(based, pkg, assignments):
     beta_pos = {c.id: b for b, c in enumerate(betas)}
     orders = [chars.order for chars in assignments]
     starts = list(accumulate(orders, initial=0))
-    # per beta, its kind and its shift table: per discrete log t, the index
-    # each value entry moves to, block j shifted by e_j * t mod N_j
-    closing = []
-    for c in betas:
-        exps = [chars.psi_exponent(c.id) for chars in assignments]
-        closing.append((c.closed, {
-            t: [lo + (k + e * t) % n for lo, n, e in zip(starts, orders, exps)
-                for k in range(n)]
-            for t in set(integ.b_dlog)}))
+    # per beta, the exponent of each block
+    exps = {c.id: [chars.psi_exponent(c.id) for chars in assignments]
+            for c in betas}
+    zero = [0] * len(orders)
 
     vec, parts = [0] * starts[-1], []
     for lo in starts[:-1]:
         vec[lo] = 1
-    for b, c in enumerate(betas):
+    for c in betas:
         if c.order:
             parts.append(())
         else:
             unit = rules.closing[c.closed][alg.unit_index]
-            vec = _times(vec, unit, closing[b][1])
+            vec = _add([0] * len(vec), vec,
+                       {(t, 0): v for t, v in unit.items()},
+                       _Shifts(starts, orders, exps[c.id], zero))
             parts.append(alg.parity[alg.unit_index])
     states = {(None, *parts): vec}
     placed = [set() for _ in betas]
@@ -349,17 +438,27 @@ def contract_values(based, pkg, assignments):
             states = {key: [k * v for v in vec]
                       for key, vec in states.items()}
             continue
-        # every state entering an alpha has remainder None, so the seeded
-        # keys are distinct
-        states = {(i,) + key[1:]: [ci * v for v in vec]
-                  for key, vec in states.items() for i, ci in seed.items()}
+        # rests[t]: per block, the signed exponent sum over crossings t..
+        rests = [zero]
+        for x in reversed(ordered[c.id]):
+            rests.insert(0, [f + x.sign * e
+                             for f, e in zip(rests[0], exps[x.beta])])
+        shift, seeded = _Shifts(starts, orders, zero, rests[0]), {}
+        for key, vec in states.items():
+            for i, ci in seed.items():
+                _add(seeded.setdefault((rules.rep[i],) + key[1:],
+                                       [0] * len(vec)),
+                     vec, {(0, rules.deg[i]): ci}, shift)
+        states = seeded
         for t, x in enumerate(ordered[c.id]):
             b = beta_pos[x.beta]
             j = len(placed[b]) if rules.supercommutes else place[x.id][1]
             done = len(placed[b]) + 1 == len(betas[b].order)
             states = _cross(states, alg, rules, b, j, placed[b], x.sign < 0,
                             t == len(c.order) - 1,
-                            closing[b] if done else None)
+                            betas[b].closed if done else None,
+                            _Shifts(starts, orders, exps[x.beta],
+                                    rests[t + 1]))
             placed[b].add(j)
 
     functional_parity = sum(integ.mu_parity for c in betas if c.closed)

@@ -313,16 +313,23 @@ def exterior_package():
 
 def walked(based, pkg):
     """The contraction at the trivial character by its definition, before
-    the cointegral prefactor: a sum over every term of the iterated
-    coproducts and antipodes, the slots rerouted from alpha order to beta
-    order at the Koszul sign of the odd ones, each beta's product mapped by
-    mu or pi_B into B, where the trivial character reads every b^t as 1."""
+    the cointegral prefactor: see :func:`walked_at`."""
+    return walked_at(based, pkg, CharacterAssignment.trivial())[0]
+
+
+def walked_at(based, pkg, chars):
+    """The contraction at ``chars`` by its definition, before the
+    cointegral prefactor, as coefficients over exponents mod chars.order: a
+    sum over every term of the iterated coproducts and antipodes, the slots
+    rerouted from alpha order to beta order at the Koszul sign of the odd
+    ones, each beta's product mapped by mu or pi_B into B, where the
+    character reads every b^t as x^(e * t), e its exponent on the beta."""
     alg, integ, coint = pkg.algebra, pkg.integral, pkg.cointegral
     alphas, betas = based.family("alpha"), based.family("beta")
     order = [xid for c in alphas for xid in c.order]
     where = {xid: i for i, xid in enumerate(order)}
     choices = [list(alg.antipode_sc[i].items()) for i in range(alg.dim)]
-    total = 0
+    total = [0] * chars.order
     for combo in itertools.product(*(coproduct_power(
             pkg, apply(coint.iota if c.closed else coint.i_a, {0: 1}),
             len(c.order)) for c in alphas)):
@@ -335,15 +342,135 @@ def walked(based, pkg):
             term = math.prod(c for _, c in picks) * coeff
             odd = [where[x] for c in betas for x in c.order
                    if alg.parity[picks[where[x]][0]]]
-            term *= perm_sign(odd)
+            poly = {0: term * perm_sign(odd)}
             for c in betas:
                 prod = alg.unit()
                 for xid in c.order:
                     prod = alg.mul(prod, {picks[where[xid]][0]: 1})
                 b_elem = apply(integ.mu if c.closed else integ.pi_b, prod)
-                term *= sum(b_elem.values())
-            total += term
+                e, read = chars.psi_exponent(c.id), {}
+                for k, v in poly.items():
+                    for pos, cb in b_elem.items():
+                        x = (k + e * integ.b_dlog[pos]) % chars.order
+                        read[x] = read.get(x, 0) + v * cb
+                poly = read
+            for k, v in poly.items():
+                total[k] += v
     return total
+
+
+def walked_value(based, pkg, chars):
+    """:func:`walked_at` reduced and times the cointegral prefactor, once
+    per closed alpha: what :func:`contract` returns."""
+    closed = sum(1 for c in based.family("alpha") if c.closed)
+    return CyclotomicScalar.from_coeffs(
+        walked_at(based, pkg, chars), chars.order).scale(
+            pkg.cointegral.iota_prefactor ** closed)
+
+
+def off_h1(diag, n, rng):
+    """Four characters of order n with an exponent drawn per beta, not
+    induced by H_1, so that a closed alpha's signed exponent sum F, the
+    degree its seed's orbit sum is read at, need not vanish mod n."""
+    betas = [c.id for c in diag.family("beta")]
+    return [CharacterAssignment(n, {b: rng.randrange(n) for b in betas})
+            for _ in range(4)]
+
+
+def relator_sums(diag, chars):
+    """Per closed alpha, F = the signed sum of the exponents of its
+    crossings' betas, mod chars.order."""
+    return [sum(diag.crossing(x).sign
+                * chars.psi_exponent(diag.crossing(x).beta)
+                for x in c.order) % chars.order
+            for c in diag.family("alpha", "closed")]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_fold_matches_the_term_walk_off_h1(n):
+    """On every corpus diagram at exponents not induced by H_1: the sweep,
+    which keys H_n's runs and remainders by their orbits under K and reads
+    their degrees into the value, gives the term walk's value, which reads
+    every b^t of a beta's image as x^(e * t).  A closed alpha's seed
+    sum_i K^i X is read at F != 0 mod n on some of these characters, where
+    the remainder's degree shows."""
+    rng, pkg, seen = random.Random(SEED + n), build_hn(n), 0
+    assert len(set(_rules(pkg).rep)) == 2
+    for name in corpus_names():
+        diag = load(name)
+        chars = off_h1(diag, n, rng)
+        seen += sum(any(relator_sums(diag, ca)) for ca in chars)
+        assert contract_values(diag, pkg, chars) == \
+            [walked_value(diag, pkg, ca) for ca in chars], name
+    assert seen
+
+
+def orbit_breaks(n):
+    """Copies of H_n, n even, that each break one condition of the orbit
+    fold (see the ``kuperberg`` module docstring) and keep the others: b = K
+    odd,
+    K not central (X K = -K X), K times K^i X = 2 K^(i+1) X (not a
+    permutation of the basis), mu(X) = 2 (mu not shifting along an orbit),
+    Delta(K X) with one sign flipped, and S(X) = +K^-1 X.  Each has the
+    prefactor 1, as the broken copies' values need not be divisible by n."""
+    pkg = build_hn(n)
+    pkg = dataclasses.replace(pkg, cointegral=dataclasses.replace(
+        pkg.cointegral, iota_prefactor=Fraction(1)))
+    alg, integ = pkg.algebra, pkg.integral
+    odd = [{n + (i + 1) % n: 1} for i in range(n)]
+
+    def with_algebra(**changes):
+        return dataclasses.replace(pkg, algebra=dataclasses.replace(
+            alg, **changes))
+
+    # K^i and K^i X of odd i change parity, so the product stays even
+    parity = [p ^ (i % n) % 2 for i, p in enumerate(alg.parity)]
+    anticentral, doubled = dict(alg.mul_sc), dict(alg.mul_sc)
+    for i in range(n):
+        anticentral[n + i, 1] = {k: -c for k, c in odd[i].items()}
+        doubled[1, n + i] = doubled[n + i, 1] = {k: 2 for k in odd[i]}
+    comul = dict(alg.comul_sc)
+    comul[n + 1] = {k: c if k[0] < n else -c
+                    for k, c in comul[n + 1].items()}
+    antipode = dict(alg.antipode_sc)
+    antipode[n] = {k: -c for k, c in antipode[n].items()}
+    return {
+        "b odd": with_algebra(parity=tuple(parity)),
+        "b not central": with_algebra(mul_sc=anticentral),
+        "b times a basis element not one": with_algebra(mul_sc=doubled),
+        "mu not shifting": dataclasses.replace(
+            pkg, integral=dataclasses.replace(
+                integ, mu={**integ.mu, n: {0: 2}})),
+        "Delta not equivariant": with_algebra(comul_sc=comul),
+        "S not equivariant": with_algebra(antipode_sc=antipode),
+    }
+
+
+@pytest.mark.parametrize("label", sorted(orbit_breaks(2)))
+def test_each_orbit_condition_is_checked(label):
+    """A copy of H_2 and of H_4 that breaks one condition of the fold is
+    not folded: every basis index is its own representative, and the sweep
+    gives the term walk's value on every corpus diagram, at characters
+    induced by H_1 and at exponents drawn per beta.  With K odd, B holds
+    odd elements, and the sweep refuses a nonzero contribution of odd
+    total parity, which the walk, summing every term, does not see; a fold
+    would key K^i X by X and give a value on some of those diagrams."""
+    rng, compared = random.Random(SEED), 0
+    for n in (2, 4):
+        pkg = orbit_breaks(n)[label]
+        assert _rules(pkg).rep == tuple(range(2 * n)), n
+        for name in corpus_names():
+            diag = load(name)
+            chars = every_character(diag, n)[:3] + off_h1(diag, n, rng)
+            want = [walked_value(diag, pkg, ca) for ca in chars]
+            try:
+                got = contract_values(diag, pkg, chars)
+            except OddScalarError:
+                assert label == "b odd", (n, name)
+                continue
+            assert got == want, (n, name)
+            compared += 1
+    assert compared
 
 
 def in_beta_order(pkg):
@@ -474,20 +601,45 @@ def test_warm_rules_change_nothing():
 def test_the_rule_memo_stays_within_its_bound():
     """After every corpus diagram at n = 2..4 and every character, the
     package's rules hold at most one table per (negative, last, closing
-    kind), each keyed by local triples of basis indices or None."""
+    kind), each keyed by local triples of orbit representatives or None:
+    with r = dim / n = 2 representatives, K^0 and X, at most
+    r * (r + 1)^2 = 18 entries per table."""
     for name in corpus_names():
         diag = load(name)
         for n in (2, 3, 4):
             contract_values(diag, build_hn(n), every_character(diag, n))
     for n in (2, 3, 4):
-        dim = build_hn(n).algebra.dim
-        tables = _rules(build_hn(n)).terms
-        assert set(tables) <= set(itertools.product(
+        rules = _rules(build_hn(n))
+        reps = set(rules.rep)
+        assert reps == {0, n}
+        r = build_hn(n).algebra.dim // n
+        assert set(rules.terms) <= set(itertools.product(
             (False, True), (False, True), (None, False, True)))
-        indices, runs = set(range(dim)), set(range(dim)) | {None}
-        for table in tables.values():
+        runs = reps | {None}
+        for table in rules.terms.values():
+            assert len(table) <= r * (r + 1) ** 2
             for rem, lt, rt in table:
-                assert rem in indices and lt in runs and rt in runs
+                assert rem in reps and lt in runs and rt in runs
+
+
+def test_the_fold_keeps_the_frontier_small(monkeypatch):
+    """Hopf slid and back to d = 4 at n = 3, every character: the peak
+    frontier stays at 19 states, where keying runs and remainders by basis
+    index held 2,592.  A fold that switched itself off would keep every
+    value and fail here."""
+    peak, cross = [0], kuperberg._cross
+
+    def spy(states, *args):
+        out = cross(states, *args)
+        peak[0] = max(peak[0], len(states), len(out))
+        return out
+
+    monkeypatch.setattr(kuperberg, "_cross", spy)
+    diag = anchored(slid_and_back(load("hopf"), 4))
+    chars = every_character(diag, 3)
+    assert len(chars) == 27
+    contract_values(diag, build_hn(3), chars)
+    assert 0 < peak[0] <= 19
 
 
 def test_both_product_orders_agree_on_hn():

@@ -8,10 +8,11 @@ from dataclasses import replace
 
 import pytest
 
-from suturant import (CharacterAssignment, Curve, SuturantError,
+from suturant import (CharacterAssignment, Curve, Multipoint, SuturantError,
                       all_characters, alpha_word, beta_word, build_hn,
                       contract_values, epsilon_class, homology,
-                      invariant_hn_values, rebase, torsion_class, validate)
+                      invariant_h0, invariant_hn_values, rebase,
+                      torsion_class, validate)
 from suturant.errors import NonSquareError
 from suturant.foxcalc import multipoint_class
 from suturant.invariant import SpincRelative, anchor_multipoint
@@ -99,6 +100,25 @@ def test_both_engines_refuse_an_unbalanced_diagram():
             invariant_hn_values(diag, 3, chars,
                                 SpincRelative(anchor_multipoint(diag)),
                                 engine=engine)
+
+
+def test_the_torsion_class_refuses_an_unbalanced_diagram():
+    """The unknot with one closed beta without crossings (d = 0, so no
+    Fox row and an empty determinant) and the trefoil with one more: the
+    torsion class raises NonSquareError, as invariant_h0 and both
+    invariant_hn engines do."""
+    unknot = load("unknot")
+    lone = unknot.with_curves(list(unknot.curves)
+                              + [Curve("b9", "beta", "closed", ())])
+    for diag in (lone, _extra_closed_beta(load("trefoil"))):
+        spinc = SpincRelative(Multipoint(()))
+        for call in (lambda: torsion_class(diag),
+                     lambda: invariant_h0(diag, spinc),
+                     *(lambda e=e: invariant_hn_values(
+                         diag, 2, [], spinc, engine=e)
+                       for e in ("fox", "tensor"))):
+            with pytest.raises(NonSquareError):
+                call()
 
 
 def _order_breaks(diag, rng):
