@@ -271,8 +271,8 @@ class _Shifts(dict):
     """The shift table of one crossing: per degree pair (t, a), filled as
     the sweep meets it, the index each entry of a value moves to when
     block j, of order N_j, is multiplied by x^(run_j * t + rest_j * a).
-    ``run`` holds the exponents of the crossing's beta and ``rest`` their
-    signed sums over the alpha's crossings after it."""
+    ``run`` holds the blocks' exponents on the crossing's beta, ``rest``
+    the signed sums of their exponents over the alpha's later crossings."""
 
     def __init__(self, starts, orders, run, rest):
         super().__init__()
