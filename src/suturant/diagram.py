@@ -183,6 +183,19 @@ class ExtendedDiagram:
                 place.setdefault(x.id, [0, 0])[c.family == "beta"] = i
         return place
 
+    @cached_property
+    def memo(self):
+        """The diagram's frame, filled on first use by the code that reads
+        it: H_1 (``foxcalc.homology``), the anchor multipoint and the
+        anchor's class (``invariant``), each keyed by a private name of the
+        module that writes it.  Frame data only, never a value: the Fox
+        matrix, its determinant and every contraction are computed on each
+        call.  Every entry is immutable and only a successful result is
+        stored, so a diagram that breaks the order rule raises every time.
+        Not a field: a ``replace``, ``with_curves``, move or ``rebase`` copy
+        starts with an empty memo, and == and hash skip it."""
+        return {}
+
     def beta_generators(self):
         """Dual generators of pi_1: every beta curve, closed first."""
         return tuple(c.id for c in self.family("beta"))

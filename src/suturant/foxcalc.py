@@ -10,11 +10,11 @@ lifted entry into one integer, and fraction-free elimination runs on the
 integers (:func:`determinant`).
 
 The Fox matrix reads each closed alpha's crossings from the diagram's index
-twice: once for its relator (:func:`homology`), and once in one walk
-(:func:`_walk`, the only statement of the class rule) that classes each
-crossing and adds its sign to entry (a, b) = sum sign * t^class over the
-crossings of a with b, keyed already in normal form.  The word-level
-:func:`fox_derivative` uses the closed occurrence formula
+twice: once for its relator (:func:`homology`, once per diagram), and once
+in one walk (:func:`_walk`, the only statement of the class rule) that
+classes each crossing and adds its sign to entry (a, b) = sum sign *
+t^class over the crossings of a with b, keyed already in normal form.  The
+word-level :func:`fox_derivative` uses the closed occurrence formula
 
     dw/dx = sum_j m_j (A_j x^{-eps_j})
 
@@ -211,6 +211,15 @@ def presented_group(gens, relation_rows):
 
 
 def homology(diag):
+    """H_1 of the diagram (:func:`_homology`), computed once per diagram
+    and kept in its memo."""
+    group = diag.memo.get(_homology)
+    if group is None:
+        group = diag.memo[_homology] = _homology(diag)
+    return group
+
+
+def _homology(diag):
     """H_1 presented on the beta duals with one relation per closed alpha,
     its crossings' signs summed at their betas in one read of its order."""
     ordered = diag.ordered          # even at d = 0: it checks the orders

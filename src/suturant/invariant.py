@@ -22,9 +22,12 @@ engine evaluates the group-ring valued invariant, computed once, at each
 character.  The group-ring valued invariant and the torsion class always go
 through the Fox engine, which is symbolic by construction.  Both engines
 read the diagram at its own basepoints and share one normalization, the
-unit delta * t^h with h the offset minus the anchor's class, computed once
-per list: rotating a basepoint changes the contraction and the Fox
-determinant by the same unit, so neither engine rebases at the reference.
+unit delta * t^h with h the offset minus the anchor's class: rotating a
+basepoint changes the contraction and the Fox determinant by the same unit,
+so neither engine rebases at the reference.  H_1, the anchor and the
+anchor's class depend on the diagram alone and are kept in its memo
+(``ExtendedDiagram.memo``), so each is computed once per diagram; the
+checks of the normalization run on every call.
 """
 
 from __future__ import annotations
@@ -94,17 +97,24 @@ class OrientationSign:
 def anchor_multipoint(diag):
     """The multipoint every spin-c offset is anchored at: the least one in
     sorted-pick order (the first one ``enumerate_multipoints`` lists), or
-    None when the diagram has none.
+    None when the diagram has none.  Searched once per diagram
+    (:func:`_anchor`) and kept in its memo, None included."""
+    if _anchor not in diag.memo:
+        diag.memo[_anchor] = _anchor(diag)
+    return diag.memo[_anchor]
 
-    A greedy lexicographic matching: the crossings between closed alphas
-    and closed betas (``meets``) are taken in sorted id order, and one is
-    accepted when its alpha and beta are unused and the closed alphas left
-    over can still be matched to distinct unused closed betas.  A skipped
-    crossing lies in no multipoint that contains the picks accepted before
-    it.  So the multipoints containing the first k picks have no other pick
-    below the k-th, and the next accepted crossing is the least further
-    pick among them.  Each test is Kuhn's augmenting-path matching,
-    O(d * E) for E such crossings."""
+
+def _anchor(diag):
+    """The search of :func:`anchor_multipoint`, a greedy lexicographic
+    matching: the crossings between closed alphas and closed betas
+    (``meets``) are taken in sorted id order, and one is accepted when its
+    alpha and beta are unused and the closed alphas left over can still be
+    matched to distinct unused closed betas.  A skipped crossing lies in no
+    multipoint that contains the picks accepted before it.  So the
+    multipoints containing the first k picks have no other pick below the
+    k-th, and the next accepted crossing is the least further pick among
+    them.  Each test is Kuhn's augmenting-path matching, O(d * E) for E
+    such crossings."""
     meets = diag.meets
     picks, used_a, used_b = [], set(), set()
     for x in sorted((x for row in meets for x in row), key=lambda x: x.id):
@@ -144,12 +154,22 @@ def _check_balanced(diag):
                              f"{len(diag.closed_betas)} closed beta")
 
 
+def _anchor_class(diag, group):
+    """The anchor's class in the diagram's H_1 ``group``
+    (:func:`foxcalc.multipoint_class`), computed once per diagram and kept
+    in its memo."""
+    if _anchor_class not in diag.memo:
+        diag.memo[_anchor_class] = multipoint_class(
+            diag, group, anchor_multipoint(diag).picks)
+    return diag.memo[_anchor_class]
+
+
 def _normalization(diag, spinc, orient):
     """Check the diagram (:func:`_check_balanced`; the order rule, in
     :func:`foxcalc.homology`) and the reference, and return the group and
     the unit delta * t^h that normalizes a value read at the diagram's own
     basepoints: h is the offset minus the anchor's class
-    (:func:`foxcalc.multipoint_class`), delta the orientation sign."""
+    (:func:`_anchor_class`), delta the orientation sign."""
     _check_balanced(diag)
     group = homology(diag)
     try:
@@ -157,8 +177,7 @@ def _normalization(diag, spinc, orient):
     except InvalidMultipointError:
         raise InvalidReferenceError(
             f"{spinc.reference} is not a multipoint of the diagram") from None
-    h = map(sub, spinc.offset_coords(group),
-            multipoint_class(diag, group, anchor_multipoint(diag).picks))
+    h = map(sub, spinc.offset_coords(group), _anchor_class(diag, group))
     return group, GroupRingElement.monomial(group, tuple(h),
                                             orient.resolve(diag))
 

@@ -100,6 +100,7 @@ single rational cointegral prefactor is applied.  Everything is exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 
@@ -341,20 +342,31 @@ def _expand(alg, rep, deg, rem, lt, rt, neg, last, closing):
     return any(term[2] for term in terms), terms
 
 
-def _cross(states, alg, rules, b, j, placed, neg, last, kind, shift):
-    """The frontier after placing the next slot of the current alpha at
-    position j of beta b, where ``placed`` holds the positions of b filled
-    before, ``kind`` is b's ``closed`` if this completes b and None if not,
-    and ``shift`` is the crossing's :class:`_Shifts`.  Each state looks its
-    local triple up once, in the table of ``rules`` for (``neg``, ``last``,
-    ``kind``), which :func:`_expand` fills the first time any sweep against
-    the package meets the triple."""
+def _join(spans, j):
+    """Place position j on a beta whose filled positions form the runs
+    ``spans``, (first, last) pairs in order, and return (lo, r, hi): the
+    runs before j are spans[:r], and the slot joins spans[lo:hi], which
+    become one run in ``spans``.  One bisection, so no scan of the beta."""
+    r = bisect_left(spans, (j,))
+    lo = r - (r > 0 and spans[r - 1][1] == j - 1)
+    hi = r + (r < len(spans) and spans[r][0] == j + 1)
+    spans[lo:hi] = [(spans[lo][0] if lo < r else j,
+                     spans[hi - 1][1] if hi > r else j)]
+    return lo, r, hi
+
+
+def _cross(states, alg, rules, b, lo, r, hi, neg, last, kind, shift):
+    """The frontier after placing the next slot of the current alpha on
+    beta b, between its runs r - 1 and r, joining runs lo..hi - 1 (see
+    :func:`_join`), where ``kind`` is b's ``closed`` if this completes b
+    and None if not, and ``shift`` is the crossing's :class:`_Shifts`.
+    Each state looks its local triple up once, in the table of ``rules``
+    for (``neg``, ``last``, ``kind``), which :func:`_expand` fills the
+    first time any sweep against the package meets the triple."""
     par = alg.parity
     memo = rules.terms.setdefault((neg, last, kind), {})
     table = None if kind is None else rules.closing[kind]
-    r = sum(1 for p in placed if p < j and p + 1 not in placed)
-    left, right = j - 1 in placed, j + 1 in placed
-    lo, hi = r - left, r + right     # the runs this slot joins
+    left, right = lo < r, hi > r
     tails, out = {}, {}
     for key, vec in states.items():
         runs = key[1 + b]
@@ -430,7 +442,7 @@ def contract_values(based, pkg, assignments):
                        _Shifts(starts, orders, exps[c.id], zero))
             parts.append(alg.parity[alg.unit_index])
     states = {(None, *parts): vec}
-    placed = [set() for _ in betas]
+    filled, spans = [0] * len(betas), [[] for _ in betas]
     for c in alphas:
         seed = rules.seeds[c.closed]
         if not c.order:
@@ -441,8 +453,9 @@ def contract_values(based, pkg, assignments):
         # rests[t]: per block, the signed exponent sum over crossings t..
         rests = [zero]
         for x in reversed(ordered[c.id]):
-            rests.insert(0, [f + x.sign * e
-                             for f, e in zip(rests[0], exps[x.beta])])
+            rests.append([f + x.sign * e
+                          for f, e in zip(rests[-1], exps[x.beta])])
+        rests.reverse()
         shift, seeded = _Shifts(starts, orders, zero, rests[0]), {}
         for key, vec in states.items():
             for i, ci in seed.items():
@@ -452,14 +465,14 @@ def contract_values(based, pkg, assignments):
         states = seeded
         for t, x in enumerate(ordered[c.id]):
             b = beta_pos[x.beta]
-            j = len(placed[b]) if rules.supercommutes else place[x.id][1]
-            done = len(placed[b]) + 1 == len(betas[b].order)
-            states = _cross(states, alg, rules, b, j, placed[b], x.sign < 0,
-                            t == len(c.order) - 1,
+            j = filled[b] if rules.supercommutes else place[x.id][1]
+            filled[b] += 1
+            done = filled[b] == len(betas[b].order)
+            states = _cross(states, alg, rules, b, *_join(spans[b], j),
+                            x.sign < 0, t == len(c.order) - 1,
                             betas[b].closed if done else None,
                             _Shifts(starts, orders, exps[x.beta],
                                     rests[t + 1]))
-            placed[b].add(j)
 
     functional_parity = sum(integ.mu_parity for c in betas if c.closed)
     total = [0] * starts[-1]

@@ -1,7 +1,8 @@
 """The two engines check each other only while neither reads the other:
 the tensor engine (``kuperberg.py`` over ``algebra.py``) imports nothing
 from the Fox engine (``foxcalc.py``), and the Fox engine nothing from the
-tensor engine.  The command line reaches the character-evaluated invariant
+tensor engine; the tensor engine reads no memo but its package's, so not
+the diagram's, where the Fox engine keeps H_1.  The command line reaches the character-evaluated invariant
 only through ``invariant.invariant_hn_values``, so it has no private path
 of its own into either engine."""
 
@@ -98,3 +99,32 @@ def test_where_a_crossing_sits_is_read_from_one_index():
     assert {module: order_rebuilds(module)
             for module in ("foxcalc", "kuperberg", "invariant", "cli")} == {
         "foxcalc": [], "kuperberg": [], "invariant": [], "cli": []}
+
+
+def memo_uses(module):
+    """(owner, stored) for each ``.memo`` in ``module``: the source of the
+    object whose memo it is, and whether an entry is stored into it
+    there."""
+    path = PACKAGE / f"{module}.py"
+    text = path.read_text()
+    nodes = list(ast.walk(ast.parse(text, str(path))))
+    stores = {id(node.value) for node in nodes
+              if isinstance(node, ast.Subscript)
+              and isinstance(node.ctx, ast.Store)}
+    return {(ast.get_source_segment(text, node.value), id(node) in stores)
+            for node in nodes
+            if isinstance(node, ast.Attribute) and node.attr == "memo"}
+
+
+def test_the_tensor_engine_reads_only_the_package_memo():
+    """Every memo the tensor engine reads is its package's, so it reads
+    nothing the Fox side put in the diagram's memo; only the Fox engine
+    (H_1) and the assembly (the anchor and its class) fill the diagram's."""
+    uses = {path.stem: memo_uses(path.stem)
+            for path in sorted(PACKAGE.glob("*.py"))}
+    assert uses.pop("kuperberg") == {("pkg", False), ("pkg", True)}
+    writers = {module for module, found in uses.items()
+               if any(stored for _, stored in found)}
+    owners = {owner for found in uses.values() for owner, _ in found}
+    assert writers == {"foxcalc", "invariant"}
+    assert owners == {"diag"}
