@@ -1,14 +1,18 @@
 """Pinned stdout and exit status of the CLI on the corpus.
 
 Each entry of ``cli_golden.json`` is one invocation of ``suturant.cli.run``:
-its argv, with corpus files written ``corpus/<name>.hd`` relative to the
-repository root, its exit status and its stdout.  The invocations cover
+its argv, with corpus and test files written ``corpus/<name>.hd`` and
+``tests/...`` relative to the repository root, its exit status and its
+stdout.  The invocations cover
 ``validate``, ``multipoints``, ``class``, ``compute`` with both engines and
 both algebras (all characters at n = 1..4, signs, offsets, orders, single
 characters, named reference multipoints, missing options; the tensor
 engine at n = 2 also with a sign and an offset and with the canonical
-sign), ``compare`` on every ordered pair and ``axioms`` on the shipped
-packages.  Every tensor entry prints what its Fox entry prints.
+sign), ``compare`` on every ordered pair, ``axioms`` on the shipped
+packages and ``move`` with one script per move kind from
+``tests/move_scripts`` (stabilize and trivial handles on every corpus file
+and on a diagram listing its curves out of order).  Every tensor entry
+prints what its Fox entry prints.
 Regenerate with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
@@ -60,6 +64,21 @@ def invocations():
             ["axioms", "--algebra", "hn", "--n", "16"],
             ["axioms", "--algebra", "cyclic", "--m", "8"],
             ["axioms", "--algebra", "hn"]]
+    scripts = "tests/move_scripts/"
+    for f, script in (("hopf", "reorder"), ("hopf", "reverse"),
+                      ("trefoil", "finger"), ("trefoil", "endpoint"),
+                      ("trefoil_moved", "cancel"),
+                      ("trefoil_moved", "destabilize"),
+                      ("hopf", "handleslide")):
+        out.append(["move", f"corpus/{f}.hd",
+                    "--script", f"{scripts}{script}.txt"])
+    out += [["move", scripts + "cancel.hd",
+             "--script", scripts + "cancel.txt"],
+            ["move", "corpus/trefoil.hd",
+             "--script", "corpus/trefoil_moves.txt"]]
+    for f in files + [scripts + "interleaved.hd"]:
+        for script in ("stabilize", "trivial_handles"):
+            out.append(["move", f, "--script", f"{scripts}{script}.txt"])
     return out
 
 
@@ -67,8 +86,8 @@ def outcome(argv):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(io.StringIO()):
-        status = run([str(ROOT / a) if a.startswith("corpus/") else a
-                      for a in argv])
+        status = run([str(ROOT / a) if a.startswith(("corpus/", "tests/"))
+                      else a for a in argv])
     return {"argv": argv, "status": status, "stdout": stdout.getvalue()}
 
 
