@@ -10,7 +10,10 @@ the combinatorics alone.
 The order rule (:func:`order_rule`): each id on a curve's order is a
 crossing of that curve, and each crossing sits exactly once on its alpha's
 order and once on its beta's.  :func:`validate` reports from it, and the
-index both engines read (``ExtendedDiagram.ordered``) raises from it.
+index both engines read (``ExtendedDiagram.ordered``) raises from it.  The
+balanced rule (:func:`check_balanced`), as many closed betas as closed
+alphas, and the ordering convention (:func:`closed_first`), closed curves
+before arcs, are each stated once here too.
 
 File format (UTF-8, line oriented, ``#`` starts a comment):
 
@@ -28,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .errors import (DuplicateIdError, InvalidMultipointError, ParseError,
-                     UnknownCurveError, UnknownGeneratorError)
+from .errors import (DuplicateIdError, InvalidMultipointError, NonSquareError,
+                     ParseError, UnknownCurveError, UnknownGeneratorError)
 from .report import Report
 
 
@@ -314,22 +317,37 @@ def order_rule(diag, fam):
             [xid for xid, n in counts.items() if not n])
 
 
+def check_balanced(diag):
+    """The balanced rule: a diagram with more closed alphas than closed
+    betas, or fewer, has no multipoint and a Fox matrix that is not
+    square, and raises NonSquareError.  Both engines refuse it at their
+    entry points, and :func:`validate` reports it."""
+    if diag.d != len(diag.closed_betas):
+        raise NonSquareError(f"{diag.d} closed alpha vs "
+                             f"{len(diag.closed_betas)} closed beta")
+
+
+def closed_first(curves):
+    """The ordering convention: alphas before betas, closed curves before
+    arcs, otherwise in the given order.  :func:`validate` checks it per
+    family, and the moves that add curves list them by it."""
+    return tuple(sorted(curves, key=lambda c: (c.family != "alpha",
+                                               not c.closed)))
+
+
 def validate(diag):
     rep = Report()
 
-    rep.add("Balanced", len(diag.closed_alphas) == len(diag.closed_betas),
-            f"{len(diag.closed_alphas)} closed alpha vs "
-            f"{len(diag.closed_betas)} closed beta")
+    ok, wit = True, ""
+    try:
+        check_balanced(diag)
+    except NonSquareError as e:
+        ok, wit = False, str(e)
+    rep.add("Balanced", ok, wit)
 
     for fam in ("alpha", "beta"):
-        seen_arc = False
-        ok = True
-        for c in diag.family(fam):
-            if c.topology == "arc":
-                seen_arc = True
-            elif seen_arc:
-                ok = False
-        rep.add(f"OrderingConvention[{fam}]", ok,
+        curves = diag.family(fam)
+        rep.add(f"OrderingConvention[{fam}]", curves == closed_first(curves),
                 "closed curves must precede arcs")
 
     for fam in ("alpha", "beta"):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import add, mod, mul, sub
 
 from .cyclotomic import CyclotomicScalar
-from .diagram import FreeWord, fraction_free_det
+from .diagram import FreeWord, check_balanced, fraction_free_det
 from .errors import (GroupMismatchError, InvalidCharacterError,
                      NonSquareError, NotDivisibleError, UnknownGeneratorError)
 
@@ -554,7 +554,9 @@ def determinant(mat):
 
 
 def fox_determinant(diag, group=None):
-    """det of the Fox matrix; the empty (d = 0) determinant is 1."""
+    """det of the Fox matrix; the empty (d = 0) determinant is 1.  An
+    unbalanced diagram is refused first (:func:`diagram.check_balanced`)."""
+    check_balanced(diag)
     group = group or homology(diag)
     if not diag.closed_alphas:
         return GroupRingElement.one(group)

@@ -36,14 +36,15 @@ from dataclasses import dataclass
 from operator import sub
 
 from .algebra import build_hn
-from .diagram import Multipoint, _check_multipoint, canonical_sign
+from .diagram import (Multipoint, _check_multipoint, canonical_sign,
+                      check_balanced)
 # Not called here: kept as module attributes because the benchmark tracer
 # (perfbench/tracing.py) wraps suturant.invariant.enumerate_multipoints,
 # suturant.invariant.epsilon_class and suturant.invariant.rebase.
 from .diagram import enumerate_multipoints, epsilon_class, rebase  # noqa: F401
 from .errors import (AmbiguousOrientationError, InvalidCharacterError,
                      InvalidMultipointError, InvalidReferenceError,
-                     NonSquareError, NotDivisibleError)
+                     NotDivisibleError)
 from .foxcalc import (GroupRingElement, InvariantClass, canonical_class,
                       class_equal, divide_by_element_minus_one, evaluate,
                       fox_determinant, homology, multipoint_class,
@@ -146,14 +147,6 @@ def _matchable(rows, taken):
     return all(augment(row, set()) for row in rows)
 
 
-def _check_balanced(diag):
-    """Refuse a diagram whose closed alphas and closed betas differ in
-    number: its Fox matrix is not square and it has no multipoint."""
-    if diag.d != len(diag.closed_betas):
-        raise NonSquareError(f"{diag.d} closed alpha vs "
-                             f"{len(diag.closed_betas)} closed beta")
-
-
 def _anchor_class(diag, group):
     """The anchor's class in the diagram's H_1 ``group``
     (:func:`foxcalc.multipoint_class`), computed once per diagram and kept
@@ -165,12 +158,12 @@ def _anchor_class(diag, group):
 
 
 def _normalization(diag, spinc, orient):
-    """Check the diagram (:func:`_check_balanced`; the order rule, in
+    """Check the diagram (:func:`check_balanced`; the order rule, in
     :func:`foxcalc.homology`) and the reference, and return the group and
     the unit delta * t^h that normalizes a value read at the diagram's own
     basepoints: h is the offset minus the anchor's class
     (:func:`_anchor_class`), delta the orientation sign."""
-    _check_balanced(diag)
+    check_balanced(diag)
     group = homology(diag)
     try:
         _check_multipoint(diag, spinc.reference)
@@ -240,7 +233,7 @@ def torsion_class(diag):
     multiplies its Fox row by a group element.  A diagram with closed
     curves but no multipoint has vanishing determinant and the class is
     zero; an unbalanced one is refused, as by the invariants."""
-    _check_balanced(diag)
+    check_balanced(diag)
     return canonical_class(fox_determinant(diag, homology(diag)))
 
 

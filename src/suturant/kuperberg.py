@@ -106,7 +106,7 @@ from itertools import accumulate, repeat
 
 from .algebra import apply
 from .cyclotomic import CyclotomicScalar
-from .diagram import beta_word
+from .diagram import beta_word, check_balanced
 from .errors import (ArcCurveError, CharacterMismatchError, OddScalarError)
 
 
@@ -367,7 +367,7 @@ def _cross(states, alg, rules, b, lo, r, hi, neg, last, kind, shift):
     memo = rules.terms.setdefault((neg, last, kind), {})
     table = None if kind is None else rules.closing[kind]
     left, right = lo < r, hi > r
-    tails, out = {}, {}
+    out = {}
     for key, vec in states.items():
         runs = key[1 + b]
         local = (key[0], runs[lo] if left else None,
@@ -378,14 +378,9 @@ def _cross(states, alg, rules, b, lo, r, hi, neg, last, kind, shift):
                 alg, rules.rep, rules.deg, *local, neg, last, table)
         has_odd, terms = expansion
         head, later = key[1:1 + b], key[2 + b:]
-        tail = 0
-        if has_odd:
-            shared = (runs[r:], later)
-            tail = tails.get(shared)
-            if tail is None:
-                tail = tails[shared] = (
-                    sum(par[i] for i in runs[r:])
-                    + sum(_parity(p, par) for p in later)) % 2
+        # the Koszul tail, read only when an odd slot needs it
+        tail = has_odd and (sum(par[i] for i in runs[r:])
+                            + sum(_parity(p, par) for p in later)) % 2
         if kind is None:
             pre, post = runs[:lo], runs[hi:]
         for rest, part, odd, poly in terms:
@@ -414,7 +409,9 @@ def contract_values(based, pkg, assignments):
     rules say the product supercommutes, each slot goes to the next free
     position of its beta rather than its home position there, so a beta
     holds one run and the Koszul tail counts later betas only (the module
-    docstring says why the values are the same)."""
+    docstring says why the values are the same).  An unbalanced diagram
+    is refused first (:func:`diagram.check_balanced`)."""
+    check_balanced(based)
     for chars in assignments:
         check_admissible(based, pkg.integral.glike_b_order, chars)
     alg, integ, coint = pkg.algebra, pkg.integral, pkg.cointegral

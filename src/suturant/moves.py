@@ -2,11 +2,14 @@
 
 Each move is a small dataclass; ``apply_move`` returns a new diagram and
 raises ``IllegalMoveError`` with a reason when the parameters do not describe
-a legal instance.  Moves that touch the beta family change how the fixed
-manifold classes are expressed in the diagram's dual generators, so every
-move also exposes ``generator_map`` (old beta dual -> combination of new
-beta duals) and ``orientation_flip`` (the induced sign on the ordered,
-oriented curve basis); invariance tests compare classes through these.
+a legal instance.  Stabilization extends every named multipoint by the new
+crossing, destabilization strips the removed one, and cancellation drops
+the named multipoints through a cancelled crossing; every other move keeps
+them.  Moves that touch the beta family change how the fixed manifold
+classes are expressed in the diagram's dual generators, so every move also
+exposes ``generator_map`` (old beta dual -> combination of new beta duals)
+and ``orientation_flip`` (the induced sign on the ordered, oriented curve
+basis); invariance tests compare classes through these.
 
 Conventions fixed here, each one geometric realization among the legal ones:
 a finger inserts its two crossings in the same sequence order on both curves;
@@ -22,7 +25,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 
-from .diagram import Crossing, Curve, perm_sign
+from .diagram import Crossing, Curve, Multipoint, closed_first, perm_sign
 from .errors import IllegalMoveError, ParseError
 
 
@@ -77,10 +80,6 @@ class AddTrivialHandles:
     count: int
 
 
-Move = (ReorderCurves, ReverseCurve, FingerIsotopy, CancelFinger,
-        Stabilize, Destabilize, HandleslideCurve, AddTrivialHandles)
-
-
 # ---------------------------------------------------------------------------
 # id generation
 # ---------------------------------------------------------------------------
@@ -112,47 +111,10 @@ def _replace_curve(diag, cid, **changes):
 # ---------------------------------------------------------------------------
 
 def apply_move(diag, move):
-    if isinstance(move, ReorderCurves):
-        new = _apply_reorder(diag, move)
-    elif isinstance(move, ReverseCurve):
-        new = _apply_reverse(diag, move)
-    elif isinstance(move, FingerIsotopy):
-        new = _apply_finger(diag, move)
-    elif isinstance(move, CancelFinger):
-        new = _apply_cancel(diag, move)
-    elif isinstance(move, Stabilize):
-        new = _apply_stabilize(diag)
-    elif isinstance(move, Destabilize):
-        new = _apply_destabilize(diag, move)
-    elif isinstance(move, HandleslideCurve):
-        new = _apply_handleslide(diag, move)
-    elif isinstance(move, AddTrivialHandles):
-        new = _apply_trivial_handles(diag, move)
-    else:
+    apply = _APPLY.get(type(move))
+    if apply is None:
         raise IllegalMoveError(f"unknown move {move!r}")
-    return replace(new, named_multipoints=_transport_named(diag, new, move))
-
-
-def _transport_named(old, new, move):
-    """Carry named multipoints through a move: stabilization extends every
-    multipoint by the new crossing, destabilization strips it, and
-    multipoints through a cancelled crossing are dropped."""
-    from .diagram import Multipoint
-    named = dict(old.named_multipoints)
-    if isinstance(move, Stabilize):
-        fresh = ({x.id for x in new.crossings}
-                 - {x.id for x in old.crossings}).pop()
-        return {nm: Multipoint(tuple(sorted(mp.picks + (fresh,))))
-                for nm, mp in named.items()}
-    if isinstance(move, Destabilize):
-        gone = {x.id for x in old.crossings} - {x.id for x in new.crossings}
-        return {nm: Multipoint(tuple(p for p in mp.picks if p not in gone))
-                for nm, mp in named.items()}
-    if isinstance(move, CancelFinger):
-        gone = {move.first, move.second}
-        return {nm: mp for nm, mp in named.items()
-                if not gone & set(mp.picks)}
-    return named
+    return apply(diag, move)
 
 
 def _apply_reorder(diag, move):
@@ -214,18 +176,9 @@ def _apply_finger(diag, move):
 def _adjacent_pair(curve, first, second):
     """True when (first, second) appear consecutively in this sequence
     order (cyclically for closed curves)."""
-    k = len(curve.order)
-    for i, xid in enumerate(curve.order):
-        if xid != first:
-            continue
-        j = i + 1
-        if j == k:
-            if not curve.closed:
-                return False
-            j = 0
-        if curve.order[j] == second:
-            return True
-    return False
+    order = curve.order
+    after = order[1:] + (order[:1] if curve.closed else ())
+    return (first, second) in zip(order, after)
 
 
 def _apply_cancel(diag, move):
@@ -242,27 +195,25 @@ def _apply_cancel(diag, move):
         raise IllegalMoveError("pair is not adjacent in matching order")
     gone = {x.id, y.id}
     xs = tuple(z for z in diag.crossings if z.id not in gone)
-    new = replace(diag, crossings=xs)
+    new = replace(diag, crossings=xs, named_multipoints={
+        nm: mp for nm, mp in diag.named_multipoints.items()
+        if not gone & set(mp.picks)})
     new = _replace_curve(new, a.id,
                          order=tuple(i for i in a.order if i not in gone))
     return _replace_curve(new, b.id,
                           order=tuple(i for i in b.order if i not in gone))
 
 
-def _apply_stabilize(diag):
+def _apply_stabilize(diag, move):
     aid, bid = _fresh_ids(diag, "c", 2)
     (xid,) = _fresh_ids(diag, "x", 1)
-    new_a = Curve(aid, "alpha", "closed", (xid,))
-    new_b = Curve(bid, "beta", "closed", (xid,))
-    curves = []
-    for fam in ("alpha", "beta"):
-        curves.extend(c for c in diag.curves
-                      if c.family == fam and c.closed)
-        curves.append(new_a if fam == "alpha" else new_b)
-        curves.extend(c for c in diag.curves
-                      if c.family == fam and not c.closed)
-    xs = diag.crossings + (Crossing(xid, aid, bid, 1),)
-    return replace(diag, curves=tuple(curves), crossings=xs)
+    curves = diag.curves + (Curve(aid, "alpha", "closed", (xid,)),
+                            Curve(bid, "beta", "closed", (xid,)))
+    return replace(
+        diag, curves=closed_first(curves),
+        crossings=diag.crossings + (Crossing(xid, aid, bid, 1),),
+        named_multipoints={nm: Multipoint(tuple(sorted(mp.picks + (xid,))))
+                           for nm, mp in diag.named_multipoints.items()})
 
 
 def _apply_destabilize(diag, move):
@@ -273,9 +224,12 @@ def _apply_destabilize(diag, move):
     if len(a.order) != 1 or a.order != b.order:
         raise IllegalMoveError("pair interacts with other curves")
     xid = a.order[0]
-    xs = tuple(x for x in diag.crossings if x.id != xid)
-    curves = tuple(c for c in diag.curves if c.id not in (a.id, b.id))
-    return replace(diag, curves=curves, crossings=xs)
+    return replace(
+        diag, curves=tuple(c for c in diag.curves if c.id not in (a.id, b.id)),
+        crossings=tuple(x for x in diag.crossings if x.id != xid),
+        named_multipoints={nm: Multipoint(tuple(p for p in mp.picks
+                                                if p != xid))
+                           for nm, mp in diag.named_multipoints.items()})
 
 
 def _apply_handleslide(diag, move):
@@ -347,17 +301,17 @@ def _apply_trivial_handles(diag, move):
     if move.count < 0:
         raise IllegalMoveError("count must be >= 0")
     ids = _fresh_ids(diag, "h", 2 * move.count)
-    curves = list(diag.curves)
-    for t in range(move.count):
-        curves.append(Curve(ids[2 * t], "alpha", "arc", ()))
-        curves.append(Curve(ids[2 * t + 1], "beta", "arc", ()))
-    # keep closed-before-arcs: arcs appended at the end are fine, but the
-    # alpha arc must sit in the alpha block
-    alphas = [c for c in curves if c.family == "alpha" and c.closed] + \
-             [c for c in curves if c.family == "alpha" and not c.closed]
-    betas = [c for c in curves if c.family == "beta" and c.closed] + \
-            [c for c in curves if c.family == "beta" and not c.closed]
-    return diag.with_curves(alphas + betas)
+    return diag.with_curves(closed_first(diag.curves + tuple(
+        Curve(cid, fam, "arc", ())
+        for cid, fam in zip(ids, ("alpha", "beta") * move.count))))
+
+
+# apply_move's dispatch: per move type, its function of (diag, move)
+_APPLY = {ReorderCurves: _apply_reorder, ReverseCurve: _apply_reverse,
+          FingerIsotopy: _apply_finger, CancelFinger: _apply_cancel,
+          Stabilize: _apply_stabilize, Destabilize: _apply_destabilize,
+          HandleslideCurve: _apply_handleslide,
+          AddTrivialHandles: _apply_trivial_handles}
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +441,7 @@ def random_move_sequence(diag, seed, length):
 
 def _propose(diag, rng, kind):
     if kind == "reverse":
-        cs = [c for c in diag.curves]
+        cs = diag.curves
         return ReverseCurve(rng.choice(cs).id) if cs else None
     if kind == "reorder":
         blocks = [(f, t) for f in ("alpha", "beta")
@@ -525,19 +479,16 @@ def _propose(diag, rng, kind):
         a, b = rng.choice(pairs)
         return Destabilize(a, b)
     if kind == "handleslide":
+        # per family, closed curves if two, else arcs if two; an over-curve
+        # longer than 6 crossings moves on to the other family
         for fam in rng.sample(("alpha", "beta"), 2):
-            closed = diag.family(fam, "closed")
-            if len(closed) >= 2:
-                slid, over = rng.sample(list(closed), 2)
-                if len(over.order) > 6:
-                    continue
-                return HandleslideCurve(slid.id, over.id, ())
-            arcs = diag.family(fam, "arc")
-            if len(arcs) >= 2:
-                slid, over = rng.sample(list(arcs), 2)
-                if len(over.order) > 6:
-                    continue
-                return HandleslideCurve(slid.id, over.id, ())
+            for topology in ("closed", "arc"):
+                curves = diag.family(fam, topology)
+                if len(curves) >= 2:
+                    slid, over = rng.sample(curves, 2)
+                    if len(over.order) <= 6:
+                        return HandleslideCurve(slid.id, over.id, ())
+                    break
         return None
     return None
 
@@ -570,16 +521,11 @@ def parse_move_script(text):
                 a_id, a_pos = tok[1].split("@")
                 b_id, b_pos = tok[2].split("@")
                 pattern = tok[3]
-                if pattern in ("+-", "-+"):
-                    moves.append(FingerIsotopy(
-                        a_id, b_id, int(a_pos), int(b_pos),
-                        plus_first=pattern == "+-"))
-                elif pattern in ("+", "-"):
-                    moves.append(FingerIsotopy(
-                        a_id, b_id, int(a_pos), int(b_pos),
-                        plus_first=pattern == "+", single=True))
-                else:
+                if pattern not in ("+-", "-+", "+", "-"):
                     raise IndexError
+                moves.append(FingerIsotopy(
+                    a_id, b_id, int(a_pos), int(b_pos),
+                    plus_first=pattern[0] == "+", single=len(pattern) == 1))
             elif head == "cancel":
                 moves.append(CancelFinger(tok[1], tok[2]))
             elif head == "handleslide":

@@ -1,13 +1,15 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from suturant import (DuplicateIdError, ParseError, alpha_word,
+from suturant import (DuplicateIdError, NonSquareError, ParseError, alpha_word,
                       canonical_sign, enumerate_multipoints, epsilon_class,
                       homology, multipoint_sign, parse_diagram, rebase,
                       serialize_diagram, validate)
-from suturant.diagram import Multipoint, intersection_matrix
+from suturant.diagram import (Curve, Multipoint, check_balanced, closed_first,
+                              intersection_matrix)
 
 from conftest import corpus_names, corpus_path, load
 
@@ -51,9 +53,26 @@ def test_serialize_round_trip():
 def test_validate_unbalanced():
     text = ("diagram u\nalpha a1 closed\nalpha a2 closed\nbeta b1 closed\n"
             "order alpha a1 :\norder alpha a2 :\norder beta b1 :\n")
-    rep = validate(parse_diagram(text))
-    assert not rep.passed
-    assert any(e.check == "Balanced" for e in rep.failures())
+    diag = parse_diagram(text)
+    rep = validate(diag)
+    assert [(e.check, e.witness) for e in rep.failures()] == \
+        [("Balanced", "2 closed alpha vs 1 closed beta")]
+    with pytest.raises(NonSquareError, match="^2 closed alpha vs 1 closed"):
+        check_balanced(diag)
+
+
+def test_closed_first_is_the_ordering_convention():
+    curves = [Curve(cid, fam, top, ()) for cid, fam, top in (
+        ("b2", "beta", "arc"), ("a2", "alpha", "arc"),
+        ("b1", "beta", "closed"), ("a1", "alpha", "closed"),
+        ("a3", "alpha", "closed"), ("b3", "beta", "arc"))]
+    assert [c.id for c in closed_first(curves)] == \
+        ["a1", "a3", "a2", "b1", "b2", "b3"]
+    rep = validate(parse_diagram(
+        (Path(__file__).with_name("move_scripts") / "interleaved.hd")
+        .read_text()))
+    assert [e.check for e in rep.failures()] == \
+        ["OrderingConvention[alpha]", "OrderingConvention[beta]"]
 
 
 def test_validate_double_use():

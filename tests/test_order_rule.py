@@ -10,7 +10,8 @@ import pytest
 
 from suturant import (CharacterAssignment, Curve, Multipoint, SuturantError,
                       all_characters, alpha_word, beta_word, build_hn,
-                      contract_values, epsilon_class, homology,
+                      contract, contract_values, epsilon_class,
+                      fox_determinant, homology,
                       invariant_h0, invariant_hn_values, rebase,
                       torsion_class, validate)
 from suturant.errors import NonSquareError
@@ -102,21 +103,38 @@ def test_both_engines_refuse_an_unbalanced_diagram():
                                 engine=engine)
 
 
-def test_the_torsion_class_refuses_an_unbalanced_diagram():
+def _unbalanced():
     """The unknot with one closed beta without crossings (d = 0, so no
-    Fox row and an empty determinant) and the trefoil with one more: the
-    torsion class raises NonSquareError, as invariant_h0 and both
-    invariant_hn engines do."""
+    Fox row and an empty determinant) and the trefoil with one more."""
     unknot = load("unknot")
-    lone = unknot.with_curves(list(unknot.curves)
-                              + [Curve("b9", "beta", "closed", ())])
-    for diag in (lone, _extra_closed_beta(load("trefoil"))):
+    yield unknot.with_curves(list(unknot.curves)
+                             + [Curve("b9", "beta", "closed", ())])
+    yield _extra_closed_beta(load("trefoil"))
+
+
+def test_the_torsion_class_refuses_an_unbalanced_diagram():
+    """On both :func:`_unbalanced` diagrams the torsion class raises
+    NonSquareError, as invariant_h0 and both invariant_hn engines do."""
+    for diag in _unbalanced():
         spinc = SpincRelative(Multipoint(()))
         for call in (lambda: torsion_class(diag),
                      lambda: invariant_h0(diag, spinc),
                      *(lambda e=e: invariant_hn_values(
                          diag, 2, [], spinc, engine=e)
                        for e in ("fox", "tensor"))):
+            with pytest.raises(NonSquareError):
+                call()
+
+
+def test_each_engine_refuses_an_unbalanced_diagram_at_its_entry_point():
+    """Called directly, the Fox determinant, with or without the group,
+    and the contraction raise NonSquareError on both :func:`_unbalanced`
+    diagrams, where they once gave 1 and 0."""
+    for diag in _unbalanced():
+        for call in (lambda: fox_determinant(diag),
+                     lambda: fox_determinant(diag, homology(diag)),
+                     lambda: contract(diag, build_hn(2),
+                                      CharacterAssignment.trivial())):
             with pytest.raises(NonSquareError):
                 call()
 

@@ -189,12 +189,14 @@ def test_a_bad_multipoint_is_refused(tmp_path, capsys, hopf, picks, words):
 
 @pytest.mark.parametrize("order", [2, 8])
 def test_an_orbit_of_the_wrong_size_is_not_folded(order):
-    """H_4 declaring b = K of order 2 (the orbit does not close after two
+    """H_4 declaring b = K of order 2 (the orbit has not closed after two
     steps) or 8 (it closes after four): every basis index stays its own
-    representative."""
+    representative.  mu and pi_B are zero in the copy, so the closing
+    tables, which refuse the order-8 copy of H_4 on their own, cannot
+    decide; only the orbit-size checks do."""
     pkg = build_hn(4)
     copy = dataclasses.replace(pkg, integral=dataclasses.replace(
-        pkg.integral, glike_b_order=order))
+        pkg.integral, glike_b_order=order, mu={}, pi_b={}))
     assert _Rules(pkg).rep == (0, 0, 0, 0, 4, 4, 4, 4)
     assert _Rules(copy).rep == tuple(range(8))
     assert _Rules(copy).deg == (0,) * 8
