@@ -232,9 +232,9 @@ def torsion_class(diag):
     is chosen: rotating a closed alpha curve conjugates its relator, which
     multiplies its Fox row by a group element.  A diagram with closed
     curves but no multipoint has vanishing determinant and the class is
-    zero; an unbalanced one is refused, as by the invariants."""
-    check_balanced(diag)
-    return canonical_class(fox_determinant(diag, homology(diag)))
+    zero; an unbalanced one is refused first, by
+    :func:`foxcalc.fox_determinant`, as by the invariants."""
+    return canonical_class(fox_determinant(diag))
 
 
 def alexander_from_torsion(cls_, meridians):
