@@ -55,12 +55,12 @@ def rotated(diag):
         for c in diag.curves)
 
 
-def moved_and_rotated(bases):
+def moved_and_rotated(bases, seeds=range(SEED, SEED + 2)):
     """Each (label, diagram) base, seeded move-sequence copies of it, and
     each of these also rotated."""
     for name, diag in bases:
         copies = [(name, diag)]
-        for seed in range(SEED, SEED + 2):
+        for seed in seeds:
             cur = diag
             for mv in random_move_sequence(diag, seed, 4):
                 cur = apply_move(cur, mv)

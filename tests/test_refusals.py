@@ -13,6 +13,7 @@ from suturant import (AddTrivialHandles, CancelFinger, Destabilize,
                       UnknownCurveError, apply_move, build_hn,
                       multipoint_sign, parse_diagram, parse_move_script,
                       validate)
+from suturant import moves
 from suturant.cli import run
 from suturant.kuperberg import _Rules
 
@@ -140,6 +141,24 @@ def test_each_illegal_move_is_refused(tmp_path, capsys, name, line, error,
     script = tmp_path / "moves.txt"
     script.write_text(line + "\n")
     refused(capsys, ["move", corpus_path(name), "--script", script], words)
+
+
+def test_trivial_handles_are_bounded_by_the_diagram_they_leave(
+        tmp_path, capsys, trefoil):
+    """The largest count that leaves at most ``MAX_CURVES`` curves is
+    accepted; one more is refused, also when it comes on a later line."""
+    count = (moves.MAX_CURVES - len(trefoil.curves)) // 2
+    grown = apply_move(trefoil, AddTrivialHandles(count))
+    assert len(grown.curves) == moves.MAX_CURVES
+    for diag, more in ((trefoil, count + 1), (grown, 1)):
+        with pytest.raises(IllegalMoveError, match="more than"):
+            apply_move(diag, AddTrivialHandles(more))
+    script = tmp_path / "moves.txt"
+    for text in (f"trivial-handles {count + 1}\n",
+                 f"trivial-handles {count}\ntrivial-handles 1\n"):
+        script.write_text(text)
+        refused(capsys, ["move", corpus_path("trefoil"), "--script", script],
+                f"more than {moves.MAX_CURVES} curves")
 
 
 def test_moves_no_script_can_write_are_refused(hopf):
