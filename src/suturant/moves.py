@@ -28,6 +28,10 @@ from dataclasses import dataclass, replace
 from .diagram import Crossing, Curve, Multipoint, closed_first, perm_sign
 from .errors import IllegalMoveError, ParseError
 
+# Most curves trivial handles may leave: at 40,000 (20,000 handles on the
+# trefoil) ``suturant move`` peaks at 34 MiB resident (17 with none).
+MAX_CURVES = 40_000
+
 
 @dataclass(frozen=True)
 class ReorderCurves:
@@ -300,6 +304,8 @@ def _apply_handleslide(diag, move):
 def _apply_trivial_handles(diag, move):
     if move.count < 0:
         raise IllegalMoveError("count must be >= 0")
+    if len(diag.curves) + 2 * move.count > MAX_CURVES:
+        raise IllegalMoveError(f"would leave more than {MAX_CURVES} curves")
     ids = _fresh_ids(diag, "h", 2 * move.count)
     return diag.with_curves(closed_first(diag.curves + tuple(
         Curve(cid, fam, "arc", ())

@@ -56,6 +56,20 @@ RECORDED = {
 }
 GROWN = (("lens_1_1", 8), ("unknot", 8), ("lens_6_1", 7), ("lens_7_1", 7))
 
+# The pinned diagrams whose V and Vinv moved when the swap-and-retry
+# clearing gave way to one pivot rule.  On each of them a reduction left a
+# remainder when the pins were made, so the rule that picks the next
+# pivot decides V; their invariant factors are pinned, and V is checked by
+# the oracle.  On every other pinned diagram no reduction leaves one.
+MOVED = frozenset(
+    [f"{base} grown to {d}" for base in ("lens_2_1", "lens_3_1", "lens_4_1",
+                                          "lens_5_1", "trefoil")
+     for d in (4, 7, 8)] +
+    [f"{base} grown to {d}" for base in ("lens_1_1", "unknot")
+     for d in (4, 7)] +
+    ["lens_6_1 grown to 4", "lens_6_1 grown to 8", "lens_7_1 grown to 4",
+     "lens_7_1 grown to 8", "s1s2 grown to 7", "s1s2 grown to 8"])
+
 
 def relation_rows(diag):
     """H_1's relation matrix: one row per closed alpha, one column per
@@ -180,9 +194,15 @@ def test_relation_matrices_match_the_pinned_normal_form(expected):
         [label for label, _ in cases]
     for want, (label, diag) in zip(expected["diagrams"], cases):
         assert relation_rows(diag) == want["rows"], label
-        if want["snf"] is not None:
-            got = smith_normal_form(want["rows"], want["ncols"])
-            assert list(got) == want["snf"], label
+        if want["snf"] is None:
+            continue
+        got = json.loads(json.dumps(smith_normal_form(want["rows"],
+                                                      want["ncols"])))
+        if label in MOVED:
+            assert got[0] == want["snf"][0], label
+            check_snf(want["rows"], want["ncols"], got)
+        else:
+            assert got == want["snf"], label
 
 
 def test_seeded_invariant_factors_match_the_pins(expected):
