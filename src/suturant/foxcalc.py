@@ -87,7 +87,7 @@ def smith_normal_form(rows, ncols):
         for i, j in cells:
             x = abs(a[i][j])
             if x and (not least or x < least):
-                least, (pi, pj) = x, (i, j)
+                least, pi, pj = x, i, j
         if least:
             a[t], a[pi] = a[pi], a[t]
             if pj != t:
