@@ -9,8 +9,9 @@ columns with entries of at most 9 in absolute value.  V is not pinned on
 the random set: where a reduction leaves a remainder, the pivot rule
 decides V, and the oracle below checks it by its properties instead.
 A matrix whose normal form took longer than the file's limit when the
-pins were made is listed as skipped: a grown diagram keeps its rows, for
-the child-process test, and a random matrix only its index.
+pins were made is left out: a diagram keeps its rows with ``snf`` null
+(the four in ``GROWN``, which the child-process test runs), and a random
+matrix is listed by its index among ``skipped``.
 
 The oracle shares no code with the elimination: the k-th determinantal
 divisor d_k is the gcd of the k x k minors (each a
@@ -111,12 +112,11 @@ def determinantal_divisors(rows, n):
     out, prev = [], 1
     for k in range(1, min(len(rows), n) + 1):
         g = 0
-        for ri in itertools.combinations(range(len(rows)), k):
-            for cj in itertools.combinations(range(n), k):
-                g = math.gcd(g, fraction_free_det(
-                    [[rows[i][j] for j in cj] for i in ri]))
-                if g == prev:
-                    break
+        for ri, cj in itertools.product(
+                itertools.combinations(range(len(rows)), k),
+                itertools.combinations(range(n), k)):
+            g = math.gcd(g, fraction_free_det(
+                [[rows[i][j] for j in cj] for i in ri]))
             if g == prev:
                 break
         if g == 0:
@@ -196,8 +196,7 @@ def test_relation_matrices_match_the_pinned_normal_form(expected):
         assert relation_rows(diag) == want["rows"], label
         if want["snf"] is None:
             continue
-        got = json.loads(json.dumps(smith_normal_form(want["rows"],
-                                                      want["ncols"])))
+        got = list(smith_normal_form(want["rows"], want["ncols"]))
         if label in MOVED:
             assert got[0] == want["snf"][0], label
             check_snf(want["rows"], want["ncols"], got)
@@ -245,7 +244,7 @@ def test_the_recorded_matrices_finish(name):
                     json.dumps(cases))
     assert done.returncode == 0, done.stderr
     results = json.loads(done.stdout)
-    for rows, snf in zip(cases, results):
+    for rows, snf in zip(cases, results, strict=True):
         check_snf(rows, len(rows[0]), snf)
     if name == "6x6":
         assert results[0][0] == [1, 1, 1, 1, 1, 2399650]
