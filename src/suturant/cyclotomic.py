@@ -131,13 +131,15 @@ class CyclotomicScalar:
 
     def scale(self, q: Fraction):
         """Multiply by an exact rational; every coefficient must stay integral."""
+        num, den = q.numerator, q.denominator
         out = []
         for c in self.coeffs:
-            v = c * q
-            if v.denominator != 1:
+            v, r = divmod(c * num, den)
+            if r:
                 raise CyclotomicArithmeticError(
-                    f"non-integral coefficient {v} after rational scaling")
-            out.append(int(v))
+                    f"non-integral coefficient {Fraction(c * num, den)} "
+                    "after rational scaling")
+            out.append(v)
         return CyclotomicScalar(tuple(out), self.order)
 
     def is_zero(self):

@@ -57,11 +57,28 @@ completes, its image in B read in discrete logs of b, each split into
 representatives and degrees, depend on H alone.  So they are expanded
 once per package and process, the first time any sweep meets the
 configuration, and kept in the package's memo with the package's other
-character-free rules: the orbits, the alpha seeds and the closing tables.
+character-free rules: the orbits, the alpha seeds folded by orbit, the
+closing tables and their dead runs (below).
 Each state looks its triple up once and applies what is its own: the
 Koszul sign of the odd-slot terms, its character degrees and the
 untouched parts of its key, into which it splices the new run or the
 completed beta's parity.
+
+Dead runs: let K be the basis indices that a closing table, mu or pi_B,
+sends to 0, shrunk until span(K) is a two-sided ideal: any index i for
+which some basis element x puts an index outside K into the support of
+x e_i or e_i x leaves K, repeatedly.  Then span(K) is an ideal inside the
+table's kernel.  A run is a contiguous factor of its beta's final product
+in both product orders (a prefix in arrival order), so a run in span(K)
+makes the final product, and the beta's image, 0 whatever is placed
+later; and since b^t x and x b^t lie in span(K) with x, a run keyed by a
+representative in K is 0 at every degree.  So ``_cross`` drops a term
+whose new run is such a representative, for the beta's table; a term
+that completes its beta is read by the table itself.  The sweep's value
+is a sum of its terms, so every final value is unchanged.  For H_n, pi_B
+kills the X orbit, an ideal, and mu kills the K orbit, which X takes out
+of K: an X placed on an unfinished arc is dropped, and nothing on a
+closed beta.
 
 Koszul sign: rerouting the slots from alpha order to beta-traversal order
 (the betas in family order, each in its own order) costs the inversion
@@ -92,8 +109,10 @@ runs one sweep for a list of characters: a state's value is one such
 block per character, in list order, each block of its own N.  A term of a
 crossing carries its degrees as pairs (t, a), t of its run or of its
 beta's image and a of its remainder, and each block j is multiplied by
-x^(e_j * t + F_j * a); the crossing's one shift table, filled per pair as
-the sweep meets it, gives the index each value entry moves to.  The sum
+x^(e_j * t + F_j * a); a shift table, filled per pair as the sweep meets
+it, gives the index each value entry moves to.  The table depends on the
+crossing only through its beta's exponents e_j and the F_j mod N_j, so
+the crossings of one alpha that agree on both share one.  The sum
 over the final states is reduced modulo Phi_N once per block, then the
 single rational cointegral prefactor is applied.  Everything is exact.
 """
@@ -234,12 +253,35 @@ def _orbits(pkg, closing):
     return tuple(rep), tuple(deg)
 
 
+def _dead(alg, rep, closing):
+    """The representatives of the orbits that the closing table
+    ``closing`` (of :func:`_closing`) kills in every product they are a
+    factor of: K, the indices it sends to 0, less every index i for which
+    some basis element x puts an index outside K into the support of
+    x e_i or e_i x, repeatedly, and then only whole orbits (the module
+    docstring says why a run there can be dropped).  A zero coefficient
+    stored in a product reads as support, which costs pruning, never a
+    value."""
+    dead = {i for i, image in closing.items() if not any(image.values())}
+    shrunk = True
+    while dead and shrunk:
+        shrunk = False
+        for (a, b), prod in alg.mul_sc.items():
+            if (a in dead or b in dead) and not dead.issuperset(prod):
+                dead.difference_update((a, b))
+                shrunk = True
+    return frozenset(rep) - {r for i, r in enumerate(rep) if i not in dead}
+
+
 class _Rules:
     """What the sweep reads from a package alone: ``unit_a``, the alpha
-    ``seeds`` and the ``closing`` tables, each keyed by the curve's
-    ``closed``, each basis index's orbit representative ``rep`` and degree
-    ``deg`` (see :func:`_orbits`), whether the product ``supercommutes``
-    (see :func:`contract_values`), and the ``terms`` of :func:`_expand`,
+    ``seeds`` folded by orbit, {representative: {(0, degree):
+    coefficient}}, their ``counits``, for an alpha without crossings, the
+    ``closing`` tables and the ``dead`` representatives of :func:`_dead`,
+    each keyed by the curve's ``closed``, each basis index's orbit
+    representative ``rep`` and degree ``deg`` (see :func:`_orbits`),
+    whether the product ``supercommutes`` (see :func:`contract_values`),
+    and the ``terms`` of :func:`_expand`,
     filled as sweeps meet them.  ``terms`` holds one table per (negative,
     last, closing kind), the kind None when the crossing completes no beta,
     so at most 12 tables; each is keyed by the local triple (remainder,
@@ -248,14 +290,23 @@ class _Rules:
     dim when it does not, it holds at most r * (r + 1)^2 entries."""
 
     def __init__(self, pkg):
-        coint = pkg.cointegral
+        alg, coint = pkg.algebra, pkg.cointegral
         self.unit_a = unit_a = pkg.unit_a
-        self.seeds = {True: apply(coint.iota, {unit_a: 1}),
-                      False: apply(coint.i_a, {unit_a: 1})}
+        seeds = {True: apply(coint.iota, {unit_a: 1}),
+                 False: apply(coint.i_a, {unit_a: 1})}
+        self.counits = {closed: alg.counit(seed)
+                        for closed, seed in seeds.items()}
         self.closing = {closed: _closing(pkg, closed)
                         for closed in (True, False)}
-        self.rep, self.deg = _orbits(pkg, self.closing)
-        self.supercommutes = _supercommutes(pkg.algebra)
+        self.rep, self.deg = rep, deg = _orbits(pkg, self.closing)
+        self.seeds = {closed: {} for closed in seeds}
+        for closed, seed in seeds.items():
+            for i, c in seed.items():
+                poly = self.seeds[closed].setdefault(rep[i], {})
+                poly[0, deg[i]] = poly.get((0, deg[i]), 0) + c
+        self.dead = {closed: _dead(alg, rep, table)
+                     for closed, table in self.closing.items()}
+        self.supercommutes = _supercommutes(alg)
         self.terms = {}
 
 
@@ -269,11 +320,13 @@ def _rules(pkg):
 
 
 class _Shifts(dict):
-    """The shift table of one crossing: per degree pair (t, a), filled as
+    """The shift table of a crossing: per degree pair (t, a), filled as
     the sweep meets it, the index each entry of a value moves to when
     block j, of order N_j, is multiplied by x^(run_j * t + rest_j * a).
     ``run`` holds the blocks' exponents on the crossing's beta, ``rest``
-    the signed sums of their exponents over the alpha's later crossings."""
+    the signed sums of their exponents over the alpha's later crossings,
+    mod N_j.  One table serves every crossing of the current alpha with
+    the same beta and ``rest``; it is dropped when the alpha is done."""
 
     def __init__(self, starts, orders, run, rest):
         super().__init__()
@@ -355,14 +408,16 @@ def _join(spans, j):
     return lo, r, hi
 
 
-def _cross(states, alg, rules, b, lo, r, hi, neg, last, kind, shift):
+def _cross(states, alg, rules, b, lo, r, hi, neg, last, kind, dead, shift):
     """The frontier after placing the next slot of the current alpha on
     beta b, between its runs r - 1 and r, joining runs lo..hi - 1 (see
     :func:`_join`), where ``kind`` is b's ``closed`` if this completes b
-    and None if not, and ``shift`` is the crossing's :class:`_Shifts`.
-    Each state looks its local triple up once, in the table of ``rules``
-    for (``neg``, ``last``, ``kind``), which :func:`_expand` fills the
-    first time any sweep against the package meets the triple."""
+    and None if not, ``dead`` the representatives whose runs b's closing
+    table kills (empty if this completes b), and ``shift`` the crossing's
+    :class:`_Shifts`.  Each state looks its local triple up once, in the
+    table of ``rules`` for (``neg``, ``last``, ``kind``), which
+    :func:`_expand` fills the first time any sweep against the package
+    meets the triple; a term whose new run is dead is dropped."""
     par = alg.parity
     memo = rules.terms.setdefault((neg, last, kind), {})
     table = None if kind is None else rules.closing[kind]
@@ -384,6 +439,8 @@ def _cross(states, alg, rules, b, lo, r, hi, neg, last, kind, shift):
         if kind is None:
             pre, post = runs[:lo], runs[hi:]
         for rest, part, odd, poly in terms:
+            if part in dead:
+                continue
             if kind is None:
                 part = pre + (part,) + post
             new = (rest,) + head + (part,) + later
@@ -405,7 +462,8 @@ def contract_values(based, pkg, assignments):
     from one sweep whose state values hold one block per assignment.  What
     depends on the package alone comes from its :func:`_rules`, shared by
     every call with the same package; only the shift tables, which depend
-    on the diagram and the characters, are built per call.  When the
+    on the diagram and the characters, are built per call, one per
+    distinct (beta, later exponent sums) of each alpha.  When the
     rules say the product supercommutes, each slot goes to the next free
     position of its beta rather than its home position there, so a beta
     holds one run and the Koszul tail counts later betas only (the module
@@ -441,35 +499,37 @@ def contract_values(based, pkg, assignments):
     states = {(None, *parts): vec}
     filled, spans = [0] * len(betas), [[] for _ in betas]
     for c in alphas:
-        seed = rules.seeds[c.closed]
         if not c.order:
-            k = alg.counit(seed)
+            k = rules.counits[c.closed]
             states = {key: [k * v for v in vec]
                       for key, vec in states.items()}
             continue
         # rests[t]: per block, the signed exponent sum over crossings t..
-        rests = [zero]
+        rests = [tuple(zero)]
         for x in reversed(ordered[c.id]):
-            rests.append([f + x.sign * e
-                          for f, e in zip(rests[-1], exps[x.beta])])
+            rests.append(tuple((f + x.sign * e) % n for f, e, n
+                               in zip(rests[-1], exps[x.beta], orders)))
         rests.reverse()
         shift, seeded = _Shifts(starts, orders, zero, rests[0]), {}
         for key, vec in states.items():
-            for i, ci in seed.items():
-                _add(seeded.setdefault((rules.rep[i],) + key[1:],
-                                       [0] * len(vec)),
-                     vec, {(0, rules.deg[i]): ci}, shift)
-        states = seeded
+            for r, poly in rules.seeds[c.closed].items():
+                _add(seeded.setdefault((r,) + key[1:], [0] * len(vec)),
+                     vec, poly, shift)
+        states, shifts = seeded, {}
         for t, x in enumerate(ordered[c.id]):
             b = beta_pos[x.beta]
             j = filled[b] if rules.supercommutes else place[x.id][1]
             filled[b] += 1
             done = filled[b] == len(betas[b].order)
+            shift = shifts.get((b, rests[t + 1]))
+            if shift is None:
+                shift = shifts[b, rests[t + 1]] = _Shifts(
+                    starts, orders, exps[x.beta], rests[t + 1])
             states = _cross(states, alg, rules, b, *_join(spans[b], j),
                             x.sign < 0, t == len(c.order) - 1,
                             betas[b].closed if done else None,
-                            _Shifts(starts, orders, exps[x.beta],
-                                    rests[t + 1]))
+                            () if done else rules.dead[betas[b].closed],
+                            shift)
 
     functional_parity = sum(integ.mu_parity for c in betas if c.closed)
     total = [0] * starts[-1]

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from suturant import CyclotomicScalar, cyclotomic_polynomial
+from suturant.errors import CyclotomicArithmeticError
 
 
 def test_small_cyclotomic_polynomials():
@@ -59,6 +60,16 @@ def test_rational_scaling_must_stay_integral():
     assert v.scale(Fraction(1, 3)) == CyclotomicScalar.one(4)
     with pytest.raises(ArithmeticError):
         v.scale(Fraction(1, 2))
+    # a negative coefficient divides exactly, or is refused with its value
+    w = CyclotomicScalar.from_coeffs([-8, 4, 0, 12], 5)
+    assert w.scale(Fraction(1, 4)) == \
+        CyclotomicScalar.from_coeffs([-2, 1, 0, 3], 5)
+    assert w.scale(Fraction(-3, 4)) == \
+        CyclotomicScalar.from_coeffs([6, -3, 0, -9], 5)
+    with pytest.raises(CyclotomicArithmeticError,
+                       match=r"^non-integral coefficient -3/4 after "
+                             r"rational scaling$"):
+        CyclotomicScalar.from_coeffs([-3, 4], 5).scale(Fraction(1, 4))
 
 
 def test_str_rendering():

@@ -622,24 +622,53 @@ def test_the_rule_memo_stays_within_its_bound():
                 assert rem in reps and lt in runs and rt in runs
 
 
-def test_the_fold_keeps_the_frontier_small(monkeypatch):
-    """Hopf slid and back to d = 4 at n = 3, every character: the peak
-    frontier stays at 19 states, where keying runs and remainders by basis
-    index held 2,592.  A fold that switched itself off would keep every
-    value and fail here."""
-    peak, cross = [0], kuperberg._cross
+def frontier(monkeypatch, diag, pkg, chars):
+    """The values of one sweep, its peak frontier and its frontier states
+    summed over crossings."""
+    peak, summed, cross = [0], [0], kuperberg._cross
 
     def spy(states, *args):
         out = cross(states, *args)
         peak[0] = max(peak[0], len(states), len(out))
+        summed[0] += len(out)
         return out
 
     monkeypatch.setattr(kuperberg, "_cross", spy)
+    values = contract_values(diag, pkg, chars)
+    monkeypatch.undo()
+    return values, peak[0], summed[0]
+
+
+def test_the_fold_keeps_the_frontier_small(monkeypatch):
+    """Hopf slid and back to d = 4 at n = 3, every character: the peak
+    frontier stays at 10 states, where keying runs and remainders by basis
+    index held 2,592 (19 without dropping dead runs).  A fold that
+    switched itself off would keep every value and fail here."""
     diag = anchored(slid_and_back(load("hopf"), 4))
     chars = every_character(diag, 3)
     assert len(chars) == 27
-    contract_values(diag, build_hn(3), chars)
-    assert 0 < peak[0] <= 19
+    _, peak, _ = frontier(monkeypatch, diag, build_hn(3), chars)
+    assert 0 < peak <= 10
+
+
+def unpruned(pkg):
+    """A copy of the package whose sweep keeps every run, dead or not."""
+    copy = dataclasses.replace(pkg)
+    _rules(copy).dead = {True: frozenset(), False: frozenset()}
+    return copy
+
+
+def test_dropping_dead_runs_shrinks_the_frontier(monkeypatch):
+    """The same sweep with and without dropping the runs that pi_B kills,
+    an X on an unfinished arc: the same values, the peak frontier 10
+    states instead of 19 and 306 summed states instead of 559."""
+    diag = anchored(slid_and_back(load("hopf"), 4))
+    chars = every_character(diag, 3)
+    pruned = frontier(monkeypatch, diag, build_hn(3), chars)
+    kept = frontier(monkeypatch, diag, unpruned(build_hn(3)), chars)
+    assert pruned[0] == kept[0]
+    assert pruned[1:] == (10, 306)
+    assert kept[1:] == (19, 559)
 
 
 def test_both_product_orders_agree_on_hn():
@@ -763,6 +792,20 @@ def test_the_supercommutation_flag():
                       (build_cyclic_group_algebra(5), True), (ext, True),
                       (symmetric_group_package(), False), (clifford, False)):
         assert _rules(pkg).supercommutes is flag, pkg.name
+
+
+def test_the_dead_runs():
+    """The representatives whose runs a beta's closing table kills in
+    every product.  H_n: none on a closed beta, where mu kills the K
+    orbit but X K^i = K^i X takes it out, and the X orbit on an arc, which
+    pi_B kills.  Z/3 and S_3: none, as g g^-1 = 1 is never killed.  The
+    exterior algebra: none on a closed beta, x, y and xy on an arc."""
+    for n in range(1, 5):
+        assert _rules(build_hn(n)).dead == {True: set(), False: {n}}, n
+    for pkg in (build_cyclic_group_algebra(3), symmetric_group_package()):
+        assert _rules(pkg).dead == {True: set(), False: set()}, pkg.name
+    assert _rules(exterior_package()).dead == \
+        {True: set(), False: {1, 2, 3}}
 
 
 @pytest.mark.parametrize("name,d,ns", [("trefoil", 3, (2, 3)),
