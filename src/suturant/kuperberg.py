@@ -70,9 +70,9 @@ which some basis element x puts an index outside K into the support of
 x e_i or e_i x leaves K, repeatedly.  Then span(K) is an ideal inside the
 table's kernel.  A run is a contiguous factor of its beta's final product
 in both product orders (a prefix in arrival order), so a run in span(K)
-makes the final product, and the beta's image, 0 whatever is placed
-later; and since b^t x and x b^t lie in span(K) with x, a run keyed by a
-representative in K is 0 at every degree.  So ``_cross`` drops a term
+puts the final product in span(K), whose image is 0, whatever is placed
+later; and since b^t x lies in span(K) with x, a run keyed by a
+representative in K has image 0 at every degree.  So ``_cross`` drops a term
 whose new run is such a representative, for the beta's table; a term
 that completes its beta is read by the table itself.  The sweep's value
 is a sum of its terms, so every final value is unchanged.  For H_n, pi_B
@@ -274,13 +274,13 @@ def _dead(alg, rep, closing):
 
 
 class _Rules:
-    """What the sweep reads from a package alone: ``unit_a``, the alpha
-    ``seeds`` folded by orbit, {representative: {(0, degree):
-    coefficient}}, their ``counits``, for an alpha without crossings, the
-    ``closing`` tables and the ``dead`` representatives of :func:`_dead`,
-    each keyed by the curve's ``closed``, each basis index's orbit
-    representative ``rep`` and degree ``deg`` (see :func:`_orbits`),
-    whether the product ``supercommutes`` (see :func:`contract_values`),
+    """What the sweep reads from a package alone: ``unit_a``; keyed by the
+    curve's ``closed``, the alpha ``seeds`` folded by orbit
+    ({representative: {(0, degree): coefficient}}), their ``counits`` (for
+    an alpha without crossings), the ``closing`` tables and the ``dead``
+    representatives of :func:`_dead`; each basis index's orbit
+    representative ``rep`` and degree ``deg`` (see :func:`_orbits`);
+    whether the product ``supercommutes`` (see :func:`contract_values`);
     and the ``terms`` of :func:`_expand`,
     filled as sweeps meet them.  ``terms`` holds one table per (negative,
     last, closing kind), the kind None when the crossing completes no beta,
