@@ -5,8 +5,9 @@ engines (super-tensor-network contraction and Fox-calculus determinants)."""
 from .algebra import (HopfPackage, PresentedAlgebra, build_cyclic_group_algebra,
                       build_hn, check_axioms, coproduct_power)
 from .errors import (AmbiguousOrientationError, ArcCurveError,
-                     CharacterMismatchError, CyclotomicArithmeticError,
-                     DuplicateIdError, GroupMismatchError, IllegalMoveError,
+                     BudgetExceededError, CharacterMismatchError,
+                     CyclotomicArithmeticError, DuplicateIdError,
+                     GroupMismatchError, IllegalMoveError,
                      InvalidCharacterError, InvalidMultipointError,
                      InvalidReferenceError, NonSquareError,
                      NotDivisibleError, OddScalarError, ParseError,

@@ -69,6 +69,11 @@ class InvalidReferenceError(SuturantError):
     pass
 
 
+class BudgetExceededError(SuturantError):
+    """Work past a stated budget, refused before it starts: a packed
+    determinant entry wider than ``foxcalc.MAX_PACKED_BITS``."""
+
+
 class CyclotomicArithmeticError(SuturantError, ArithmeticError):
     """An exact result that leaves the integers: a non-integral coefficient
     after rational scaling, or division by a non-monic polynomial."""

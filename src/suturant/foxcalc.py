@@ -4,16 +4,25 @@ The fundamental group of a diagram is presented on the beta-curve duals with
 one relation per closed alpha curve.  Its abelianization is computed by an
 integer Smith normal form; group-ring elements are finitely supported integer
 maps on the normal-form coordinates (free exponents first, then torsion
-residues).  Determinants are taken in the Laurent lift, a domain, even
-where torsion gives Z[H_1] zero divisors: Kronecker substitution packs each
-lifted entry into one integer, and fraction-free elimination runs on the
-integers (:func:`determinant`).
+residues).
+
+One kernel (:func:`_det`) takes every determinant, on raw term dicts.  It
+first removes unit entries u = +-g, each an algebraic destabilization:
+with u at row p and column q, det M = (-1)^(p+q) u det M' for the Schur
+complement M' = M_ij - M_iq u^-1 M_pj, exactly, since u^-1 is a monomial
+and nothing is divided.  The unit taken is the one with the fewest other
+nonzero entries in its row and column (Markowitz's count).  What is left
+is taken in the Laurent lift, a domain, even where torsion gives Z[H_1]
+zero divisors: Kronecker substitution packs each lifted entry into one
+integer, and fraction-free elimination runs on the integers
+(:func:`_packed_det`), within a stated bit budget.
 
 The Fox matrix reads each closed alpha's crossings from the diagram's index
 twice: once for its relator (:func:`homology`, once per diagram), and once
 in one walk (:func:`_walk`, the only statement of the class rule) that
 classes each crossing and adds its sign to entry (a, b) = sum sign *
-t^class over the crossings of a with b, keyed already in normal form.  The
+t^class over the crossings of a with b, keyed already in normal form;
+:func:`fox_determinant` hands those rows to the kernel as they are.  The
 word-level :func:`fox_derivative` uses the closed occurrence formula
 
     dw/dx = sum_j m_j (A_j x^{-eps_j})
@@ -32,8 +41,16 @@ from operator import add, mod, mul, sub
 
 from .cyclotomic import CyclotomicScalar
 from .diagram import FreeWord, check_balanced, fraction_free_det
-from .errors import (GroupMismatchError, InvalidCharacterError,
-                     NonSquareError, NotDivisibleError, UnknownGeneratorError)
+from .errors import (BudgetExceededError, GroupMismatchError,
+                     InvalidCharacterError, NonSquareError, NotDivisibleError,
+                     UnknownGeneratorError)
+
+# Widest packed entry :func:`_packed_det` builds, in bits: its box
+# prod_v (span_v + 1) times its digit width.  The widest that the tier-1
+# tests and the benchmark's inputs reach is 35,910 bits (46,170 without
+# unit pivots); fraction-free elimination of a 6 x 6 at this budget takes
+# about a second.  It has no override yet.
+MAX_PACKED_BITS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -452,23 +469,178 @@ def multipoint_class(diag, group, picks):
     return group.normalize(total)
 
 
-def fox_matrix(diag, group=None):
-    """Matrix of abelianized Fox derivatives: rows the closed alpha words,
-    columns the closed beta duals, entries in Z[H_1], one :func:`_walk`
-    per row.  Its classes are in normal form, so the entries are taken as
-    they are, zero sums dropped."""
-    group = group or homology(diag)
+def _fox_rows(diag, group):
+    """The Fox matrix as term dicts: rows the closed alpha words, columns
+    the closed beta duals, one :func:`_walk` per row.  Its classes are in
+    normal form, so the entries are taken as they are, zero sums
+    dropped."""
     rows = []
     for a in diag.closed_alphas:
         row = _walk(group, diag.ordered[a.id], diag.column)[1]
-        rows.append([GroupRingElement._normal(group, e if all(e.values())
-                                              else {k: c for k, c in e.items()
-                                                    if c}) for e in row])
+        rows.append([e if all(e.values()) else {k: c for k, c in e.items()
+                                                 if c} for e in row])
     return rows
 
 
+def fox_matrix(diag, group=None):
+    """Matrix of abelianized Fox derivatives over Z[H_1]
+    (:func:`_fox_rows`)."""
+    group = group or homology(diag)
+    return [[GroupRingElement._normal(group, e) for e in row]
+            for row in _fox_rows(diag, group)]
+
+
 def determinant(mat):
-    """det of a square matrix over Z[H_1], one integer per entry.
+    """det of a square matrix over Z[H_1] by the one kernel, :func:`_det`:
+    unit pivots u = +-g first, least (r - 1)(c - 1) first, each exact with
+    det M = (-1)^(p+q) u det M' and no division, then the Kronecker-packed
+    fraction-free elimination of what is left."""
+    n = len(mat)
+    for row in mat:
+        if len(row) != n:
+            raise NonSquareError(f"{len(row)} columns in a {n}-row matrix")
+    if n == 0:
+        raise NonSquareError("empty matrix has no ring context here")
+    group = mat[0][0].group
+    return GroupRingElement(group, _det([[el.terms for el in row]
+                                         for row in mat], group))
+
+
+def _det(rows, group):
+    """det of a square matrix of term dicts over Z[H_1] (keys in normal
+    form, no zero coefficient), as terms: the one determinant kernel.
+
+    Unit pivots come first.  While more than one row is left and some
+    entry is a unit u = +-g (one term, coefficient +-1), take the unit
+    whose row and column have the fewest other nonzero entries (least
+    (r - 1)(c - 1), Markowitz's count; ties to the least row, then
+    column) at row p and column q of the current matrix, and replace the
+    rest by its Schur complement M'_ij = M_ij - M_iq u^-1 M_pj.
+    Subtracting M_iq u^-1 times row p from each row i leaves det M as it
+    is and column q zero but for u, so
+
+        det M = (-1)^(p+q) u det M'
+
+    exactly: u^-1 = +-g^-1 is a monomial, so nothing is divided.  The
+    factors u and the signs are kept.  A unit is an algebraic
+    destabilization (an alpha meeting a beta in one class), and the step
+    is Turaev's elementary collapse.
+
+    What is left goes to :func:`_packed_det`; a 1 x 1 remainder is its own
+    entry, an empty one is 1, and a zero row or column gives 0.  Fill-in
+    can make the remainder dearer to pack than M: when it has more terms
+    than M and packs in no fewer bits (:func:`_width`), M is packed as it
+    is.  Hopf slid and back to d = 8 has one unit, in a full row and
+    column, and its 7 x 7 remainder would pack in 28,160 bits against
+    M's 1,344."""
+    tidy = group.normalize if group.torsion else tuple
+    # the nonzero entries of each row by column, each column's count, and
+    # the places of the units
+    mat = [{j: e for j, e in enumerate(row) if e} for row in rows]
+    in_col = [sum(1 for row in rows if row[j]) for j in range(len(rows))]
+    units = {(i, j) for i, row in enumerate(mat) for j, e in row.items()
+             if len(e) == 1 and next(iter(e.values())) in (1, -1)}
+    live_r, live_c = list(range(len(rows))), list(range(len(rows)))
+    sign, unit = 1, group.identity()
+    while units and len(live_r) > 1:
+        p, q = min(units, key=lambda ij: (
+            (len(mat[ij[0]]) - 1) * (in_col[ij[1]] - 1), ij))
+        a, b = live_r.index(p), live_c.index(q)
+        del live_r[a], live_c[b]
+        (k, c), = mat[p].pop(q).items()
+        sign *= -c if (a + b) % 2 else c
+        unit = tidy(map(add, unit, k))
+        for j in mat[p]:
+            in_col[j] -= 1
+            units.discard((p, j))
+        units.discard((p, q))
+        for i in live_r:
+            row = mat[i]
+            if q not in row:
+                continue
+            units.discard((i, q))
+            # -M_iq u^-1, u^-1 = c t^-k
+            f = [(tidy(map(sub, ki, k)), -ci * c)
+                 for ki, ci in row.pop(q).items()]
+            for j, pe in mat[p].items():
+                new = dict(row.get(j, ()))
+                for kf, cf in f:
+                    for kp, cp in pe.items():
+                        key = tidy(map(add, kf, kp))
+                        v = new.get(key, 0) + cf * cp
+                        if v:
+                            new[key] = v
+                        else:
+                            del new[key]
+                if new:
+                    in_col[j] += j not in row
+                    row[j] = new
+                elif j in row:
+                    in_col[j] -= 1
+                    del row[j]
+                if len(new) == 1 and next(iter(new.values())) in (1, -1):
+                    units.add((i, j))
+                else:
+                    units.discard((i, j))
+    if len(live_r) > 1:
+        rest = [[mat[i].get(j, {}) for j in live_c] for i in live_r]
+        box = _box(rest)
+        if box is None:                         # a zero row or column
+            return {}
+        if _terms(rest) > _terms(rows):         # fill-in: is M cheaper?
+            start = _box(rows)
+            if _width(start) <= _width(box):
+                rest, box, sign, unit = rows, start, 1, group.identity()
+        rest = _packed_det(rest, box)
+    elif live_r:
+        rest = mat[live_r[0]].get(live_c[0], {})
+    else:
+        rest = {group.identity(): 1}
+    return {tuple(map(add, k, unit)): sign * c for k, c in rest.items()}
+
+
+def _terms(rows):
+    """The number of terms of a matrix of term dicts."""
+    return sum(len(e) for row in rows for e in row)
+
+
+def _box(rows):
+    """The Kronecker box of a square matrix of term dicts (n >= 1) for
+    :func:`_packed_det`: per coordinate v, each line's least exponent, the
+    span and whether rows (else columns) are shifted, and the digit width
+    ``bits``; None when a row or column is zero."""
+    n = len(rows)
+    # each line's keys and l1 norm in one pass: rows 0..n-1, columns n..2n-1
+    keys, norms = [[] for _ in range(2 * n)], [0] * (2 * n)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row, n):
+            if entry:
+                norm = sum(map(abs, entry.values()))
+                for t in (i, j):
+                    keys[t] += entry
+                    norms[t] += norm
+    if 0 in norms:                              # a zero row or column
+        return None
+    coords = [list(zip(*line)) for line in keys]
+    lows = [tuple(map(min, c)) for c in coords]
+    spreads = [tuple(map(sub, map(max, c), lo)) for c, lo in zip(coords, lows)]
+    row_spans, col_spans = ([sum(s) for s in zip(*spreads[k:k + n])]
+                            for k in (0, n))
+    by_row = [r <= c for r, c in zip(row_spans, col_spans)]
+    spans = list(map(min, row_spans, col_spans))
+    bits = min(math.prod(norms[:n]), math.prod(norms[n:])).bit_length() + 1
+    return lows, spans, by_row, bits
+
+
+def _width(box):
+    """Bits of one packed entry: the box prod_v (span_v + 1) times the
+    digit width."""
+    return math.prod(s + 1 for s in box[1]) * box[3]
+
+
+def _packed_det(rows, box):
+    """det of a square matrix of term dicts with no zero line, given its
+    :func:`_box`, one integer per entry; its terms in the Laurent lift.
 
     The entries are lifted to Laurent polynomials, one free variable t_v
     per coordinate (torsion too).  For each v, every row or else every
@@ -487,39 +659,21 @@ def determinant(mat):
     2^(bits - 1) in absolute value, so it is 0 exactly when its integer is,
     and its balanced base-2^bits digits are its coefficients.  The digits
     of the result, shifted back by the summed line shifts, project to
-    Z[H_1].  A zero row or column gives 0 at once.
+    Z[H_1].
 
     Cost: every integer is dense in the box, prod_v (span_v + 1) * bits
-    bits.  That suits small rank (at most 3 in the corpus and its grown
-    families); a rank-r group wide in every coordinate pays span^r."""
-    n = len(mat)
-    for row in mat:
-        if len(row) != n:
-            raise NonSquareError(f"{len(row)} columns in a {n}-row matrix")
-    if n == 0:
-        raise NonSquareError("empty matrix has no ring context here")
-    group = mat[0][0].group
-    rows = [[el.terms for el in row] for row in mat]
-    # each line's keys and l1 norm in one pass: rows 0..n-1, columns n..2n-1
-    keys, norms = [[] for _ in range(2 * n)], [0] * (2 * n)
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row, n):
-            if entry:
-                norm = sum(map(abs, entry.values()))
-                for t in (i, j):
-                    keys[t] += entry
-                    norms[t] += norm
-    if 0 in norms:                              # a zero row or column
-        return GroupRingElement.zero(group)
-    coords = [list(zip(*line)) for line in keys]
-    lows = [tuple(map(min, c)) for c in coords]
-    spreads = [tuple(map(sub, map(max, c), lo)) for c, lo in zip(coords, lows)]
-    row_spans, col_spans = ([sum(s) for s in zip(*spreads[k:k + n])]
-                            for k in (0, n))
-    by_row = [r <= c for r, c in zip(row_spans, col_spans)]
-    spans = list(map(min, row_spans, col_spans))
+    bits (:func:`_width`).  That suits small rank (at most 3 in the corpus
+    and its grown families); a rank-r group wide in every coordinate pays
+    span^r, and a torsion coordinate up to the line count times its
+    order.  Past ``MAX_PACKED_BITS`` it is refused with
+    BudgetExceededError before any entry is packed."""
+    n = len(rows)
+    lows, spans, by_row, bits = box
     strides = [math.prod(s + 1 for s in spans[:v]) for v in range(len(spans))]
-    bits = min(math.prod(norms[:n]), math.prod(norms[n:])).bit_length() + 1
+    if _width(box) > MAX_PACKED_BITS:
+        raise BudgetExceededError(
+            f"a packed determinant entry would have {_width(box)} bits, "
+            f"more than {MAX_PACKED_BITS}")
     on_rows = [s if r else 0 for s, r in zip(strides, by_row)]
     on_cols = list(map(sub, strides, on_rows))
     row_offs = [sum(map(mul, low, on_rows)) for low in lows[:n]]
@@ -532,8 +686,8 @@ def determinant(mat):
     shift = [sum(low[v] for low in (lows[:n] if r else lows[n:]))
              for v, r in enumerate(by_row)]
     terms, base = {}, 1 << bits
-    box = [range(low, low + span + 1) for low, span in zip(shift, spans)]
-    for key in itertools.product(*box[::-1]):   # t_0 varies fastest
+    ranges = [range(low, low + span + 1) for low, span in zip(shift, spans)]
+    for key in itertools.product(*ranges[::-1]):  # t_0 varies fastest
         if not det:
             break
         digit = det & (base - 1)
@@ -543,7 +697,7 @@ def determinant(mat):
             det += 1
         if digit:
             terms[key[::-1]] = digit
-    return GroupRingElement(group, terms)
+    return terms
 
 
 def fox_determinant(diag, group=None):
@@ -551,9 +705,7 @@ def fox_determinant(diag, group=None):
     unbalanced diagram is refused first (:func:`diagram.check_balanced`)."""
     check_balanced(diag)
     group = group or homology(diag)
-    if not diag.closed_alphas:
-        return GroupRingElement.one(group)
-    return determinant(fox_matrix(diag, group))
+    return GroupRingElement(group, _det(_fox_rows(diag, group), group))
 
 
 def multipoint_expansion(diag, group=None):

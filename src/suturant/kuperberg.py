@@ -467,8 +467,9 @@ def contract_values(based, pkg, assignments):
     rules say the product supercommutes, each slot goes to the next free
     position of its beta rather than its home position there, so a beta
     holds one run and the Koszul tail counts later betas only (the module
-    docstring says why the values are the same).  An unbalanced diagram
-    is refused first (:func:`diagram.check_balanced`)."""
+    docstring says why the values are the same).  An empty frontier stays
+    empty, so the sweep stops at one, and every value is then 0.  An
+    unbalanced diagram is refused first (:func:`diagram.check_balanced`)."""
     check_balanced(based)
     for chars in assignments:
         check_admissible(based, pkg.integral.glike_b_order, chars)
@@ -499,6 +500,8 @@ def contract_values(based, pkg, assignments):
     states = {(None, *parts): vec}
     filled, spans = [0] * len(betas), [[] for _ in betas]
     for c in alphas:
+        if not states:                  # an empty frontier stays empty
+            break
         if not c.order:
             k = rules.counits[c.closed]
             states = {key: [k * v for v in vec]
@@ -530,6 +533,8 @@ def contract_values(based, pkg, assignments):
                             betas[b].closed if done else None,
                             () if done else rules.dead[betas[b].closed],
                             shift)
+            if not states:
+                break
 
     functional_parity = sum(integ.mu_parity for c in betas if c.closed)
     total = [0] * starts[-1]

@@ -21,13 +21,13 @@ from conftest import corpus_path, load
 @pytest.fixture
 def counted(monkeypatch):
     """Calls of the H_1 presentation, the anchor search, the anchor's class
-    and the Fox determinant, each counted through the module attribute its
-    caller reads."""
+    and the determinant kernel, each counted through the module attribute
+    its caller reads."""
     calls = {}
     for module, name in ((suturant.foxcalc, "presented_group"),
                          (suturant.invariant, "_anchor"),
                          (suturant.invariant, "multipoint_class"),
-                         (suturant.foxcalc, "determinant")):
+                         (suturant.foxcalc, "_det")):
         def counting(*args, _inner=getattr(module, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _inner(*args)
@@ -48,7 +48,7 @@ def test_every_entry_point_builds_the_frame_once(counted):
                for engine in ("fox", "tensor")]
     values += [torsion_class(diag), invariant_h0(diag, spinc)]
     assert counted == {"presented_group": 1, "_anchor": 1,
-                       "multipoint_class": 1, "determinant": 5}
+                       "multipoint_class": 1, "_det": 5}
     assert values[4:] == values[:2]
 
 

@@ -1,6 +1,13 @@
+import functools
+import importlib.util
 import itertools
+import json
+import math
 import random
+import sys
 from dataclasses import replace
+from operator import mul, sub
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +25,7 @@ from suturant.errors import (InvalidCharacterError, NonSquareError,
                              NotDivisibleError, UnknownCurveError,
                              UnknownGeneratorError)
 from suturant.diagram import fraction_free_det
+from suturant import foxcalc
 from suturant.foxcalc import _Laurent, crossing_classes, multipoint_class
 from suturant.invariant import _normalization, anchor_multipoint
 
@@ -338,6 +346,190 @@ def test_determinant_matches_the_lifted_elimination():
         if diag.d:
             mat = fox_matrix(diag, homology(diag))
             assert determinant(mat) == _lifted_det(mat), label
+
+
+def _kronecker_det(mat):
+    """Reference determinant: the Kronecker-packed fraction-free
+    elimination of the whole matrix, as ``determinant`` ran before it took
+    unit pivots first (no budget)."""
+    n = len(mat)
+    group = mat[0][0].group
+    rows = [[el.terms for el in row] for row in mat]
+    keys, norms = [[] for _ in range(2 * n)], [0] * (2 * n)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row, n):
+            if entry:
+                norm = sum(map(abs, entry.values()))
+                for t in (i, j):
+                    keys[t] += entry
+                    norms[t] += norm
+    if 0 in norms:
+        return GroupRingElement.zero(group)
+    coords = [list(zip(*line)) for line in keys]
+    lows = [tuple(map(min, c)) for c in coords]
+    spreads = [tuple(map(sub, map(max, c), lo)) for c, lo in zip(coords, lows)]
+    row_spans, col_spans = ([sum(s) for s in zip(*spreads[k:k + n])]
+                            for k in (0, n))
+    by_row = [r <= c for r, c in zip(row_spans, col_spans)]
+    spans = list(map(min, row_spans, col_spans))
+    strides = [math.prod(s + 1 for s in spans[:v]) for v in range(len(spans))]
+    bits = min(math.prod(norms[:n]), math.prod(norms[n:])).bit_length() + 1
+    on_rows = [s if r else 0 for s, r in zip(strides, by_row)]
+    on_cols = list(map(sub, strides, on_rows))
+    row_offs = [sum(map(mul, low, on_rows)) for low in lows[:n]]
+    col_offs = [sum(map(mul, low, on_cols)) for low in lows[n:]]
+    det = fraction_free_det([
+        [sum(c << bits * (sum(map(mul, k, strides)) - ro - co)
+             for k, c in entry.items())
+         for entry, co in zip(row, col_offs)]
+        for row, ro in zip(rows, row_offs)])
+    shift = [sum(low[v] for low in (lows[:n] if r else lows[n:]))
+             for v, r in enumerate(by_row)]
+    terms, base = {}, 1 << bits
+    box = [range(low, low + span + 1) for low, span in zip(shift, spans)]
+    for key in itertools.product(*box[::-1]):
+        if not det:
+            break
+        digit = det & (base - 1)
+        det >>= bits
+        if 2 * digit >= base:
+            digit -= base
+            det += 1
+        if digit:
+            terms[key[::-1]] = digit
+    return GroupRingElement(group, terms)
+
+
+def _random_unit_matrices(rng, trials):
+    """Seeded square matrices over Z[Z^r + torsion], r <= 3, 1 x 1 to
+    5 x 5: zero entries, units +-g, one- to three-term entries, and in
+    every fourth a zero row, a repeated row, a row times a unit or a
+    singular 2 x 2 block on units."""
+    groups = [presented_group(("s",), [[3]]),
+              presented_group(("x",), []),
+              presented_group(("x", "s"), [[0, 2]]),
+              presented_group(("x", "y", "s"), [[0, 0, 3]]),
+              presented_group(("x", "y", "z"), [])]
+    for trial in range(trials):
+        g = groups[trial % len(groups)]
+        n = 1 + trial // len(groups) % 5
+
+        def key():
+            return g.normalize([rng.randint(-2, 2) for _ in range(g.ncoords)])
+
+        def entry():
+            roll = rng.random()
+            if roll < 0.3:
+                return GroupRingElement.zero(g)
+            if roll < 0.6:
+                return GroupRingElement.monomial(g, key(), rng.choice((1, -1)))
+            return GroupRingElement(g, {key(): rng.choice((-3, -2, -1, 1, 2))
+                                        for _ in range(rng.randint(1, 3))})
+
+        mat = [[entry() for _ in range(n)] for _ in range(n)]
+        kind = trial // 4 % 4
+        if n > 1 and trial % 4 == 0:
+            i, k = rng.sample(range(n), 2)
+            u = GroupRingElement.monomial(g, key(), rng.choice((1, -1)))
+            if kind == 0:
+                mat[i] = [GroupRingElement.zero(g)] * n
+            elif kind == 1:
+                mat[i] = list(mat[k])
+            elif kind == 2:
+                mat[i] = [u * el for el in mat[k]]
+            else:
+                j, m = rng.sample(range(n), 2)
+                mat[i][j], mat[i][m] = u, u * mat[k][m]
+                mat[k][j] = GroupRingElement.one(g)
+        yield mat
+
+
+def test_unit_pivots_match_the_kronecker_oracle_on_random_matrices(
+        monkeypatch):
+    """Seeded random matrices with units, zero rows and singular minors:
+    ``determinant`` equals the whole-matrix Kronecker elimination.  Most
+    of the 480 larger than 1 x 1 lose rows to unit pivots, many down to
+    one entry, and many have determinant 0."""
+    rng = random.Random(SEED + 28)
+    boxed, inner = [], foxcalc._box
+
+    def spy(rows):
+        boxed.append(len(rows))
+        return inner(rows)
+
+    monkeypatch.setattr(foxcalc, "_box", spy)
+    pivoted = unpacked = zeros = 0
+    for mat in _random_unit_matrices(rng, 600):
+        boxed.clear()
+        got = determinant(mat)
+        assert got == _kronecker_det(mat), mat
+        if len(mat) > 1:
+            pivoted += not boxed or boxed[0] < len(mat)
+            unpacked += not boxed
+        zeros += got.is_zero()
+    assert pivoted > 350 and unpacked > 120 and zeros > 100
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.cache
+def _grow():
+    """``perfbench/grow.py``, the benchmark's seeded growth of corpus
+    diagrams."""
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_grow", ROOT / "perfbench" / "grow.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _grown(base, d, cap, seed, flip):
+    grow = _grow()
+    return grow.grow(grow.load_corpus(ROOT, base),
+                     grow.Recipe(base, d, cap, seed), flip).diag
+
+
+def _oracle_cases():
+    """Every corpus Fox matrix, every fox-grown recipe's at flip seeds
+    0..2, Hopf grown by the benchmark's recipe (cap 12, seed 14) to
+    d = 16, and Hopf slid and back to d = 16."""
+    for name in corpus_names():
+        yield name, load(name)
+    pins = json.loads((ROOT / "perfbench" / "inputs.json").read_text())
+    for pin in pins["fox-grown"]:
+        for flip in range(3):
+            yield f"{pin['recipe']} flip {flip}", _grown(**pin["recipe"],
+                                                         flip=flip)
+    yield "hopf grown to 16", _grown("hopf", 16, 12, 14, 1)
+    yield "hopf slid to 16", slid_and_back(load("hopf"), 16)
+
+
+def test_unit_pivots_match_the_kronecker_oracle_on_fox_matrices():
+    for label, diag in _oracle_cases():
+        if diag.d:
+            g = homology(diag)
+            assert fox_determinant(diag, g) == \
+                _kronecker_det(fox_matrix(diag, g)), label
+
+
+def test_what_the_unit_pivots_leave_to_pack(monkeypatch):
+    """Grown Hopf at d = 16 leaves a 3 x 3 remainder to the integer
+    determinant.  Hopf slid and back to d = 16 has one unit, in a full
+    row and column, whose fill-in would pack wider than the matrix: the
+    whole 16 x 16 is packed."""
+    sizes, inner = [], foxcalc.fraction_free_det
+
+    def spy(mat):
+        sizes.append(len(mat))
+        return inner(mat)
+
+    monkeypatch.setattr(foxcalc, "fraction_free_det", spy)
+    fox_determinant(_grown("hopf", 16, 12, 14, 1))
+    assert sizes == [3]
+    sizes.clear()
+    fox_determinant(slid_and_back(load("hopf"), 16))
+    assert sizes == [16]
 
 
 def test_determinant_edge_cases():

@@ -671,6 +671,30 @@ def test_dropping_dead_runs_shrinks_the_frontier(monkeypatch):
     assert kept[1:] == (19, 559)
 
 
+def test_the_sweep_stops_at_an_empty_frontier(monkeypatch):
+    """Hopf at n = 2 and the trivial character: the frontier is empty
+    after the fourth of its 8 closed-alpha crossings, and an empty
+    frontier stays empty, so the sweep stops there with the value 0, as
+    the Fox engine's.  No crossing is placed on an empty frontier."""
+    diag = anchored(load("hopf"))
+    chars = CharacterAssignment.from_character(
+        all_characters(homology(diag), 2)[0])
+    sizes, cross = [], kuperberg._cross
+
+    def spy(states, *args):
+        out = cross(states, *args)
+        sizes.append((len(states), len(out)))
+        return out
+
+    monkeypatch.setattr(kuperberg, "_cross", spy)
+    assert contract_values(diag, build_hn(2), [chars]) == \
+        [CyclotomicScalar.from_coeffs([0, 0], 2)]
+    assert sum(len(c.order) for c in diag.closed_alphas) == 8
+    assert len(sizes) == 4 and sizes[-1][1] == 0
+    assert all(before for before, _ in sizes)
+    assert evaluate(fox_determinant(diag), chars.h1).is_zero()
+
+
 def test_both_product_orders_agree_on_hn():
     """H_2 and H_3 at every character, on every corpus diagram, seeded move
     copies and rotations of them: the sweep in arrival order gives what

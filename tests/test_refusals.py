@@ -1,23 +1,27 @@
 """Refusals: each bad diagram line, move line, move, CLI flag and
-multipoint raises its ``SuturantError`` subclass, and through
-``cli.run`` exits 1 with an ``error:`` line and no traceback."""
+multipoint, and work past a stated budget, raises its ``SuturantError``
+subclass, and through ``cli.run`` exits 1 with an ``error:`` line and no
+traceback."""
 
 import dataclasses
+import time
 
 import pytest
 
-from suturant import (AddTrivialHandles, CancelFinger, Destabilize,
-                      DuplicateIdError, FingerIsotopy, HandleslideCurve,
-                      IllegalMoveError, InvalidMultipointError, Multipoint,
-                      ParseError, ReorderCurves, ReverseCurve, Stabilize,
+from suturant import (AddTrivialHandles, BudgetExceededError, CancelFinger,
+                      Destabilize, DuplicateIdError, FingerIsotopy,
+                      HandleslideCurve, IllegalMoveError,
+                      InvalidMultipointError, Multipoint, ParseError,
+                      ReorderCurves, ReverseCurve, Stabilize,
                       UnknownCurveError, apply_move, build_hn,
-                      multipoint_sign, parse_diagram, parse_move_script,
-                      validate)
-from suturant import moves
+                      fox_determinant, multipoint_sign, parse_diagram,
+                      parse_move_script, validate)
+from suturant import foxcalc, moves
 from suturant.cli import run
 from suturant.kuperberg import _Rules
 
 from conftest import corpus_path, load
+from test_smith_normal_form import RECORDED, recorded_diagram
 
 HEAD = "diagram t\nalpha a1 closed\nbeta b1 closed\ncrossing x1 a1 b1 +\n"
 
@@ -159,6 +163,24 @@ def test_trivial_handles_are_bounded_by_the_diagram_they_leave(
         script.write_text(text)
         refused(capsys, ["move", corpus_path("trefoil"), "--script", script],
                 f"more than {moves.MAX_CURVES} curves")
+
+
+def test_a_packed_determinant_past_its_budget_is_refused(tmp_path, capsys):
+    """The 194-crossing diagram whose relation matrix is the recorded
+    6 x 6 (H_1 = Z/2399650): its Fox matrix has no unit, and packing it
+    would take 407,246,163 bits per entry, past ``MAX_PACKED_BITS``.
+    ``class`` and ``compute --engine fox`` exit 1 within a second."""
+    text = recorded_diagram(RECORDED["6x6"])
+    with pytest.raises(BudgetExceededError, match="407246163 bits"):
+        fox_determinant(parse_diagram(text))
+    path = tmp_path / "recorded.hd"
+    path.write_text(text)
+    for argv in (["class", path],
+                 ["compute", path, "--engine", "fox", "--n", "2",
+                  "--char", "t=1"]):
+        start = time.perf_counter()
+        refused(capsys, argv, f"more than {foxcalc.MAX_PACKED_BITS}")
+        assert time.perf_counter() - start < 1, argv
 
 
 def test_moves_no_script_can_write_are_refused(hopf):
