@@ -513,8 +513,8 @@ def fraction_free_det(mat):
     domain whose ``//`` is exact: every division is by the previous pivot.
     A zero (falsy) pivot row is swapped with a lower row, which it replaces
     negated; the empty determinant is 1.  The package runs it on integers:
-    the closed intersection matrix here, and the Kronecker-packed Fox
-    matrix in ``foxcalc.determinant``."""
+    the closed intersection matrix here, and what unit pivots leave of a
+    determinant over Z[H_1], Kronecker-packed, in ``foxcalc._packed_det``."""
     a = [list(row) for row in mat]
     n = len(a)
     for k in range(n - 1):

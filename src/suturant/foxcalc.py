@@ -534,17 +534,19 @@ def _det(rows, group):
     column, and its 7 x 7 remainder would pack in 28,160 bits against
     M's 1,344."""
     tidy = group.normalize if group.torsion else tuple
-    # the nonzero entries of each row by column, each column's count, and
-    # the places of the units
+    # the nonzero entries of each row by column, and each column's count
     mat = [{j: e for j, e in enumerate(row) if e} for row in rows]
     in_col = [sum(1 for row in rows if row[j]) for j in range(len(rows))]
-    units = {(i, j) for i, row in enumerate(mat) for j, e in row.items()
-             if len(e) == 1 and next(iter(e.values())) in (1, -1)}
     live_r, live_c = list(range(len(rows))), list(range(len(rows)))
     sign, unit = 1, group.identity()
-    while units and len(live_r) > 1:
-        p, q = min(units, key=lambda ij: (
-            (len(mat[ij[0]]) - 1) * (in_col[ij[1]] - 1), ij))
+    while len(live_r) > 1:
+        best = min((((len(mat[i]) - 1) * (in_col[j] - 1), i, j)
+                    for i in live_r for j, e in mat[i].items()
+                    if len(e) == 1 and next(iter(e.values())) in (1, -1)),
+                   default=None)
+        if best is None:
+            break
+        _, p, q = best
         a, b = live_r.index(p), live_c.index(q)
         del live_r[a], live_c[b]
         (k, c), = mat[p].pop(q).items()
@@ -552,13 +554,10 @@ def _det(rows, group):
         unit = tidy(map(add, unit, k))
         for j in mat[p]:
             in_col[j] -= 1
-            units.discard((p, j))
-        units.discard((p, q))
         for i in live_r:
             row = mat[i]
             if q not in row:
                 continue
-            units.discard((i, q))
             # -M_iq u^-1, u^-1 = c t^-k
             f = [(tidy(map(sub, ki, k)), -ci * c)
                  for ki, ci in row.pop(q).items()]
@@ -578,10 +577,6 @@ def _det(rows, group):
                 elif j in row:
                     in_col[j] -= 1
                     del row[j]
-                if len(new) == 1 and next(iter(new.values())) in (1, -1):
-                    units.add((i, j))
-                else:
-                    units.discard((i, j))
     if len(live_r) > 1:
         rest = [[mat[i].get(j, {}) for j in live_c] for i in live_r]
         box = _box(rest)
@@ -667,13 +662,13 @@ def _packed_det(rows, box):
     span^r, and a torsion coordinate up to the line count times its
     order.  Past ``MAX_PACKED_BITS`` it is refused with
     BudgetExceededError before any entry is packed."""
+    width = _width(box)
+    if width > MAX_PACKED_BITS:
+        raise BudgetExceededError(f"a packed determinant entry would have "
+                                  f"{width} bits, more than {MAX_PACKED_BITS}")
     n = len(rows)
     lows, spans, by_row, bits = box
     strides = [math.prod(s + 1 for s in spans[:v]) for v in range(len(spans))]
-    if _width(box) > MAX_PACKED_BITS:
-        raise BudgetExceededError(
-            f"a packed determinant entry would have {_width(box)} bits, "
-            f"more than {MAX_PACKED_BITS}")
     on_rows = [s if r else 0 for s, r in zip(strides, by_row)]
     on_cols = list(map(sub, strides, on_rows))
     row_offs = [sum(map(mul, low, on_rows)) for low in lows[:n]]

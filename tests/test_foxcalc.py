@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import suturant
+from suturant import foxcalc
 from suturant import (Character, CharacterAssignment, FreeWord,
                       GroupRingElement, OrientationSign, SpincRelative,
                       abelianize, all_characters, alpha_word,
@@ -25,7 +26,6 @@ from suturant.errors import (InvalidCharacterError, NonSquareError,
                              NotDivisibleError, UnknownCurveError,
                              UnknownGeneratorError)
 from suturant.diagram import fraction_free_det
-from suturant import foxcalc
 from suturant.foxcalc import _Laurent, crossing_classes, multipoint_class
 from suturant.invariant import _normalization, anchor_multipoint
 
