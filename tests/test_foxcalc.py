@@ -33,6 +33,8 @@ from conftest import (SEED, corpus_names, load, moved_and_rotated,
                       slid_and_back)
 from test_smith_normal_form import check_snf
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def W(*letters):
     return FreeWord(tuple(letters))
@@ -427,8 +429,8 @@ def _random_unit_matrices(rng, trials):
                                         for _ in range(rng.randint(1, 3))})
 
         mat = [[entry() for _ in range(n)] for _ in range(n)]
-        kind = trial // 4 % 4
         if n > 1 and trial % 4 == 0:
+            kind = trial // 4 % 4
             i, k = rng.sample(range(n), 2)
             u = GroupRingElement.monomial(g, key(), rng.choice((1, -1)))
             if kind == 0:
@@ -468,9 +470,6 @@ def test_unit_pivots_match_the_kronecker_oracle_on_random_matrices(
             unpacked += not boxed
         zeros += got.is_zero()
     assert pivoted > 350 and unpacked > 120 and zeros > 100
-
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 @functools.cache
