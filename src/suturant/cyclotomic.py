@@ -104,7 +104,7 @@ class CyclotomicScalar:
 
     def _check(self, other):
         if self.order != other.order:
-            raise ValueError(
+            raise CyclotomicArithmeticError(
                 f"cyclotomic order mismatch: {self.order} vs {other.order}")
 
     def __add__(self, other):

@@ -76,4 +76,5 @@ class BudgetExceededError(SuturantError):
 
 class CyclotomicArithmeticError(SuturantError, ArithmeticError):
     """An exact result that leaves the integers: a non-integral coefficient
-    after rational scaling, or division by a non-monic polynomial."""
+    after rational scaling, or division by a non-monic polynomial; or
+    arithmetic on scalars of different cyclotomic orders."""

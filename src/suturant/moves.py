@@ -89,25 +89,20 @@ class AddTrivialHandles:
 # ---------------------------------------------------------------------------
 
 def _fresh_ids(diag, prefix, count):
-    taken = {c.id for c in diag.curves} | {x.id for x in diag.crossings}
-    top = 0
-    for name in taken:
-        m = re.fullmatch(r"[A-Za-z_]*(\d+)", name)
-        if m:
-            top = max(top, int(m.group(1)))
-    out = []
-    n = top + 1
-    while len(out) < count:
-        cand = f"{prefix}{n}"
-        if cand not in taken:
-            out.append(cand)
-        n += 1
-    return out
+    """``count`` ids ``prefix`` + a number above every trailing number of a
+    curve or crossing id, so none of them is taken."""
+    top = max((int(m.group(1)) for m in (
+        re.fullmatch(r"[A-Za-z_]*(\d+)", x.id)
+        for x in diag.curves + diag.crossings) if m), default=0)
+    return [f"{prefix}{n}" for n in range(top + 1, top + 1 + count)]
 
 
-def _replace_curve(diag, cid, **changes):
-    return diag.with_curves(
-        replace(c, **changes) if c.id == cid else c for c in diag.curves)
+def _rewrite(diag, orders, **fields):
+    """The diagram with each curve named in ``orders`` given that order,
+    and ``fields`` replaced, in one copy."""
+    return replace(diag, curves=tuple(
+        replace(c, order=orders[c.id]) if c.id in orders else c
+        for c in diag.curves), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -122,30 +117,22 @@ def apply_move(diag, move):
 
 
 def _apply_reorder(diag, move):
-    block = [c for c in diag.curves
-             if c.family == move.family and c.topology == move.topology]
-    ids = [c.id for c in block]
+    ids = [c.id for c in diag.family(move.family, move.topology)]
     if sorted(move.new_order) != sorted(ids):
         raise IllegalMoveError(
             f"reorder block mismatch: {move.new_order} vs {ids}")
-    by_id = {c.id: c for c in block}
-    queue = [by_id[i] for i in move.new_order]
-    out = []
-    for c in diag.curves:
-        if c.family == move.family and c.topology == move.topology:
-            out.append(queue.pop(0))
-        else:
-            out.append(c)
-    return diag.with_curves(out)
+    queue = map(diag.curve, move.new_order)
+    return diag.with_curves(
+        next(queue) if (c.family, c.topology) == (move.family, move.topology)
+        else c for c in diag.curves)
 
 
 def _apply_reverse(diag, move):
     c = diag.curve(move.curve_id)
     on_curve = set(c.order)
-    xs = tuple(replace(x, sign=-x.sign) if x.id in on_curve else x
-               for x in diag.crossings)
-    new = replace(diag, crossings=xs)
-    return _replace_curve(new, c.id, order=tuple(reversed(c.order)))
+    return _rewrite(diag, {c.id: c.order[::-1]}, crossings=tuple(
+        replace(x, sign=-x.sign) if x.id in on_curve else x
+        for x in diag.crossings))
 
 
 def _insert(order, pos, items):
@@ -168,13 +155,11 @@ def _apply_finger(diag, move):
                 move.beta_pos not in (0, len(b.order)):
             raise IllegalMoveError("endpoint slide must happen at an end")
     ids = _fresh_ids(diag, "x", len(signs))
-    xs = diag.crossings + tuple(Crossing(xid, a.id, b.id, sign)
-                                for xid, sign in zip(ids, signs))
-    new = replace(diag, crossings=xs)
-    new = _replace_curve(new, a.id,
-                         order=_insert(a.order, move.alpha_pos, ids))
-    return _replace_curve(new, b.id,
-                          order=_insert(b.order, move.beta_pos, ids))
+    return _rewrite(
+        diag, {a.id: _insert(a.order, move.alpha_pos, ids),
+               b.id: _insert(b.order, move.beta_pos, ids)},
+        crossings=diag.crossings + tuple(
+            Crossing(xid, a.id, b.id, sign) for xid, sign in zip(ids, signs)))
 
 
 def _adjacent_pair(curve, first, second):
@@ -198,14 +183,12 @@ def _apply_cancel(diag, move):
     if not ok:
         raise IllegalMoveError("pair is not adjacent in matching order")
     gone = {x.id, y.id}
-    xs = tuple(z for z in diag.crossings if z.id not in gone)
-    new = replace(diag, crossings=xs, named_multipoints={
-        nm: mp for nm, mp in diag.named_multipoints.items()
-        if not gone & set(mp.picks)})
-    new = _replace_curve(new, a.id,
-                         order=tuple(i for i in a.order if i not in gone))
-    return _replace_curve(new, b.id,
-                          order=tuple(i for i in b.order if i not in gone))
+    return _rewrite(
+        diag, {c.id: tuple(i for i in c.order if i not in gone)
+               for c in (a, b)},
+        crossings=tuple(z for z in diag.crossings if z.id not in gone),
+        named_multipoints={nm: mp for nm, mp in diag.named_multipoints.items()
+                           if not gone & set(mp.picks)})
 
 
 def _apply_stabilize(diag, move):
@@ -247,58 +230,43 @@ def _apply_handleslide(diag, move):
         raise IllegalMoveError("a closed curve cannot slide over an arc")
     fam = slid.family
     other_side = "beta" if fam == "alpha" else "alpha"
-
-    n_delta = len(move.delta)
-    copies = list(over.order)
-    fresh = _fresh_ids(diag, "x", 2 * n_delta + len(copies))
-    d_out = fresh[:n_delta]
-    d_ret = fresh[n_delta:2 * n_delta]
-    c_new = fresh[2 * n_delta:]
+    copied = diag.ordered[over.id]    # refuses a broken order rule
+    n = len(move.delta)
+    fresh = _fresh_ids(diag, "x", 2 * n + len(copied))
+    d_out, d_ret, c_new = fresh[:n], fresh[n:2 * n], fresh[2 * n:]
+    orders, new_xs = {}, []
 
     def crossing_for(cid, other_id, sign):
         if fam == "alpha":
             return Crossing(cid, slid.id, other_id, sign)
         return Crossing(cid, other_id, slid.id, sign)
 
-    new_xs = []
-    for t, (other_id, _pos, sign) in enumerate(move.delta):
-        oc = diag.curve(other_id)
-        if oc.family != other_side:
+    def order_of(cid):
+        return orders.get(cid, diag.curve_index[cid].order)
+
+    # travelling finger: adjacent out/return pair on each delta curve
+    for (other_id, pos, sign), out, ret in zip(move.delta, d_out, d_ret):
+        if diag.curve(other_id).family != other_side:
             raise IllegalMoveError(
                 f"delta curve {other_id} is not in the {other_side} family")
         if sign not in (1, -1):
             raise IllegalMoveError("delta sign must be +-1")
-        new_xs.append(crossing_for(d_out[t], other_id, sign))
-        new_xs.append(crossing_for(d_ret[t], other_id, -sign))
-    for t, orig_id in enumerate(copies):
-        x = diag.crossing(orig_id)
-        other_id = x.beta if fam == "alpha" else x.alpha
-        new_xs.append(crossing_for(c_new[t], other_id, x.sign))
-
-    new = replace(diag, crossings=diag.crossings + tuple(new_xs))
-
-    slid_order = (slid.order + tuple(d_out) + tuple(c_new)
-                  + tuple(reversed(d_ret)))
-    new = _replace_curve(new, slid.id, order=slid_order)
-
-    # travelling finger: adjacent out/return pair on each delta curve
-    for t, (other_id, pos, _sign) in enumerate(move.delta):
-        oc = new.curve(other_id)
-        new = _replace_curve(new, other_id,
-                             order=_insert(oc.order, pos,
-                                           [d_out[t], d_ret[t]]))
+        new_xs += (crossing_for(out, other_id, sign),
+                   crossing_for(ret, other_id, -sign))
+        orders[other_id] = _insert(order_of(other_id), pos, (out, ret))
     # Parallel copies sit on a fixed side of the over-curve, so along the
     # crossed curve the copy lands just after the original at a positive
     # crossing and just before it at a negative one; only this sign rule is
     # the free-group substitution over -> over * slid on every dual word.
-    for t, orig_id in enumerate(copies):
-        x = diag.crossing(orig_id)
+    for x, new in zip(copied, c_new):
         other_id = x.beta if fam == "alpha" else x.alpha
-        oc = new.curve(other_id)
-        at = oc.order.index(orig_id) + (1 if x.sign > 0 else 0)
-        new = _replace_curve(new, other_id,
-                             order=_insert(oc.order, at, [c_new[t]]))
-    return new
+        new_xs.append(crossing_for(new, other_id, x.sign))
+        order = order_of(other_id)
+        orders[other_id] = _insert(order, order.index(x.id) + (x.sign > 0),
+                                   (new,))
+    orders[slid.id] = (slid.order + tuple(d_out) + tuple(c_new)
+                       + tuple(reversed(d_ret)))
+    return _rewrite(diag, orders, crossings=diag.crossings + tuple(new_xs))
 
 
 def _apply_trivial_handles(diag, move):
@@ -389,7 +357,6 @@ def compose_generator_maps(first, second):
 
 def _cancellable_pairs(diag):
     out = []
-    seen = set()
     for a in diag.family("alpha"):
         k = len(a.order)
         for i in range(k if a.closed else k - 1):
@@ -401,10 +368,7 @@ def _cancellable_pairs(diag):
                 continue
             b = diag.curve(x.beta)
             if _adjacent_pair(b, x.id, y.id):
-                key = (x.id, y.id)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
+                out.append((x.id, y.id))
     return out
 
 
