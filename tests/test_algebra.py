@@ -10,6 +10,7 @@ from suturant.algebra import (_check, _generators, _names, apply, compose,
                               first_difference, legged, tensor)
 from suturant.report import Report
 from conftest import SEED
+from test_kuperberg import exterior_package
 
 
 def labels(pkg, terms):
@@ -64,6 +65,58 @@ def test_iterated_coproduct_of_x():
         j = key.index(x)
         names = tuple(pkg.algebra.label(i) for i in key)
         assert names == ("K",) * j + ("X",) + ("1",) * (4 - j)
+
+
+def pinned_packages():
+    """Every basis element of these packages is pinned below."""
+    return ([(f"hn({n})", build_hn(n)) for n in range(1, 7)]
+            + [(f"cyclic({m})", build_cyclic_group_algebra(m))
+               for m in range(1, 7)]
+            + [("exterior", exterior_package())])
+
+
+def first_leg_power(alg, i, k):
+    """Delta^{(k)}(e_i) with each further coproduct taken on the first leg,
+    (Delta (x) id) Delta^{(k-1)}, as {index tuple: coefficient}."""
+    if k == 0:
+        return {(): alg.counit_vec[i]} if alg.counit_vec[i] else {}
+    terms = {(i,): 1}
+    for _ in range(k - 1):
+        nxt = {}
+        for key, c in terms.items():
+            for pair, d in alg.comul_sc.get(key[0], {}).items():
+                nxt[pair + key[1:]] = nxt.get(pair + key[1:], 0) + c * d
+        terms = {key: c for key, c in nxt.items() if c}
+    return terms
+
+
+def test_coproduct_power_is_coassociative_on_every_basis_element():
+    """coproduct_power splits the last leg; a first-leg split gives the same
+    terms (coassociativity), sorted by key, for every k <= 5."""
+    for name, pkg in pinned_packages():
+        alg = pkg.algebra
+        for i in range(alg.dim):
+            for k in range(6):
+                want = [(c, key) for key, c in
+                        sorted(first_leg_power(alg, i, k).items())]
+                assert coproduct_power(pkg, i, k) == want, (name, i, k)
+                assert coproduct_power(pkg, {i: 1}, k) == want, (name, i, k)
+
+
+def test_mul_is_the_bilinear_extension_of_the_table():
+    """mul on seeded three-term elements is the double sum over the table,
+    zero sums dropped."""
+    rng = random.Random(SEED)
+    for name, pkg in pinned_packages():
+        alg = pkg.algebra
+        for _ in range(20):
+            x, y = ({rng.randrange(alg.dim): rng.randint(-3, 3)
+                     for _ in range(3)} for _ in range(2))
+            want = {}
+            for (i, j), col in alg.mul_sc.items():
+                for k, c in col.items():
+                    want[k] = want.get(k, 0) + x.get(i, 0) * y.get(j, 0) * c
+            assert alg.mul(x, y) == {k: c for k, c in want.items() if c}, name
 
 
 def test_cyclic_integral_and_cointegral():
