@@ -42,16 +42,6 @@ from functools import cache, cached_property
 from .report import Report
 
 
-def _add_term(d, key, coeff):
-    if coeff == 0:
-        return
-    c = d.get(key, 0) + coeff
-    if c:
-        d[key] = c
-    else:
-        del d[key]
-
-
 # ---------------------------------------------------------------------------
 # the sparse linear-map core
 # ---------------------------------------------------------------------------
@@ -61,7 +51,9 @@ def apply(table, x):
     out = {}
     for i, ci in x.items():
         for j, c in table.get(i, {}).items():
-            _add_term(out, j, ci * c)
+            out[j] = out.get(j, 0) + ci * c
+    if 0 in out.values():
+        out = {j: c for j, c in out.items() if c}
     return out
 
 
@@ -183,12 +175,8 @@ class PresentedAlgebra:
         return {self.unit_index: 1}
 
     def mul(self, x, y):
-        out = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                for k, c in self.mul_sc.get((i, j), {}).items():
-                    _add_term(out, k, ci * cj * c)
-        return out
+        return apply(self.mul_sc, {(i, j): ci * cj for i, ci in x.items()
+                                   for j, cj in y.items()})
 
     def antipode(self, x):
         return apply(self.antipode_sc, x)
@@ -382,8 +370,9 @@ def build_cyclic_group_algebra(m):
 def coproduct_power(pkg, x, k):
     """Expansion of Delta^{(k)}(x) as a list of (coefficient, index tuple).
 
-    Delta^{(0)} is the counit (empty tuples), Delta^{(1)} the identity.
-    Terms are merged and returned in a deterministic order.
+    Delta^{(0)} is the counit (empty tuples), Delta^{(1)} the identity,
+    and each further power splits the last leg: k - 1 ``compose`` of the
+    legged coproduct.  Terms are merged and returned sorted by key.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -393,16 +382,11 @@ def coproduct_power(pkg, x, k):
     if k == 0:
         c = alg.counit(x)
         return [(c, ())] if c else []
-    terms = {(i,): c for i, c in x.items() if c}
-    for _ in range(k - 1):
-        nxt = {}
-        for key, c in terms.items():
-            head, last = key[:-1], key[-1]
-            for (j, l), d in alg.comul_sc.get(last, {}).items():
-                _add_term(nxt, head + (j, l), c * d)
-        terms = nxt
-    return sorted(((c, key) for key, c in terms.items()),
-                  key=lambda t: t[1])
+    dl = legged(alg.comul_sc)
+    terms = {(): {(i,): c for i, c in x.items() if c}}
+    for last in range(k - 1):
+        terms = compose(dl, terms, last)
+    return [(c, key) for key, c in sorted(terms.get((), {}).items())]
 
 
 # ---------------------------------------------------------------------------

@@ -260,13 +260,6 @@ class GroupRingElement:
         self.terms = {k: c for k, c in clean.items() if c}
 
     @classmethod
-    def _normal(cls, group, terms):
-        """An element on terms already in normal form, none of them zero."""
-        el = object.__new__(cls)
-        el.group, el.terms = group, terms
-        return el
-
-    @classmethod
     def zero(cls, group):
         return cls(group, {})
 
@@ -486,7 +479,7 @@ def fox_matrix(diag, group=None):
     """Matrix of abelianized Fox derivatives over Z[H_1]
     (:func:`_fox_rows`)."""
     group = group or homology(diag)
-    return [[GroupRingElement._normal(group, e) for e in row]
+    return [[GroupRingElement(group, e) for e in row]
             for row in _fox_rows(diag, group)]
 
 
