@@ -403,19 +403,18 @@ def multipoint_permutation(diag, mp):
 def enumerate_multipoints(diag):
     """All perfect matchings of closed alphas to closed betas through
     shared crossings, in lexicographic order on the sorted pick ids.  A
-    crossing lies on one alpha, so the leaves of the search are distinct."""
+    crossing lies on one alpha, so the leaves of the search are distinct.
+    The search keeps its own stack of (next alpha, betas used, picks), so
+    its depth is not bounded by Python's recursion limit."""
     meets = diag.meets
-    found = []
-
-    def rec(i, used_beta, picks):
+    found, todo = [], [(0, set(), [])]
+    while todo:
+        i, used_beta, picks = todo.pop()
         if i == len(meets):
             found.append(Multipoint(tuple(sorted(picks))))
-            return
-        for x in meets[i]:
-            if x.beta not in used_beta:
-                rec(i + 1, used_beta | {x.beta}, picks + [x.id])
-
-    rec(0, set(), [])
+            continue
+        todo.extend((i + 1, used_beta | {x.beta}, picks + [x.id])
+                    for x in meets[i] if x.beta not in used_beta)
     return sorted(found, key=lambda m: m.picks)
 
 

@@ -105,6 +105,8 @@ def smith_normal_form(rows, ncols):
             x = abs(a[i][j])
             if x and (not least or x < least):
                 least, pi, pj = x, i, j
+                if x == 1:      # none is smaller: the first least entry
+                    break
         if least:
             a[t], a[pi] = a[pi], a[t]
             if pj != t:

@@ -132,19 +132,30 @@ def _anchor(diag):
 
 def _matchable(rows, taken):
     """Whether ``rows``, closed alphas' crossings with closed betas, match
-    distinct betas outside ``taken``: one augmenting path per row (Kuhn)."""
-    owner = {}                  # beta -> row matched to it
+    distinct betas outside ``taken``: one augmenting path per row (Kuhn),
+    each found breadth first, so no search recurses."""
+    owner, match = {}, {}       # beta <-> index of the row matched to it
 
-    def augment(row, seen):
-        for x in row:
-            if x.beta not in taken and x.beta not in seen:
-                seen.add(x.beta)
-                if x.beta not in owner or augment(owner[x.beta], seen):
-                    owner[x.beta] = row
-                    return True
+    def augment(r):
+        came, todo = {}, [r]    # beta -> the row that reached it
+        for q in todo:          # grows as matched rows are reached
+            for x in rows[q]:
+                b = x.beta
+                if b in taken or b in came:
+                    continue
+                came[b] = q
+                if b in owner:
+                    todo.append(owner[b])
+                    continue
+                while b is not None:    # shift the path back to row r
+                    q = came[b]
+                    nxt = match.get(q)
+                    owner[b], match[q] = q, b
+                    b = nxt
+                return True
         return False
 
-    return all(augment(row, set()) for row in rows)
+    return all(augment(r) for r in range(len(rows)))
 
 
 def _anchor_class(diag, group):
