@@ -1,17 +1,20 @@
 """Corrupted diagrams through the CLI: every verb ends in an exit status,
-never a traceback.  Seeded by ``SUTURANT_SEED``; the corrupted files live in
-temporary copies, never in ``corpus/``."""
+never a traceback.  Seeded by ``SUTURANT_SEED``; the corrupted and moved
+files live in temporary copies, never in ``corpus/``."""
 
 import random
 import re
 
-from suturant import parse_diagram, serialize_diagram
+from suturant import (apply_move, parse_diagram, random_move_sequence,
+                      serialize_diagram)
 from suturant.cli import run
 from suturant.errors import SuturantError
 
 from conftest import CORPUS, SEED, corpus_path
 
 CORRUPTIONS = ("drop", "repeat", "add", "sign", "rename")
+FLAG_SETS = ((), ("--char", "t=1"), ("--offset", "t"), ("--sign", "canonical"),
+             ("--offset", "t^-1", "--sign", "-1"))
 
 
 def exit_of(capsys, argv):
@@ -115,3 +118,46 @@ def test_corrupted_diagrams_end_in_an_exit_status(tmp_path, capsys):
         assert parse_diagram(again) == diag, (kind, text)
         assert serialize_diagram(parse_diagram(again)) == again, (kind, text)
     assert all(kinds.values()), kinds
+
+
+def through_flags(capsys, path, label):
+    """compute --n 3 --all-chars under each of FLAG_SETS on both engines,
+    which agree on exit status and stdout, then the cyclic package."""
+    for flags in FLAG_SETS:
+        fox, tensor = (exit_of(capsys, ["compute", path, "--n", "3",
+                                        "--all-chars", *flags,
+                                        "--engine", engine])
+                       for engine in ("fox", "tensor"))
+        assert fox == tensor, (flags, label)
+    exit_of(capsys, ["compute", path, "--algebra", "cyclic", "--m", "3"])
+
+
+def test_moved_and_corrupted_diagrams_through_compare_and_compute(
+        tmp_path, capsys):
+    """100 corpus files, every second one first put through a seeded 4-move
+    ``random_move_sequence``, then corrupted.  Each corrupted file is
+    compared both ways with its uncorrupted source, with the same status
+    and stdout each way, and goes through ``through_flags``; so does each
+    moved copy, which compares EQUAL with its corpus file."""
+    rng = random.Random(SEED + 1)
+    names = sorted(CORPUS.glob("*.hd"))
+    for t in range(100):
+        source = rng.choice(names)
+        text = source.read_text()
+        if t % 2:
+            diag = parse_diagram(text)
+            for mv in random_move_sequence(diag, rng.randrange(2**32), 4):
+                diag = apply_move(diag, mv)
+            text = serialize_diagram(diag)
+            moved = tmp_path / f"v{t}.hd"
+            moved.write_text(text)
+            assert exit_of(capsys, ["compare", source, moved]) == (
+                0, "EQUAL\n"), (source, text)
+            through_flags(capsys, moved, text)
+            source = moved
+        bad, kind = corrupted(text, rng)
+        path = tmp_path / f"c{t}.hd"
+        path.write_text(bad)
+        assert (exit_of(capsys, ["compare", path, source])
+                == exit_of(capsys, ["compare", source, path])), (kind, bad)
+        through_flags(capsys, path, (kind, bad))
