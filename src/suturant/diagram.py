@@ -404,8 +404,7 @@ def enumerate_multipoints(diag):
     """All perfect matchings of closed alphas to closed betas through
     shared crossings, in lexicographic order on the sorted pick ids.  A
     crossing lies on one alpha, so the leaves of the search are distinct.
-    The search keeps its own stack of (next alpha, betas used, picks), so
-    its depth is not bounded by Python's recursion limit."""
+    It keeps its own stack, so no depth reaches the recursion limit."""
     meets = diag.meets
     found, todo = [], [(0, set(), [])]
     while todo:

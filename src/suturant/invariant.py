@@ -134,28 +134,26 @@ def _matchable(rows, taken):
     """Whether ``rows``, closed alphas' crossings with closed betas, match
     distinct betas outside ``taken``: one augmenting path per row (Kuhn),
     each found breadth first, so no search recurses."""
-    owner, match = {}, {}       # beta <-> index of the row matched to it
+    owner = {}                  # beta -> row matched to it
 
-    def augment(r):
-        came, todo = {}, [r]    # beta -> the row that reached it
-        for q in todo:          # grows as matched rows are reached
-            for x in rows[q]:
+    def augment(row):
+        # beta -> (the row that reached it, the beta that row holds)
+        came, todo = {}, [(row, None)]
+        for row, held in todo:  # grows as matched rows are reached
+            for x in row:
                 b = x.beta
                 if b in taken or b in came:
                     continue
-                came[b] = q
+                came[b] = row, held
                 if b in owner:
-                    todo.append(owner[b])
+                    todo.append((owner[b], b))
                     continue
-                while b is not None:    # shift the path back to row r
-                    q = came[b]
-                    nxt = match.get(q)
-                    owner[b], match[q] = q, b
-                    b = nxt
+                while b is not None:    # shift the path back to the start
+                    owner[b], b = came[b]
                 return True
         return False
 
-    return all(augment(r) for r in range(len(rows)))
+    return all(augment(row) for row in rows)
 
 
 def _anchor_class(diag, group):
