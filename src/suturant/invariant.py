@@ -136,9 +136,9 @@ def _matchable(rows, taken):
     each found breadth first, so no search recurses."""
     owner = {}                  # beta -> row matched to it
 
-    def augment(row):
+    def augment(start):
         # beta -> (the row that reached it, the beta that row holds)
-        came, todo = {}, [(row, None)]
+        came, todo = {}, [(start, None)]
         for row, held in todo:  # grows as matched rows are reached
             for x in row:
                 b = x.beta
@@ -148,7 +148,7 @@ def _matchable(rows, taken):
                 if b in owner:
                     todo.append((owner[b], b))
                     continue
-                while b is not None:    # shift the path back to the start
+                while b is not None:    # shift the path back to start
                     owner[b], b = came[b]
                 return True
         return False

@@ -76,6 +76,18 @@ def handleslide_script(text):
     return "".join(lines)
 
 
+def through_flags(capsys, path, label):
+    """compute --n 3 --all-chars under each of FLAG_SETS on both engines,
+    which agree on exit status and stdout, then the cyclic package."""
+    for flags in FLAG_SETS:
+        fox, tensor = (exit_of(capsys, ["compute", path, "--n", "3",
+                                        "--all-chars", *flags,
+                                        "--engine", engine])
+                       for engine in ("fox", "tensor"))
+        assert fox == tensor, (flags, label)
+    exit_of(capsys, ["compute", path, "--algebra", "cyclic", "--m", "3"])
+
+
 def test_a_handleslide_on_a_broken_order_is_refused(tmp_path, capsys):
     """Hopf with c7 dropped from b2's order: the slide reads a2's crossings
     through the diagram's index, which refuses the diagram."""
@@ -118,18 +130,6 @@ def test_corrupted_diagrams_end_in_an_exit_status(tmp_path, capsys):
         assert parse_diagram(again) == diag, (kind, text)
         assert serialize_diagram(parse_diagram(again)) == again, (kind, text)
     assert all(kinds.values()), kinds
-
-
-def through_flags(capsys, path, label):
-    """compute --n 3 --all-chars under each of FLAG_SETS on both engines,
-    which agree on exit status and stdout, then the cyclic package."""
-    for flags in FLAG_SETS:
-        fox, tensor = (exit_of(capsys, ["compute", path, "--n", "3",
-                                        "--all-chars", *flags,
-                                        "--engine", engine])
-                       for engine in ("fox", "tensor"))
-        assert fox == tensor, (flags, label)
-    exit_of(capsys, ["compute", path, "--algebra", "cyclic", "--m", "3"])
 
 
 def test_moved_and_corrupted_diagrams_through_compare_and_compute(
