@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import sys
 
 from .algebra import build_cyclic_group_algebra, build_hn, check_axioms
 from .diagram import (enumerate_multipoints, multipoint_permutation,
                       parse_diagram, serialize_diagram, validate)
-from .errors import SuturantError
+from .errors import BudgetExceededError, SuturantError
 from .foxcalc import (Character, GroupRingElement, character_exponents,
                       class_equal, coordinate_name, homology)
 from .invariant import (OrientationSign, SpincRelative, anchor_multipoint,
@@ -79,7 +80,10 @@ def _name_vector(group, name, unknown):
 def _resolve_characters(group, order, spec_text):
     """Characters of the given order matching ``k=v`` constraints; keys are
     names in the sense of :func:`_name_vector`.  A coordinate key fixes its
-    exponent before the characters are built; a beta-id key filters them."""
+    exponent before the characters are built; a beta-id key filters them.
+    The candidates, counted once the coordinate keys are fixed, times the
+    order may not exceed :data:`MAX_CHARACTER_WORK`; that is checked before
+    any character is built."""
     pairs = []
     if spec_text:
         for item in spec_text.split(","):
@@ -97,6 +101,12 @@ def _resolve_characters(group, order, spec_text):
             choices[t] = [v] if v in choices[t] else []
         else:
             constraints.append((vec, v))
+    count = math.prod(map(len, choices))
+    if order * count > MAX_CHARACTER_WORK:
+        raise BudgetExceededError(
+            f"{count} candidate character(s) of order {order} would need "
+            f"{order * count} value entries; compute takes at most "
+            f"{MAX_CHARACTER_WORK}")
     return [chi for chi in (Character(group, order, exps)
                             for exps in itertools.product(*choices))
             if all(chi.exponent(vec) == v for vec, v in constraints)]
@@ -129,6 +139,16 @@ def _chi_label(group, chi):
 # cyclic(512) alone peaks at about 100 MiB, and the axiom suite's time grows
 # about fourfold per doubling of the dimension.
 MAX_DIM = 512
+
+# The most value entries, the order N times the candidate characters, that
+# ``compute`` builds: one coefficient per exponent mod N and character, the
+# length of a tensor state's value.  It admits --order 55440 at one
+# character and every compute of the tests and the benchmark (at most
+# 20,736: --n 6 --order 12 --all-chars on a rank-3 H_1).  The slowest
+# admitted corpus computes found take 2.9 s on the tensor engine
+# (trefoil_moved.hd --n 256 --all-chars) and 0.34 s on the Fox engine
+# (figure8.hd --n 1 --order 60060 --char t=0), wall time on a 2-vCPU VM.
+MAX_CHARACTER_WORK = 1 << 16
 
 
 def _check_size(args):

@@ -13,6 +13,8 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, product
+from math import prod
 
 from .errors import CyclotomicArithmeticError
 
@@ -35,33 +37,50 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
-def _poly_divmod(a, b):
-    """Division of integer polynomials; b must be monic."""
-    if not b or b[-1] != 1:
-        raise CyclotomicArithmeticError(f"divisor {b} is not monic")
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1]
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return _poly_trim(q), _poly_trim(a)
+def _primes(n):
+    """The distinct primes of n >= 1, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] * (n > 1)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    """Coefficients of Phi_n, low degree first, computed by exact division
-    of x^n - 1 by the proper cyclotomic divisors."""
+    """Coefficients of Phi_n, low degree first: the product of
+    (x^(n/s) - 1)^mu(s) over the divisors s of the radical of n, taken as
+    power series cut after degree phi(n), which is exact since Phi_n is a
+    polynomial of that degree.  A factor with mu(s) = 1 is one
+    shift-and-subtract pass; dividing by x^d - 1 is one running sum along
+    each residue class mod d.  No recursion and no long division."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            assert not rem
+    primes = _primes(n)
+    deg = n
+    for p in primes:
+        deg = deg // p * (p - 1)
+    poly = [1] + [0] * deg
+    for picked in product((1, 0), repeat=len(primes)):
+        d = n // prod(p for p, on in zip(primes, picked) if on)
+        if sum(picked) % 2:         # q (x^d - 1) = poly
+            for r in range(min(d, deg + 1)):
+                poly[r::d] = accumulate(-c for c in poly[r::d])
+        else:                       # poly (x^d - 1)
+            poly = [-c for c in poly[:d]] + [
+                a - b for a, b in zip(poly, poly[d:])]
     return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _phi_terms(order):
+    """deg Phi_N and its nonzero terms (j, coefficient) below the leading
+    one, which is 1."""
+    phi = cyclotomic_polynomial(order)
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
 
 
 @dataclass(frozen=True)
@@ -74,11 +93,16 @@ class CyclotomicScalar:
 
     @staticmethod
     def _reduce(coeffs, order):
-        phi = list(cyclotomic_polynomial(order))
-        _, rem = _poly_divmod(_poly_trim(coeffs), phi)
-        deg = len(phi) - 1
-        rem = rem + [0] * (deg - len(rem))
-        return tuple(rem)
+        """The remainder of ``coeffs`` mod Phi_N, from the top down, each
+        step reading Phi_N's nonzero terms only."""
+        deg, terms = _phi_terms(order)
+        rem = list(coeffs) + [0] * (deg - len(coeffs))
+        for i in range(len(rem) - 1, deg - 1, -1):
+            c = rem[i]
+            if c:
+                for j, p in terms:
+                    rem[i - deg + j] -= c * p
+        return tuple(rem[:deg])
 
     @classmethod
     def from_coeffs(cls, coeffs, order):

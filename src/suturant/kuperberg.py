@@ -109,11 +109,11 @@ runs one sweep for a list of characters: a state's value is one such
 block per character, in list order, each block of its own N.  A term of a
 crossing carries its degrees as pairs (t, a), t of its run or of its
 beta's image and a of its remainder, and each block j is multiplied by
-x^(e_j * t + F_j * a); a shift table, filled per pair as the sweep meets
-it, gives the index each value entry moves to.  The table depends on the
-crossing only through its beta's exponents e_j and the F_j mod N_j, so
-the crossings of one alpha that agree on both share one.  The sum
-over the final states is reduced modulo Phi_N once per block, then the
+x^(e_j * t + F_j * a), which moves its entries in place, by one cyclic
+shift mod N_j, into the new state's block.  A crossing's blocks hold
+its beta's e_j and the F_j of its alpha's later crossings; at about two
+states per crossing a table of shifts would be read too seldom to pay
+for its filling.  The sum over the final states is reduced modulo Phi_N once per block, then the
 single rational cointegral prefactor is applied.  Everything is exact.
 """
 
@@ -319,34 +319,17 @@ def _rules(pkg):
     return rules
 
 
-class _Shifts(dict):
-    """The shift table of a crossing: per degree pair (t, a), filled as
-    the sweep meets it, the index each entry of a value moves to when
-    block j, of order N_j, is multiplied by x^(run_j * t + rest_j * a).
-    ``run`` holds the blocks' exponents on the crossing's beta, ``rest``
-    the signed sums of their exponents over the alpha's later crossings,
-    mod N_j.  One table serves every crossing of the current alpha with
-    the same beta and ``rest``; it is dropped when the alpha is done."""
-
-    def __init__(self, starts, orders, run, rest):
-        super().__init__()
-        self.blocks = list(zip(starts, orders, run, rest))
-
-    def __missing__(self, key):
-        t, a = key
-        moved = self[key] = [lo + (k + e * t + f * a) % n
-                             for lo, n, e, f in self.blocks for k in range(n)]
-        return moved
-
-
-def _add(out, vec, poly, shift, sign=1):
+def _add(out, vec, poly, blocks, sign=1):
     """Add sign * vec times the polynomial {(t, a): coefficient} to out,
-    blockwise, ``shift[t, a]`` giving the index each entry of vec moves to
-    (see :class:`_Shifts`); returns out."""
-    for ta, c in poly.items():
+    blockwise: ``blocks`` holds (start, order N, e, f) per block, and the
+    block's entry k moves to start + (k + e * t + f * a) mod N; returns
+    out."""
+    for (t, a), c in poly.items():
         c *= sign
-        for k, v in zip(shift[ta], vec):
-            out[k] += c * v
+        for lo, n, e, f in blocks:
+            s = e * t + f * a
+            for k, v in enumerate(vec[lo:lo + n]):
+                out[lo + (k + s) % n] += c * v
     return out
 
 
@@ -408,13 +391,13 @@ def _join(spans, j):
     return lo, r, hi
 
 
-def _cross(states, alg, rules, b, lo, r, hi, neg, last, kind, dead, shift):
+def _cross(states, alg, rules, b, lo, r, hi, neg, last, kind, dead, blocks):
     """The frontier after placing the next slot of the current alpha on
     beta b, between its runs r - 1 and r, joining runs lo..hi - 1 (see
     :func:`_join`), where ``kind`` is b's ``closed`` if this completes b
     and None if not, ``dead`` the representatives whose runs b's closing
-    table kills (empty if this completes b), and ``shift`` the crossing's
-    :class:`_Shifts`.  Each state looks its local triple up once, in the
+    table kills (empty if this completes b), and ``blocks`` the crossing's
+    blocks for :func:`_add`.  Each state looks its local triple up once, in the
     table of ``rules`` for (``neg``, ``last``, ``kind``), which
     :func:`_expand` fills the first time any sweep against the package
     meets the triple; a term whose new run is dead is dropped."""
@@ -447,7 +430,7 @@ def _cross(states, alg, rules, b, lo, r, hi, neg, last, kind, dead, shift):
             cur = out.get(new)
             if cur is None:
                 cur = out[new] = [0] * len(vec)
-            _add(cur, vec, poly, shift, -1 if odd and tail else 1)
+            _add(cur, vec, poly, blocks, -1 if odd and tail else 1)
     return {key: vec for key, vec in out.items() if any(vec)}
 
 
@@ -461,9 +444,9 @@ def contract_values(based, pkg, assignments):
     """The unnormalized scalar at each of ``assignments``, in their order,
     from one sweep whose state values hold one block per assignment.  What
     depends on the package alone comes from its :func:`_rules`, shared by
-    every call with the same package; only the shift tables, which depend
-    on the diagram and the characters, are built per call, one per
-    distinct (beta, later exponent sums) of each alpha.  When the
+    every call with the same package; each crossing's blocks for
+    :func:`_add`, which depend on the diagram and the characters, are
+    listed as the sweep reaches it.  When the
     rules say the product supercommutes, each slot goes to the next free
     position of its beta rather than its home position there, so a beta
     holds one run and the Koszul tail counts later betas only (the module
@@ -495,7 +478,7 @@ def contract_values(based, pkg, assignments):
             unit = rules.closing[c.closed][alg.unit_index]
             vec = _add([0] * len(vec), vec,
                        {(t, 0): v for t, v in unit.items()},
-                       _Shifts(starts, orders, exps[c.id], zero))
+                       list(zip(starts, orders, exps[c.id], zero)))
             parts.append(alg.parity[alg.unit_index])
     states = {(None, *parts): vec}
     filled, spans = [0] * len(betas), [[] for _ in betas]
@@ -513,26 +496,23 @@ def contract_values(based, pkg, assignments):
             rests.append(tuple((f + x.sign * e) % n for f, e, n
                                in zip(rests[-1], exps[x.beta], orders)))
         rests.reverse()
-        shift, seeded = _Shifts(starts, orders, zero, rests[0]), {}
+        blocks, seeded = list(zip(starts, orders, zero, rests[0])), {}
         for key, vec in states.items():
             for r, poly in rules.seeds[c.closed].items():
                 _add(seeded.setdefault((r,) + key[1:], [0] * len(vec)),
-                     vec, poly, shift)
-        states, shifts = seeded, {}
+                     vec, poly, blocks)
+        states = seeded
         for t, x in enumerate(ordered[c.id]):
             b = beta_pos[x.beta]
             j = filled[b] if rules.supercommutes else place[x.id][1]
             filled[b] += 1
             done = filled[b] == len(betas[b].order)
-            shift = shifts.get((b, rests[t + 1]))
-            if shift is None:
-                shift = shifts[b, rests[t + 1]] = _Shifts(
-                    starts, orders, exps[x.beta], rests[t + 1])
             states = _cross(states, alg, rules, b, *_join(spans[b], j),
                             x.sign < 0, t == len(c.order) - 1,
                             betas[b].closed if done else None,
                             () if done else rules.dead[betas[b].closed],
-                            shift)
+                            list(zip(starts, orders, exps[x.beta],
+                                     rests[t + 1])))
             if not states:
                 break
 

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import pytest
@@ -44,6 +45,20 @@ def test_compute_engines_agree_bytewise(capsys):
                 assert rc == 0
                 outs.append(out_of(capsys))
             assert outs[0] == outs[1], (name, n)
+
+
+def test_a_wide_order_prints_the_same_value_on_both_engines(capsys):
+    # Phi_55440 has degree 11,520 and 343 nonzero terms
+    for flags in (["--n", "1", "--order", "55440", "--char", "t=0"],
+                  ["--n", "5", "--order", "55440", "--char", "t=11088"]):
+        outs = []
+        for engine in ("fox", "tensor"):
+            start = time.perf_counter()
+            assert run(["compute", str(corpus_path("trefoil")),
+                        "--engine", engine] + flags) == 0
+            assert time.perf_counter() - start < 2, (engine, flags)
+            outs.append(out_of(capsys))
+        assert outs[0] == outs[1] and outs[0].endswith("(mod Φ_55440)\n")
 
 
 def test_compute_is_deterministic(capsys):

@@ -1,9 +1,13 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from suturant import CyclotomicScalar, cyclotomic_polynomial
 from suturant.errors import CyclotomicArithmeticError
+
+from conftest import SEED
 
 
 def test_small_cyclotomic_polynomials():
@@ -27,6 +31,61 @@ def test_product_of_divisors_is_xn_minus_one():
                         out[i + j] += a * b
                 prod = out
         assert prod == [-1] + [0] * (n - 1) + [1]
+
+
+def recursive_cyclotomic(n, memo={}):
+    """The reference definition: x^n - 1 divided by Phi_d for every proper
+    divisor d, each by long division."""
+    if n not in memo:
+        poly = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                phi = recursive_cyclotomic(d)
+                quot = [0] * (len(poly) - len(phi) + 1)
+                for i in range(len(quot) - 1, -1, -1):
+                    c = quot[i] = poly[i + len(phi) - 1]
+                    for j, p in enumerate(phi):
+                        poly[i + j] -= c * p
+                assert not any(poly)
+                poly = quot
+        memo[n] = tuple(poly)
+    return memo[n]
+
+
+def test_the_radical_rule_is_the_recursive_definition():
+    for n in range(1, 501):
+        assert cyclotomic_polynomial(n) == recursive_cyclotomic(n), n
+
+
+def totient(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def test_phi_n_divides_xn_minus_one_at_large_orders():
+    """deg Phi_N = phi(N), and prod_{d | N} Phi_d(x0) = x0^N - 1 mod a
+    large prime at a seeded x0, for seeded N up to 10^5 and the orders
+    55440 and 65536."""
+    rng = random.Random(SEED)
+    prime = (1 << 61) - 1
+    for n in [55440, 65536] + [rng.randrange(2, 10**5) for _ in range(6)]:
+        x0 = rng.randrange(2, prime)
+        assert len(cyclotomic_polynomial(n)) - 1 == totient(n), n
+        prod = 1
+        for d in range(1, n + 1):
+            if n % d == 0:
+                value = 0
+                for c in reversed(cyclotomic_polynomial(d)):
+                    value = (value * x0 + c) % prime
+                prod = prod * value % prime
+        assert prod == (pow(x0, n, prime) - 1) % prime, n
+
+
+def test_reduction_reads_the_sparse_phi():
+    # Phi_16 = 1 + x^8, so x^15 = -x^7 and x^8 + x^9 = -1 - x
+    assert CyclotomicScalar.root_power(15, 16) == \
+        -CyclotomicScalar.root_power(7, 16)
+    assert CyclotomicScalar.from_coeffs([0] * 8 + [1, 1], 16) == \
+        CyclotomicScalar.from_coeffs([-1, -1], 16)
 
 
 def test_root_power_and_arithmetic():

@@ -16,7 +16,7 @@ from suturant import (AddTrivialHandles, BudgetExceededError, CancelFinger,
                       UnknownCurveError, apply_move, build_hn,
                       fox_determinant, multipoint_sign, parse_diagram,
                       parse_move_script, validate)
-from suturant import foxcalc, moves
+from suturant import cli, foxcalc, moves
 from suturant.cli import run
 from suturant.kuperberg import _Rules
 
@@ -180,6 +180,23 @@ def test_a_packed_determinant_past_its_budget_is_refused(tmp_path, capsys):
                   "--char", "t=1"]):
         start = time.perf_counter()
         refused(capsys, argv, f"more than {foxcalc.MAX_PACKED_BITS}")
+        assert time.perf_counter() - start < 1, argv
+
+
+def test_characters_past_their_budget_are_refused(capsys):
+    """``compute`` counts its candidate characters, once the coordinate
+    keys are fixed, before it builds any: 2,097,152 characters of order 128
+    on Hopf, or one of order 10^8, exit 1 within a second."""
+    for argv, count, order in (
+            (["compute", corpus_path("hopf"), "--n", "128", "--all-chars"],
+             2097152, 128),
+            (["compute", corpus_path("hopf"), "--n", "128",
+              "--char", "b1=1"], 2097152, 128),
+            (["compute", corpus_path("trefoil"), "--n", "1",
+              "--order", "100000000", "--char", "t=0"], 1, 100000000)):
+        start = time.perf_counter()
+        refused(capsys, argv, f"{count} candidate character(s) of order "
+                f"{order}", f"at most {cli.MAX_CHARACTER_WORK}")
         assert time.perf_counter() - start < 1, argv
 
 
