@@ -113,8 +113,9 @@ x^(e_j * t + F_j * a), which moves its entries in place, by one cyclic
 shift mod N_j, into the new state's block.  A crossing's blocks hold
 its beta's e_j and the F_j of its alpha's later crossings; at about two
 states per crossing a table of shifts would be read too seldom to pay
-for its filling.  The sum over the final states is reduced modulo Phi_N once per block, then the
-single rational cointegral prefactor is applied.  Everything is exact.
+for its filling.  The sum over the final states is reduced modulo Phi_N
+once per block, then the single rational cointegral prefactor is
+applied.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -396,11 +397,11 @@ def _cross(states, alg, rules, b, lo, r, hi, neg, last, kind, dead, blocks):
     beta b, between its runs r - 1 and r, joining runs lo..hi - 1 (see
     :func:`_join`), where ``kind`` is b's ``closed`` if this completes b
     and None if not, ``dead`` the representatives whose runs b's closing
-    table kills (empty if this completes b), and ``blocks`` the crossing's
-    blocks for :func:`_add`.  Each state looks its local triple up once, in the
-    table of ``rules`` for (``neg``, ``last``, ``kind``), which
-    :func:`_expand` fills the first time any sweep against the package
-    meets the triple; a term whose new run is dead is dropped."""
+    table kills (empty if this completes b), and ``blocks`` the
+    crossing's blocks for :func:`_add`.  Each state looks its local triple
+    up once, in the table of ``rules`` for (``neg``, ``last``, ``kind``),
+    which :func:`_expand` fills the first time any sweep against the
+    package meets the triple; a term whose new run is dead is dropped."""
     par = alg.parity
     memo = rules.terms.setdefault((neg, last, kind), {})
     table = None if kind is None else rules.closing[kind]
@@ -446,13 +447,13 @@ def contract_values(based, pkg, assignments):
     depends on the package alone comes from its :func:`_rules`, shared by
     every call with the same package; each crossing's blocks for
     :func:`_add`, which depend on the diagram and the characters, are
-    listed as the sweep reaches it.  When the
-    rules say the product supercommutes, each slot goes to the next free
-    position of its beta rather than its home position there, so a beta
-    holds one run and the Koszul tail counts later betas only (the module
-    docstring says why the values are the same).  An empty frontier stays
-    empty, so the sweep stops at one, and every value is then 0.  An
-    unbalanced diagram is refused first (:func:`diagram.check_balanced`)."""
+    listed as the sweep reaches it.  When the rules say the product
+    supercommutes, each slot goes to the next free position of its beta
+    rather than its home position there, so a beta holds one run and the
+    Koszul tail counts later betas only (the module docstring says why the
+    values are the same).  An empty frontier stays empty, so the sweep
+    stops at one, and every value is then 0.  An unbalanced diagram is
+    refused first (:func:`diagram.check_balanced`)."""
     check_balanced(based)
     for chars in assignments:
         check_admissible(based, pkg.integral.glike_b_order, chars)

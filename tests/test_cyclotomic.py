@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -33,23 +34,22 @@ def test_product_of_divisors_is_xn_minus_one():
         assert prod == [-1] + [0] * (n - 1) + [1]
 
 
-def recursive_cyclotomic(n, memo={}):
+@lru_cache(maxsize=None)
+def recursive_cyclotomic(n):
     """The reference definition: x^n - 1 divided by Phi_d for every proper
     divisor d, each by long division."""
-    if n not in memo:
-        poly = [-1] + [0] * (n - 1) + [1]
-        for d in range(1, n):
-            if n % d == 0:
-                phi = recursive_cyclotomic(d)
-                quot = [0] * (len(poly) - len(phi) + 1)
-                for i in range(len(quot) - 1, -1, -1):
-                    c = quot[i] = poly[i + len(phi) - 1]
-                    for j, p in enumerate(phi):
-                        poly[i + j] -= c * p
-                assert not any(poly)
-                poly = quot
-        memo[n] = tuple(poly)
-    return memo[n]
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            phi = recursive_cyclotomic(d)
+            quot = [0] * (len(poly) - len(phi) + 1)
+            for i in range(len(quot) - 1, -1, -1):
+                c = quot[i] = poly[i + len(phi) - 1]
+                for j, p in enumerate(phi):
+                    poly[i + j] -= c * p
+            assert not any(poly)
+            poly = quot
+    return tuple(poly)
 
 
 def test_the_radical_rule_is_the_recursive_definition():
