@@ -19,22 +19,13 @@ from math import prod
 from .errors import CyclotomicArithmeticError
 
 
-def _poly_trim(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _poly_mul(a, b):
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return _poly_trim(out)
+    return out
 
 
 def _primes(n):

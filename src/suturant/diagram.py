@@ -31,9 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .errors import (DuplicateIdError, InvalidMultipointError, NonSquareError,
-                     ParseError, UnknownCurveError, UnknownGeneratorError)
+from .errors import (BudgetExceededError, DuplicateIdError,
+                     InvalidMultipointError, NonSquareError, ParseError,
+                     UnknownCurveError, UnknownGeneratorError)
 from .report import Report
+
+# Most multipoints :func:`enumerate_multipoints` lists; past it the search
+# stops with BudgetExceededError, after about 0.8 s.  The tier-1 tests
+# reach 31,874 and the benchmark's inputs 5,735; Hopf slid and back to
+# d = 5 has 31,934, to d = 6 1,287,552 (4.2 s) and to d = 7 73,383,098.
+# It has no override.
+MAX_MULTIPOINTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -404,12 +412,16 @@ def enumerate_multipoints(diag):
     """All perfect matchings of closed alphas to closed betas through
     shared crossings, in lexicographic order on the sorted pick ids.  A
     crossing lies on one alpha, so the leaves of the search are distinct.
-    It keeps its own stack, so no depth reaches the recursion limit."""
+    It keeps its own stack, so no depth reaches the recursion limit, and
+    it stops past ``MAX_MULTIPOINTS`` leaves."""
     meets = diag.meets
     found, todo = [], [(0, set(), [])]
     while todo:
         i, used_beta, picks = todo.pop()
         if i == len(meets):
+            if len(found) == MAX_MULTIPOINTS:
+                raise BudgetExceededError(
+                    f"more than {MAX_MULTIPOINTS} multipoints")
             found.append(Multipoint(tuple(sorted(picks))))
             continue
         todo.extend((i + 1, used_beta | {x.beta}, picks + [x.id])

@@ -70,8 +70,12 @@ class InvalidReferenceError(SuturantError):
 
 
 class BudgetExceededError(SuturantError):
-    """Work past a stated budget, refused before it starts: a packed
-    determinant entry wider than ``foxcalc.MAX_PACKED_BITS``."""
+    """Work past a stated budget, refused before it starts or once the
+    budget is passed: a packed determinant entry wider than
+    ``foxcalc.MAX_PACKED_BITS``, a class ranking past
+    ``foxcalc.MAX_CLASS_WORK``, more multipoints than
+    ``diagram.MAX_MULTIPOINTS``, or characters past
+    ``cli.MAX_CHARACTER_WORK``."""
 
 
 class CyclotomicArithmeticError(SuturantError, ArithmeticError):

@@ -52,6 +52,14 @@ from .errors import (BudgetExceededError, GroupMismatchError,
 # about a second.  It has no override yet.
 MAX_PACKED_BITS = 1 << 18
 
+# Most work :func:`canonical_class` ranks: the product of the torsion orders,
+# one sort of the terms per torsion translate, times the number of terms.
+# The tier-1 tests and the benchmark's inputs reach 49 (7 translates of 7
+# terms).  L(p, 1) has p translates of p terms, so L(512, 1) is the largest
+# admitted, at 262,144 (``class`` in 0.3 s); L(1,000, 1) took about a
+# second, L(4,000, 1) 13 s.  It has no override.
+MAX_CLASS_WORK = 1 << 18
+
 
 # ---------------------------------------------------------------------------
 # Fox derivative
@@ -795,10 +803,17 @@ def canonical_class(el):
     shift, then pick the torsion translate and sign whose flattened
     (key, coefficient) sequence is lexicographically extremal with a
     positive leading coefficient.  Each translate is taken on the term
-    keys, sorted once; the greatest (coefficients, keys) pair is kept."""
+    keys, sorted once; the greatest (coefficients, keys) pair is kept.
+    Past ``MAX_CLASS_WORK`` translates times terms it is refused with
+    BudgetExceededError before any translate is ranked."""
     g = el.group
     if el.is_zero():
         return InvariantClass(el)
+    translates = math.prod(g.torsion)
+    if translates * len(el.terms) > MAX_CLASS_WORK:
+        raise BudgetExceededError(
+            f"ranking {len(el.terms)} term(s) at {translates} torsion "
+            f"translate(s) exceeds {MAX_CLASS_WORK}")
     low = [min(k[i] for k in el.terms) for i in range(g.rank)]
     terms = [(tuple(map(sub, k[:g.rank], low)), k[g.rank:], c)
              for k, c in el.terms.items()]

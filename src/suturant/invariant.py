@@ -49,7 +49,7 @@ from .foxcalc import (GroupRingElement, InvariantClass, canonical_class,
                       class_equal, divide_by_element_minus_one, evaluate,
                       fox_determinant, homology, multipoint_class,
                       smith_normal_form)
-from .kuperberg import check_admissible, contract_values
+from .kuperberg import CharacterAssignment, check_admissible, contract_values
 # Not called here: kept as a module attribute because the benchmark tracer
 # (perfbench/tracing.py) wraps suturant.invariant.contract.
 from .kuperberg import contract  # noqa: F401
@@ -199,16 +199,28 @@ def invariant_hn_values(diag, n, assignments, spinc,
     tensor engine contracts the diagram with H_n at its own basepoints, in
     one sweep for the whole list (:func:`kuperberg.contract_values`), and
     multiplies each value by the same evaluated unit delta * t^h.  Every
-    assignment must carry the character of H_1 it was built from.  The
-    normalization is checked and computed once, before any character; then
-    each character's group is checked by evaluating, and a character
-    outside :func:`kuperberg.check_admissible` is refused, all before the
-    sweep.  The first character that fails raises what
-    :func:`invariant_hn` raises for it alone."""
-    if any(chars.h1 is None for chars in assignments):
-        raise InvalidCharacterError(
-            "the invariant needs a character of H_1 "
-            "(use CharacterAssignment.from_character)")
+    assignment must carry the character of H_1 it was built from, and
+    agree with it: the Fox engine reads the character, the sweep the
+    assignment's order and beta exponents, so an assignment whose order or
+    any beta's exponent differs from
+    :meth:`CharacterAssignment.from_character` of it is refused before
+    either engine runs.  The normalization is checked and computed once,
+    before any character; then each character's group is checked by
+    evaluating, and a character outside :func:`kuperberg.check_admissible`
+    is refused, all before the sweep.  The first character that fails
+    raises what :func:`invariant_hn` raises for it alone."""
+    for chars in assignments:
+        if chars.h1 is None:
+            raise InvalidCharacterError(
+                "the invariant needs a character of H_1 "
+                "(use CharacterAssignment.from_character)")
+        induced = CharacterAssignment.from_character(chars.h1)
+        if chars.order != induced.order or any(
+                chars.psi_exponent(c.id) != induced.psi_exponent(c.id)
+                for c in diag.family("beta")):
+            raise InvalidCharacterError(
+                "the assignment's order or beta exponents differ from "
+                "those of its character of H_1")
     if engine == "fox":
         base = invariant_h0(diag, spinc, orient)
     elif engine == "tensor":

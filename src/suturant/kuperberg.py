@@ -11,11 +11,12 @@ The contraction evaluates the network in one fixed order, a sweep over the
 alpha curves in family order and each alpha's crossings in its own order,
 and merges equal frontier states after every crossing.  A state is keyed
 by the orbit representative (see below) of the current alpha's
-not-yet-split coproduct factor and, per beta curve, the representatives
-of its maximal runs of placed slots, or only the parity of its product
-once the beta is complete.  When the package supercommutes (see below) a
-beta's slots are placed in the order they arrive, each at the right end
-of what the beta holds, so an open beta holds exactly one run.  At a
+not-yet-split coproduct factor, a parity word whose bit b is the parity
+of what beta b holds, and, per beta curve, the representatives of its
+maximal runs of placed slots, none before its first slot and none after
+its last.  When the package supercommutes (see below) a beta's slots are
+placed in the order they arrive, each at the right end of what the beta
+holds, so an open beta holds exactly one run.  At a
 crossing the factor is split by the coproduct (the last crossing of an
 alpha takes it whole, an alpha without crossings contributes the counit
 of its seed), the antipode acts if the crossing is negative, and the slot
@@ -61,8 +62,8 @@ character-free rules: the orbits, the alpha seeds folded by orbit, the
 closing tables and their dead runs (below).
 Each state looks its triple up once and applies what is its own: the
 Koszul sign of the odd-slot terms, its character degrees and the
-untouched parts of its key, into which it splices the new run or the
-completed beta's parity.
+untouched parts of its key, into which it splices the new run, if any,
+and its beta's new parity bit.
 
 Dead runs: let K be the basis indices that a closing table, mu or pi_B,
 sends to 0, shrunk until span(K) is a two-sided ideal: any index i for
@@ -85,7 +86,7 @@ Koszul sign: rerouting the slots from alpha order to beta-traversal order
 parity of the odd slots.  The sweep pays it as it goes: placing an odd
 slot flips the sign by the parity of the content already placed later in
 traversal order, the runs after it on its own beta and everything placed
-on later betas.
+on later betas, which the parity word's bits above its beta count.
 
 Arrival order: assume the product is associative and even (both are
 lines of the axiom suite), and that it supercommutes, e_a e_b =
@@ -111,11 +112,9 @@ crossing carries its degrees as pairs (t, a), t of its run or of its
 beta's image and a of its remainder, and each block j is multiplied by
 x^(e_j * t + F_j * a), which moves its entries in place, by one cyclic
 shift mod N_j, into the new state's block.  A crossing's blocks hold
-its beta's e_j and the F_j of its alpha's later crossings; at about two
-states per crossing a table of shifts would be read too seldom to pay
-for its filling.  The sum over the final states is reduced modulo Phi_N
-once per block, then the single rational cointegral prefactor is
-applied.  Everything is exact.
+its beta's e_j and the F_j of its alpha's later crossings.  The sum over
+the final states is reduced modulo Phi_N once per block, then the single
+rational cointegral prefactor is applied.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -334,11 +333,6 @@ def _add(out, vec, poly, blocks, sign=1):
     return out
 
 
-def _parity(part, par):
-    """The parity of a beta's part of a state key: runs, or a parity."""
-    return part if isinstance(part, int) else sum(par[i] for i in part)
-
-
 def _expand(alg, rep, deg, rem, lt, rt, neg, last, closing):
     """The terms of one local configuration at a crossing: the factor
     ``rem`` split by the coproduct into slot and rest (taken whole at the
@@ -401,14 +395,16 @@ def _cross(states, alg, rules, b, lo, r, hi, neg, last, kind, dead, blocks):
     crossing's blocks for :func:`_add`.  Each state looks its local triple
     up once, in the table of ``rules`` for (``neg``, ``last``, ``kind``),
     which :func:`_expand` fills the first time any sweep against the
-    package meets the triple; a term whose new run is dead is dropped."""
+    package meets the triple; a term whose new run is dead is dropped.
+    Bit b of the parity word loses the parities of the joined runs and
+    gains that of the new run, or of the product if this completes b."""
     par = alg.parity
     memo = rules.terms.setdefault((neg, last, kind), {})
     table = None if kind is None else rules.closing[kind]
     left, right = lo < r, hi > r
     out = {}
     for key, vec in states.items():
-        runs = key[1 + b]
+        word, runs = key[1], key[2 + b]
         local = (key[0], runs[lo] if left else None,
                  runs[r] if right else None)
         expansion = memo.get(local)
@@ -416,18 +412,20 @@ def _cross(states, alg, rules, b, lo, r, hi, neg, last, kind, dead, blocks):
             expansion = memo[local] = _expand(
                 alg, rules.rep, rules.deg, *local, neg, last, table)
         has_odd, terms = expansion
-        head, later = key[1:1 + b], key[2 + b:]
         # the Koszul tail, read only when an odd slot needs it
-        tail = has_odd and (sum(par[i] for i in runs[r:])
-                            + sum(_parity(p, par) for p in later)) % 2
-        if kind is None:
-            pre, post = runs[:lo], runs[hi:]
+        tail = has_odd and ((word >> b + 1).bit_count()
+                            + sum(par[i] for i in runs[r:])) % 2
+        word ^= sum(par[i] for i in runs[lo:hi]) % 2 << b
+        head, later = key[2:2 + b], key[3 + b:]
+        pre, post = runs[:lo], runs[hi:]
         for rest, part, odd, poly in terms:
             if part in dead:
                 continue
             if kind is None:
-                part = pre + (part,) + post
-            new = (rest,) + head + (part,) + later
+                bit, part = par[part], pre + (part,) + post
+            else:
+                bit, part = part, ()
+            new = (rest, word ^ bit << b) + head + (part,) + later
             cur = out.get(new)
             if cur is None:
                 cur = out[new] = [0] * len(vec)
@@ -469,19 +467,17 @@ def contract_values(based, pkg, assignments):
             for c in betas}
     zero = [0] * len(orders)
 
-    vec, parts = [0] * starts[-1], []
+    vec, word = [0] * starts[-1], 0
     for lo in starts[:-1]:
         vec[lo] = 1
-    for c in betas:
-        if c.order:
-            parts.append(())
-        else:
+    for b, c in enumerate(betas):
+        if not c.order:
             unit = rules.closing[c.closed][alg.unit_index]
             vec = _add([0] * len(vec), vec,
                        {(t, 0): v for t, v in unit.items()},
                        list(zip(starts, orders, exps[c.id], zero)))
-            parts.append(alg.parity[alg.unit_index])
-    states = {(None, *parts): vec}
+            word |= alg.parity[alg.unit_index] << b
+    states = {(None, word) + ((),) * len(betas): vec}
     filled, spans = [0] * len(betas), [[] for _ in betas]
     for c in alphas:
         if not states:                  # an empty frontier stays empty
@@ -520,9 +516,7 @@ def contract_values(based, pkg, assignments):
     functional_parity = sum(integ.mu_parity for c in betas if c.closed)
     total = [0] * starts[-1]
     for key, vec in states.items():
-        parity = functional_parity + sum(_parity(p, alg.parity)
-                                         for p in key[1:])
-        if parity % 2 == 0:
+        if (functional_parity + key[1].bit_count()) % 2 == 0:
             total = [a + v for a, v in zip(total, vec)]
         elif any(not CyclotomicScalar.from_coeffs(vec[lo:lo + n], n).is_zero()
                  for lo, n in zip(starts, orders)):

@@ -711,13 +711,14 @@ def test_both_product_orders_agree_on_hn():
 
 def test_a_supercommutative_sweep_keeps_one_run_per_beta(monkeypatch):
     """Every frontier key entering a crossing holds, per beta, at most one
-    run or the parity of a completed beta; in each beta's own order the
-    same sweep holds several runs on one beta."""
+    run (a key is the remainder, the parity word, then one tuple of runs
+    per beta); in each beta's own order the same sweep holds several runs
+    on one beta."""
     widest, cross = [], kuperberg._cross
 
     def spy(states, *args):
-        widest.append(max((len(p) for key in states for p in key[1:]
-                           if not isinstance(p, int)), default=0))
+        widest.append(max((len(p) for key in states for p in key[2:]),
+                          default=0))
         return cross(states, *args)
 
     monkeypatch.setattr(kuperberg, "_cross", spy)

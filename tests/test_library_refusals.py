@@ -5,11 +5,13 @@ import dataclasses
 
 import pytest
 
-from suturant import (Character, CyclotomicScalar, FreeWord, GroupRingElement,
-                      Multipoint, alexander_from_torsion, alpha_word,
+from suturant import (Character, CharacterAssignment, CyclotomicScalar,
+                      FreeWord, GroupRingElement, Multipoint,
+                      alexander_from_torsion, all_characters, alpha_word,
                       basepoint_shift, beta_word, build_hn, class_equal,
                       determinant, divide_by_element_minus_one, homology,
-                      invariant_h0, multipoint_sign, torsion_class)
+                      invariant_h0, invariant_hn_values, multipoint_sign,
+                      torsion_class)
 from suturant.errors import (ArcCurveError, CharacterMismatchError,
                              CyclotomicArithmeticError, GroupMismatchError,
                              InvalidCharacterError, InvalidMultipointError,
@@ -88,6 +90,21 @@ def test_an_offset_of_two_terms_is_refused(trefoil):
     spinc = SpincRelative(anchor_multipoint(trefoil), one + one)
     with pytest.raises(InvalidReferenceError, match="single group element"):
         invariant_h0(trefoil, spinc)
+
+
+def test_an_assignment_unlike_its_character_is_refused(trefoil):
+    """The exponents of the order-3 character t=1 with t=2 as its
+    character of H_1: unchecked, the Fox engine gives 2 + 2*x and the
+    tensor engine -2*x.  Both refuse it, and an order that differs."""
+    chis = all_characters(homology(trefoil), 3)
+    chars = CharacterAssignment.from_character(chis[1])
+    spinc = SpincRelative(anchor_multipoint(trefoil))
+    for mixed in (dataclasses.replace(chars, h1=chis[2]),
+                  dataclasses.replace(chars, order=6)):
+        for engine in ("fox", "tensor"):
+            with pytest.raises(InvalidCharacterError, match="differ"):
+                invariant_hn_values(trefoil, 3, [chars, mixed], spinc,
+                                    engine=engine)
 
 
 def test_alexander_needs_free_homology_and_single_meridians(hopf):

@@ -1,11 +1,13 @@
 """Diagrams with over a thousand closed alphas: the multipoint searches keep
 their own stacks and queues, so no depth of diagram ends in a
-RecursionError, and the Smith normal form stops its pivot scan at the first
-unit.  Each diagram is written as text into a temporary directory."""
+RecursionError, the Smith normal form stops its pivot scan at the first
+unit, and the two engines agree.  Each diagram is written as text into a
+temporary directory."""
 
 import time
 
-from suturant import parse_diagram
+from suturant import (CharacterAssignment, SpincRelative, all_characters,
+                      homology, invariant_hn_values, parse_diagram)
 from suturant.cli import run
 from suturant.invariant import anchor_multipoint
 
@@ -82,3 +84,20 @@ def test_class_of_a_thousand_alpha_chain_is_quick(tmp_path, capsys):
     start = time.perf_counter()
     assert cli(capsys, ["class", path]) == (0, "class: 1\n", "")
     assert time.perf_counter() - start < 5
+
+
+def test_both_engines_agree_on_long_diagrams():
+    """At every n = 2 character, on the chain (class 1) and on the
+    stabilized trefoil (class 1 - t + t^2, so 1 and 3 at t = 1 and -1):
+    the tensor sweep, whose Koszul tail reads one parity word, against the
+    Fox determinant."""
+    for text, want in ((chain_text(600), ["1", "1"]),
+                       (stabilized_trefoil_text(600), ["1", "3"])):
+        diag = parse_diagram(text)
+        chars = [CharacterAssignment.from_character(chi)
+                 for chi in all_characters(homology(diag), 2)]
+        spinc = SpincRelative(anchor_multipoint(diag))
+        values = [invariant_hn_values(diag, 2, chars, spinc, engine=engine)
+                  for engine in ("fox", "tensor")]
+        assert values[0] == values[1]
+        assert [str(v) for v in values[0]] == [f"{w} (mod Φ_2)" for w in want]

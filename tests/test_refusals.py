@@ -14,13 +14,14 @@ from suturant import (AddTrivialHandles, BudgetExceededError, CancelFinger,
                       InvalidMultipointError, Multipoint, ParseError,
                       ReorderCurves, ReverseCurve, Stabilize,
                       UnknownCurveError, apply_move, build_hn,
-                      fox_determinant, multipoint_sign, parse_diagram,
-                      parse_move_script, validate)
-from suturant import cli, foxcalc, moves
+                      canonical_class, fox_determinant, multipoint_expansion,
+                      multipoint_sign, parse_diagram, parse_move_script,
+                      serialize_diagram, validate)
+from suturant import cli, diagram, foxcalc, moves
 from suturant.cli import run
 from suturant.kuperberg import _Rules
 
-from conftest import corpus_path, load
+from conftest import corpus_path, load, slid_and_back
 from test_smith_normal_form import RECORDED, recorded_diagram
 
 HEAD = "diagram t\nalpha a1 closed\nbeta b1 closed\ncrossing x1 a1 b1 +\n"
@@ -198,6 +199,48 @@ def test_characters_past_their_budget_are_refused(capsys):
         refused(capsys, argv, f"{count} candidate character(s) of order "
                 f"{order}", f"at most {cli.MAX_CHARACTER_WORK}")
         assert time.perf_counter() - start < 1, argv
+
+
+def lens_text(p):
+    """L(p, 1): one closed alpha meeting one closed beta p times, all
+    crossings positive, so H_1 = Z/p and the class has p terms."""
+    xs = " ".join(f"x{i}" for i in range(p))
+    return "\n".join(["diagram lens", "alpha a1 closed", "beta b1 closed"]
+                     + [f"crossing x{i} a1 b1 +" for i in range(p)]
+                     + [f"order alpha a1 : {xs}",
+                        f"order beta b1 : {xs}"]) + "\n"
+
+
+def test_ranking_translates_past_its_budget_is_refused(tmp_path, capsys):
+    """L(4000, 1) has 4,000 torsion translates of 4,000 terms to rank:
+    ``class`` and ``compare`` exit 1 within a second.  L(512, 1) is the
+    largest L(p, 1) admitted."""
+    with pytest.raises(BudgetExceededError, match="513 term"):
+        canonical_class(fox_determinant(parse_diagram(lens_text(513))))
+    assert len(canonical_class(fox_determinant(parse_diagram(
+        lens_text(512)))).representative.terms) == 512
+    path = tmp_path / "lens.hd"
+    path.write_text(lens_text(4000))
+    for argv in (["class", path], ["compare", path, path]):
+        start = time.perf_counter()
+        refused(capsys, argv, "4000 term(s) at 4000 torsion translate(s)",
+                f"exceeds {foxcalc.MAX_CLASS_WORK}")
+        assert time.perf_counter() - start < 1, argv
+
+
+def test_multipoints_past_their_budget_are_refused(tmp_path, capsys):
+    """Hopf slid and back to d = 7 has 73,383,098 multipoints: the search
+    stops past ``MAX_MULTIPOINTS`` leaves, for ``multipoints`` within 5 s
+    and for the multipoint expansion."""
+    diag = slid_and_back(load("hopf"), 7)
+    with pytest.raises(BudgetExceededError, match="multipoints"):
+        multipoint_expansion(diag)
+    path = tmp_path / "hopf7.hd"
+    path.write_text(serialize_diagram(diag))
+    start = time.perf_counter()
+    refused(capsys, ["multipoints", path],
+            f"more than {diagram.MAX_MULTIPOINTS} multipoints")
+    assert time.perf_counter() - start < 5
 
 
 def test_moves_no_script_can_write_are_refused(hopf):
