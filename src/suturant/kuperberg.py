@@ -148,7 +148,8 @@ class CharacterAssignment:
     @classmethod
     def from_character(cls, chi):
         """Induce beta-level exponents from a character of H_1."""
-        psi = {g: chi.on_generator(g) for g in chi.group.gens}
+        group = chi.group
+        psi = dict(zip(group.gens, map(chi.exponent, group.projection)))
         return cls(order=chi.order, psi=psi, h1=chi)
 
     def psi_exponent(self, beta_id):
@@ -405,8 +406,8 @@ def _cross(states, alg, rules, b, lo, r, hi, neg, last, kind, dead, blocks):
     out = {}
     for key, vec in states.items():
         word, runs = key[1], key[2 + b]
-        local = (key[0], runs[lo] if left else None,
-                 runs[r] if right else None)
+        lt, rt = runs[lo] if left else None, runs[r] if right else None
+        local = key[0], lt, rt
         expansion = memo.get(local)
         if expansion is None:
             expansion = memo[local] = _expand(
@@ -415,7 +416,7 @@ def _cross(states, alg, rules, b, lo, r, hi, neg, last, kind, dead, blocks):
         # the Koszul tail, read only when an odd slot needs it
         tail = has_odd and ((word >> b + 1).bit_count()
                             + sum(par[i] for i in runs[r:])) % 2
-        word ^= sum(par[i] for i in runs[lo:hi]) % 2 << b
+        word ^= ((left and par[lt]) ^ (right and par[rt])) << b
         head, later = key[2:2 + b], key[3 + b:]
         pre, post = runs[:lo], runs[hi:]
         for rest, part, odd, poly in terms:
