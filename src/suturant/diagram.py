@@ -37,10 +37,10 @@ from .errors import (BudgetExceededError, DuplicateIdError,
 from .report import Report
 
 # Most multipoints :func:`enumerate_multipoints` lists; past it the search
-# stops with BudgetExceededError, after about 0.8 s.  The tier-1 tests
-# reach 31,874 and the benchmark's inputs 5,735; Hopf slid and back to
-# d = 5 has 31,934, to d = 6 1,287,552 (4.2 s) and to d = 7 73,383,098.
-# It has no override.
+# stops with BudgetExceededError.  The tier-1 tests reach 31,874 and the
+# benchmark's inputs 5,735.  Hopf slid and back to d = 5 has 31,934, to
+# d = 6 1,287,552 (4.2 s to list) and to d = 7 73,383,098 (refused in
+# about 0.8 s).  It has no override.
 MAX_MULTIPOINTS = 1 << 18
 
 
