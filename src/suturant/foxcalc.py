@@ -745,7 +745,7 @@ class Character:
                     f"{self.order}")
 
     def exponent(self, coords):
-        return sum(e * c for e, c in zip(self.exps, coords)) % self.order
+        return sum(map(mul, self.exps, coords)) % self.order
 
     def on_generator(self, gen):
         """Exponent assigned to a beta-dual generator."""

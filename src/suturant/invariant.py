@@ -49,7 +49,7 @@ from .foxcalc import (GroupRingElement, InvariantClass, canonical_class,
                       class_equal, divide_by_element_minus_one, evaluate,
                       fox_determinant, homology, multipoint_class,
                       smith_normal_form)
-from .kuperberg import CharacterAssignment, check_admissible, contract_values
+from .kuperberg import check_admissible, contract_values
 # Not called here: kept as a module attribute because the benchmark tracer
 # (perfbench/tracing.py) wraps suturant.invariant.contract.
 from .kuperberg import contract  # noqa: F401
@@ -209,15 +209,20 @@ def invariant_hn_values(diag, n, assignments, spinc,
     evaluating, and a character outside :func:`kuperberg.check_admissible`
     is refused, all before the sweep.  The first character that fails
     raises what :func:`invariant_hn` raises for it alone."""
+    betas = diag.family("beta")
     for chars in assignments:
-        if chars.h1 is None:
+        chi, psi, order = chars.h1, chars.psi, chars.order
+        if chi is None:
             raise InvalidCharacterError(
                 "the invariant needs a character of H_1 "
                 "(use CharacterAssignment.from_character)")
-        induced = CharacterAssignment.from_character(chars.h1)
-        if chars.order != induced.order or any(
-                chars.psi_exponent(c.id) != induced.psi_exponent(c.id)
-                for c in diag.family("beta")):
+        # from_character's exponents, compared beta by beta only when the
+        # dicts differ, as they do not for an assignment built by it
+        induced = dict(zip(chi.group.gens,
+                           map(chi.exponent, chi.group.projection)))
+        if order != chi.order or psi != induced and any(
+                (psi.get(c.id, 0) - induced.get(c.id, 0)) % order
+                for c in betas):
             raise InvalidCharacterError(
                 "the assignment's order or beta exponents differ from "
                 "those of its character of H_1")

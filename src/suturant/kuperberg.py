@@ -11,16 +11,18 @@ The contraction evaluates the network in one fixed order, a sweep over the
 alpha curves in family order and each alpha's crossings in its own order,
 and merges equal frontier states after every crossing.  A state is keyed
 by the orbit representative (see below) of the current alpha's
-not-yet-split coproduct factor, a parity word whose bit b is the parity
-of what beta b holds, and, per beta curve, the representatives of its
-maximal runs of placed slots, none before its first slot and none after
-its last.  When the package supercommutes (see below) a beta's slots are
-placed in the order they arrive, each at the right end of what the beta
-holds, so an open beta holds exactly one run.  At a
+not-yet-split coproduct factor, a parity word whose bit b is the parity of
+what beta b holds, and one integer of runs, in which beta b owns cap_b
+digits of w = dim.bit_length() bits: each of its maximal runs of placed
+slots is one digit, its representative + 1 (0 for none), and it has none
+before its first slot or after its last.  When the package supercommutes
+(see below) a beta's slots are placed in the order they arrive, each at
+the right end of what the beta holds, so an open beta holds one run and
+cap_b = 1; otherwise cap_b = (k + 1) // 2, the most runs of k slots.  At a
 crossing the factor is split by the coproduct (the last crossing of an
-alpha takes it whole, an alpha without crossings contributes the counit
-of its seed), the antipode acts if the crossing is negative, and the slot
-is multiplied into its beta as left run * slot * right run.  Completing a
+alpha takes it whole, an alpha without crossings contributes the counit of
+its seed), the antipode acts if the crossing is negative, and the slot is
+multiplied into its beta as left run * slot * right run.  Completing a
 beta evaluates it; a beta without crossings is evaluated on the unit at
 the start.
 
@@ -61,9 +63,9 @@ configuration, and kept in the package's memo with the package's other
 character-free rules: the orbits, the alpha seeds folded by orbit, the
 closing tables and their dead runs (below).
 Each state looks its triple up once and applies what is its own: the
-Koszul sign of the odd-slot terms, its character degrees and the
-untouched parts of its key, into which it splices the new run, if any,
-and its beta's new parity bit.
+Koszul sign of the odd-slot terms, its character degrees and the rest
+of its key, from which it clears its beta's digits once and to which it
+adds the new run's digit, if any, and its beta's new parity bit.
 
 Dead runs: let K be the basis indices that a closing table, mu or pi_B,
 sends to 0, shrunk until span(K) is a two-sided ideal: any index i for
@@ -228,9 +230,7 @@ def _orbits(pkg, closing):
     step = []                   # b e_i = e_step(i) = e_i b
     for i in range(dim):
         col = mul.get((g, i), {})
-        if mul.get((i, g), {}) != col:
-            return plain
-        if list(col.values()) != [1]:
+        if mul.get((i, g), {}) != col or list(col.values()) != [1]:
             return plain
         step.extend(col)
     rep, deg = [None] * dim, [0] * dim
@@ -282,13 +282,13 @@ class _Rules:
     representatives of :func:`_dead`; each basis index's orbit
     representative ``rep`` and degree ``deg`` (see :func:`_orbits`);
     whether the product ``supercommutes`` (see :func:`contract_values`);
-    and the ``terms`` of :func:`_expand`,
-    filled as sweeps meet them.  ``terms`` holds one table per (negative,
-    last, closing kind), the kind None when the crossing completes no beta,
-    so at most 12 tables; each is keyed by the local triple (remainder,
-    left run, right run), a representative and two representatives or
-    None, so with r representatives, dim / n when the package folds and
-    dim when it does not, it holds at most r * (r + 1)^2 entries."""
+    and the ``terms`` of :func:`_expand`, filled as sweeps meet them.
+    ``terms`` holds one table per (negative, last, closing kind), the kind
+    None when the crossing completes no beta, so at most 12 tables; each
+    is keyed by the local triple (remainder, left run, right run), a
+    representative and two representatives or None, so with r
+    representatives, dim / n when the package folds and dim when it does
+    not, it holds at most r * (r + 1)^2 entries."""
 
     def __init__(self, pkg):
         alg, coint = pkg.algebra, pkg.cointegral
@@ -387,50 +387,48 @@ def _join(spans, j):
     return lo, r, hi
 
 
-def _cross(states, alg, rules, b, lo, r, hi, neg, last, kind, dead, blocks):
+def _cross(states, alg, rules, b, at, lo, r, hi, neg, last, kind, dead,
+           blocks):
     """The frontier after placing the next slot of the current alpha on
     beta b, between its runs r - 1 and r, joining runs lo..hi - 1 (see
-    :func:`_join`), where ``kind`` is b's ``closed`` if this completes b
-    and None if not, ``dead`` the representatives whose runs b's closing
-    table kills (empty if this completes b), and ``blocks`` the
-    crossing's blocks for :func:`_add`.  Each state looks its local triple
-    up once, in the table of ``rules`` for (``neg``, ``last``, ``kind``),
-    which :func:`_expand` fills the first time any sweep against the
-    package meets the triple; a term whose new run is dead is dropped.
-    Bit b of the parity word loses the parities of the joined runs and
-    gains that of the new run, or of the product if this completes b."""
-    par = alg.parity
+    :func:`_join`); b's runs are digits at[b] to at[b + 1] - 1 of a key's
+    runs.  ``kind`` is b's ``closed`` if this completes b, else None;
+    ``dead`` holds the representatives whose runs b's table kills (empty
+    if this completes b), ``blocks`` the crossing's blocks for :func:`_add`.
+    A state's local triple is looked up in the table of ``rules`` for
+    (``neg``, ``last``, ``kind``), which :func:`_expand` fills on first use."""
+    par, w = alg.parity, alg.dim.bit_length()
     memo = rules.terms.setdefault((neg, last, kind), {})
     table = None if kind is None else rules.closing[kind]
     left, right = lo < r, hi > r
+    # b's runs from lo on are ``top``, digit 0 the left run if any
+    put, mask = w * (at[b] + lo), (1 << w * (at[b + 1] - at[b] - lo)) - 1
+    digit, rsh, hsh = (1 << w) - 1, w * (r - lo), w * (hi - lo)
     out = {}
-    for key, vec in states.items():
-        word, runs = key[1], key[2 + b]
-        lt, rt = runs[lo] if left else None, runs[r] if right else None
-        local = key[0], lt, rt
+    for (rem, word, runs), vec in states.items():
+        top = (runs >> put) & mask
+        lt = (top & digit) - 1 if left else None
+        rt = ((top >> rsh) & digit) - 1 if right else None
+        local = rem, lt, rt
         expansion = memo.get(local)
         if expansion is None:
             expansion = memo[local] = _expand(
                 alg, rules.rep, rules.deg, *local, neg, last, table)
         has_odd, terms = expansion
-        # the Koszul tail, read only when an odd slot needs it
-        tail = has_odd and ((word >> b + 1).bit_count()
-                            + sum(par[i] for i in runs[r:])) % 2
+        # the Koszul tail, only for odd slots: later betas, b's runs from r
+        tail, after = has_odd and (word >> b + 1).bit_count(), top >> rsh
+        while has_odd and after:
+            tail, after = tail + par[(after & digit) - 1], after >> w
         word ^= ((left and par[lt]) ^ (right and par[rt])) << b
-        head, later = key[2:2 + b], key[3 + b:]
-        pre, post = runs[:lo], runs[hi:]
+        # b's runs after the joined ones move to just after the new run
+        kept = runs - ((top - (top >> hsh << w)) << put)
         for rest, part, odd, poly in terms:
             if part in dead:
                 continue
-            if kind is None:
-                bit, part = par[part], pre + (part,) + post
-            else:
-                bit, part = part, ()
-            new = (rest, word ^ bit << b) + head + (part,) + later
-            cur = out.get(new)
-            if cur is None:
-                cur = out[new] = [0] * len(vec)
-            _add(cur, vec, poly, blocks, -1 if odd and tail else 1)
+            new = ((rest, word ^ par[part] << b, kept + ((part + 1) << put))
+                   if kind is None else (rest, word ^ part << b, kept))
+            _add(out.get(new) or out.setdefault(new, [0] * len(vec)), vec,
+                 poly, blocks, -1 if odd and tail % 2 else 1)
     return {key: vec for key, vec in out.items() if any(vec)}
 
 
@@ -447,12 +445,11 @@ def contract_values(based, pkg, assignments):
     every call with the same package; each crossing's blocks for
     :func:`_add`, which depend on the diagram and the characters, are
     listed as the sweep reaches it.  When the rules say the product
-    supercommutes, each slot goes to the next free position of its beta
-    rather than its home position there, so a beta holds one run and the
-    Koszul tail counts later betas only (the module docstring says why the
-    values are the same).  An empty frontier stays empty, so the sweep
-    stops at one, and every value is then 0.  An unbalanced diagram is
-    refused first (:func:`diagram.check_balanced`)."""
+    supercommutes, each slot goes to the next free position of its beta,
+    not its home position (the module docstring says why the values are
+    the same).  An empty frontier stays empty, so the sweep stops at one,
+    and every value is then 0.  An unbalanced diagram is refused first
+    (:func:`diagram.check_balanced`)."""
     check_balanced(based)
     for chars in assignments:
         check_admissible(based, pkg.integral.glike_b_order, chars)
@@ -478,7 +475,10 @@ def contract_values(based, pkg, assignments):
                        {(t, 0): v for t, v in unit.items()},
                        list(zip(starts, orders, exps[c.id], zero)))
             word |= alg.parity[alg.unit_index] << b
-    states = {(None, word) + ((),) * len(betas): vec}
+    # beta b's runs are digits at[b] to at[b + 1] - 1 of a key's runs
+    at = list(accumulate((1 if rules.supercommutes else (len(c.order) + 1) // 2
+                          for c in betas), initial=0))
+    states = {(None, word, 0): vec}
     filled, spans = [0] * len(betas), [[] for _ in betas]
     for c in alphas:
         if not states:                  # an empty frontier stays empty
@@ -505,7 +505,7 @@ def contract_values(based, pkg, assignments):
             j = filled[b] if rules.supercommutes else place[x.id][1]
             filled[b] += 1
             done = filled[b] == len(betas[b].order)
-            states = _cross(states, alg, rules, b, *_join(spans[b], j),
+            states = _cross(states, alg, rules, b, at, *_join(spans[b], j),
                             x.sign < 0, t == len(c.order) - 1,
                             betas[b].closed if done else None,
                             () if done else rules.dead[betas[b].closed],

@@ -711,24 +711,48 @@ def test_both_product_orders_agree_on_hn():
 
 def test_a_supercommutative_sweep_keeps_one_run_per_beta(monkeypatch):
     """Every frontier key entering a crossing holds, per beta, at most one
-    run (a key is the remainder, the parity word, then one tuple of runs
-    per beta); in each beta's own order the same sweep holds several runs
-    on one beta."""
+    run; in each beta's own order the same sweep holds several runs on
+    one beta.  A key is the remainder, the parity word and the runs, an
+    integer in which each beta, in family order, owns a field of w-bit
+    digits, w = dim.bit_length(): one digit in arrival order and
+    (k + 1) // 2 for a beta of k crossings in beta order, each run one
+    digit holding its representative + 1 from the field's low end, 0 for
+    no run."""
+    diag = slid_and_back(load("hopf"), 3)
+    betas = diag.family("beta")
     widest, cross = [], kuperberg._cross
 
-    def spy(states, *args):
-        widest.append(max((len(p) for key in states for p in key[2:]),
-                          default=0))
-        return cross(states, *args)
+    def decoded(runs, w, caps):
+        """Each beta's runs, read digit by digit from its field."""
+        parts = []
+        for cap in caps:
+            digits = [(runs >> w * k) & ((1 << w) - 1) for k in range(cap)]
+            runs >>= w * cap
+            parts.append([d - 1 for d in digits if d])
+            assert digits == sorted(digits, key=lambda d: not d)
+        assert runs == 0
+        return parts
 
-    monkeypatch.setattr(kuperberg, "_cross", spy)
-    diag = slid_and_back(load("hopf"), 3)
-    for pkg in (build_hn(3), exterior_package()):
+    def sweep(pkg):
+        w = pkg.algebra.dim.bit_length()
+        caps = [1 if _rules(pkg).supercommutes else (len(c.order) + 1) // 2
+                for c in betas]
+
+        def spy(states, *args):
+            widest.append(max((len(part) for key in states
+                               for part in decoded(key[2], w, caps)),
+                              default=0))
+            return cross(states, *args)
+
+        monkeypatch.setattr(kuperberg, "_cross", spy)
         contract_values(diag, pkg, [CharacterAssignment.trivial(3)])
+        monkeypatch.setattr(kuperberg, "_cross", cross)
+
+    for pkg in (build_hn(3), exterior_package()):
+        sweep(pkg)
         assert widest and max(widest) == 1, pkg.name
         widest.clear()
-        contract_values(diag, in_beta_order(pkg),
-                        [CharacterAssignment.trivial(3)])
+        sweep(in_beta_order(pkg))
         assert max(widest) > 1, pkg.name
         widest.clear()
 
