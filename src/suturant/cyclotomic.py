@@ -187,13 +187,19 @@ class CyclotomicScalar:
                 mono = "x" if k == 1 else f"x^{k}"
                 if abs(c) != 1:
                     mono = f"{abs(c)}*{mono}"
-            sign = "-" if c < 0 else "+"
-            terms.append((sign, mono))
-        if not terms:
-            body = "0"
-        else:
-            first_sign, first = terms[0]
-            body = ("-" if first_sign == "-" else "") + first
-            for sign, mono in terms[1:]:
-                body += f" {sign} {mono}"
-        return f"{body} (mod Φ_{self.order})"
+            terms.append((c, mono))
+        return f"{signed_sum(terms)} (mod Φ_{self.order})"
+
+
+def signed_sum(terms):
+    """The text of a sum of (coefficient, text) pairs, each text that of
+    the coefficient's absolute value: the first term signed only when
+    negative, every later one joined by " + " or " - "; "0" when empty."""
+    text = ""
+    for c, body in terms:
+        if text:
+            text += " - " if c < 0 else " + "
+        elif c < 0:
+            text = "-"
+        text += body
+    return text or "0"

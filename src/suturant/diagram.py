@@ -383,6 +383,8 @@ def validate(diag):
 # ---------------------------------------------------------------------------
 
 def _check_multipoint(diag, mp):
+    if not isinstance(mp, Multipoint):
+        raise InvalidMultipointError(f"{mp!r} is not a Multipoint")
     if len(mp.picks) != diag.d:
         raise InvalidMultipointError(
             f"{len(mp.picks)} picks for {diag.d} closed alpha curves")

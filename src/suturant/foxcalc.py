@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from operator import add, mod, mul, sub
 
-from .cyclotomic import CyclotomicScalar
+from .cyclotomic import CyclotomicScalar, signed_sum
 from .diagram import FreeWord, check_balanced, fraction_free_det
 from .errors import (BudgetExceededError, GroupMismatchError,
                      InvalidCharacterError, NonSquareError, NotDivisibleError,
@@ -239,6 +239,16 @@ def homology(diag):
     return group
 
 
+def _group(diag, group):
+    """The diagram's H_1, which ``group`` must be unless it is None:
+    another group is refused.  The H_1 that :func:`homology` keeps passes
+    as it is, so callers that pass it compare no groups."""
+    h1 = homology(diag)
+    if group is not None and group is not h1 and group != h1:
+        raise GroupMismatchError("the group is not the diagram's H_1")
+    return h1
+
+
 def _homology(diag):
     """H_1 presented on the beta duals with one relation per closed alpha,
     its crossings' signs summed at their betas in one read of its order."""
@@ -407,8 +417,6 @@ def render_group_ring(el):
     """Deterministic text form in the :func:`coordinate_name` variables,
     torsion exponents bracketed unless the group has a single generator."""
     g = el.group
-    if not el.terms:
-        return "0"
     parts = []
     for key, coeff in el.sorted_terms():
         pieces = []
@@ -425,9 +433,8 @@ def render_group_ring(el):
             body = mono
         else:
             body = f"{abs(coeff)} {mono}"
-        parts.append(("-" if coeff < 0 else "+", body))
-    text = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-    return text + "".join(f" {sign} {body}" for sign, body in parts[1:])
+        parts.append((coeff, body))
+    return signed_sum(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +465,7 @@ def _walk(group, crossings, cols):
 
 def crossing_classes(diag, group):
     """Crossing id -> class in H_1 (:func:`_walk`) on the closed alphas."""
+    group = _group(diag, group)
     return {x.id: k for c in diag.closed_alphas for x, k in zip(
         diag.ordered[c.id], _walk(group, diag.ordered[c.id], {})[0])}
 
@@ -465,6 +473,7 @@ def crossing_classes(diag, group):
 def multipoint_class(diag, group, picks):
     """The sum in H_1 of the picks' crossing classes, each pick's alpha
     walked only up to the pick."""
+    group = _group(diag, group)
     total = group.identity()
     for xid in picks:
         upto = diag.ordered[diag.crossing(xid).alpha][:diag.place[xid][0] + 1]
@@ -488,7 +497,7 @@ def _fox_rows(diag, group):
 def fox_matrix(diag, group=None):
     """Matrix of abelianized Fox derivatives over Z[H_1]
     (:func:`_fox_rows`)."""
-    group = group or homology(diag)
+    group = _group(diag, group)
     return [[GroupRingElement(group, e) for e in row]
             for row in _fox_rows(diag, group)]
 
@@ -702,7 +711,7 @@ def fox_determinant(diag, group=None):
     """det of the Fox matrix; the empty (d = 0) determinant is 1.  An
     unbalanced diagram is refused first (:func:`diagram.check_balanced`)."""
     check_balanced(diag)
-    group = group or homology(diag)
+    group = _group(diag, group)
     return GroupRingElement(group, _det(_fox_rows(diag, group), group))
 
 
@@ -710,7 +719,7 @@ def multipoint_expansion(diag, group=None):
     """Sum over multipoints of sign times the multipoint's class
     (:func:`multipoint_class`)."""
     from .diagram import enumerate_multipoints, multipoint_sign
-    group = group or homology(diag)
+    group = _group(diag, group)
     total = GroupRingElement.zero(group)
     for mp in enumerate_multipoints(diag):
         total = total + GroupRingElement.monomial(
@@ -733,6 +742,8 @@ class Character:
     exps: tuple
 
     def __post_init__(self):
+        if self.order < 1:
+            raise InvalidCharacterError(f"order {self.order} is below 1")
         if len(self.exps) != self.group.ncoords:
             raise InvalidCharacterError(
                 f"{len(self.exps)} exponents for {self.group.ncoords} "
@@ -758,7 +769,10 @@ class Character:
 
 def character_exponents(group, order):
     """The exponents a character into Z/order may give each normal-form
-    coordinate: all on Z, the multiples of order / gcd(d, order) on Z/d."""
+    coordinate: all on Z, the multiples of order / gcd(d, order) on Z/d.
+    An order below 1 is refused, as :class:`Character` refuses it."""
+    if order < 1:
+        raise InvalidCharacterError(f"order {order} is below 1")
     return [range(order)] * group.rank + [
         range(0, order, order // math.gcd(d, order)) for d in group.torsion]
 

@@ -42,9 +42,9 @@ from .diagram import (Multipoint, _check_multipoint, canonical_sign,
 # (perfbench/tracing.py) wraps suturant.invariant.enumerate_multipoints,
 # suturant.invariant.epsilon_class and suturant.invariant.rebase.
 from .diagram import enumerate_multipoints, epsilon_class, rebase  # noqa: F401
-from .errors import (AmbiguousOrientationError, InvalidCharacterError,
-                     InvalidMultipointError, InvalidReferenceError,
-                     NotDivisibleError)
+from .errors import (AmbiguousOrientationError, CharacterMismatchError,
+                     InvalidCharacterError, InvalidMultipointError,
+                     InvalidReferenceError, NotDivisibleError)
 from .foxcalc import (GroupRingElement, InvariantClass, canonical_class,
                       class_equal, divide_by_element_minus_one, evaluate,
                       fox_determinant, homology, multipoint_class,
@@ -72,10 +72,13 @@ class SpincRelative:
     def offset_coords(self, group):
         if self.offset is None:
             return group.identity()
-        terms = self.offset.sorted_terms()
+        terms = (self.offset.sorted_terms()
+                 if isinstance(self.offset, GroupRingElement)
+                 and self.offset.group == group else ())
         if len(terms) != 1 or terms[0][1] != 1:
             raise InvalidReferenceError(
-                "offset must be a single group element with coefficient 1")
+                "offset must be a single group element of the diagram's "
+                "H_1 with coefficient 1")
         return terms[0][0]
 
 
@@ -208,7 +211,10 @@ def invariant_hn_values(diag, n, assignments, spinc,
     before any character; then each character's group is checked by
     evaluating, and a character outside :func:`kuperberg.check_admissible`
     is refused, all before the sweep.  The first character that fails
-    raises what :func:`invariant_hn` raises for it alone."""
+    raises what :func:`invariant_hn` raises for it alone.  An n below 1
+    is refused first."""
+    if n < 1:
+        raise CharacterMismatchError(f"n = {n} is below 1")
     betas = diag.family("beta")
     for chars in assignments:
         chi, psi, order = chars.h1, chars.psi, chars.order

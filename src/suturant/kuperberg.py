@@ -123,9 +123,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 
-from .algebra import apply
+from .algebra import apply, compose, first_difference, flipped, legged
 from .cyclotomic import CyclotomicScalar
 from .diagram import beta_word, check_balanced
 from .errors import (ArcCurveError, CharacterMismatchError, OddScalarError)
@@ -159,12 +159,14 @@ class CharacterAssignment:
 
 
 def check_admissible(diag, n, chars):
-    """The one admissibility rule of both engines: each beta's value
-    psi(beta) = zeta^e, zeta of order ``chars.order``, must be an order-n
-    root of unity, that is n * e = 0 mod order, because psi is read on the
-    group-like K of H_n (b of order n).  The Fox engine never evaluates on
-    H_n and applies it as a rule; ``contract`` applies it with n the order
-    of its package's group-like."""
+    """The one admissibility rule of both engines: the order is at least
+    1, and each beta's value psi(beta) = zeta^e, zeta of order
+    ``chars.order``, is an order-n root of unity, n * e = 0 mod order, as
+    psi is read on the group-like K of H_n (b of order n).  The Fox engine
+    never evaluates on H_n and applies it as a rule; ``contract`` with n
+    the order of its package's group-like."""
+    if chars.order < 1:
+        raise CharacterMismatchError(f"order {chars.order} is below 1")
     for c in diag.family("beta"):
         e = chars.psi_exponent(c.id)
         if (e * n) % chars.order != 0:
@@ -191,37 +193,24 @@ def _closing(pkg, closed):
 
 
 def _supercommutes(alg):
-    """Whether e_a e_b = (-1)^(|a||b|) e_b e_a on every pair of basis
-    indices, a = b included, so e_a^2 = 0 for odd a.  Row by row: the
-    products e_a e_b and e_b e_a for b > a are compared as two lists, and
-    only a row that differs is read pair by pair with the sign.  A zero
-    coefficient stored on one side only reads as a difference, which costs
-    the sweep speed, never a value."""
-    mul, par, dim = alg.mul_sc, alg.parity, alg.dim
-    for a in range(dim):
-        if par[a] and mul.get((a, a)):
-            return False
-        later = range(a + 1, dim)
-        row = list(map(mul.get, zip(repeat(a), later)))
-        col = list(map(mul.get, zip(later, repeat(a))))
-        if row != col and not all(
-                par[a] and par[b]
-                and (ab or {}) == {k: -c for k, c in (ba or {}).items()}
-                for b, ab, ba in zip(later, row, col) if ab != ba):
-            return False
-    return True
+    """Whether m = m o tau, tau the Koszul flip the axiom suite builds
+    m^op from: e_a e_b = (-1)^(|a||b|) e_b e_a for all basis indices a, b,
+    so e_a^2 = 0 for odd a.  A zero coefficient stored on one side only
+    reads as a difference, which costs the sweep speed, never a value."""
+    mul = alg.mul_sc
+    return first_difference(mul, flipped(mul, alg.parity)) is None
 
 
 def _orbits(pkg, closing):
     """Per basis index, its orbit representative, the least index of its
-    orbit, and its degree under left multiplication by b, as two tuples,
-    when the conditions of the module docstring hold; otherwise every
-    index is its own representative at degree 0.  A zero coefficient
-    stored on one side only reads as a difference, which costs the sweep
-    speed, never a value."""
+    orbit, and its degree under left multiplication L by b, as two tuples,
+    when the conditions of the module docstring hold, Delta and S read as
+    composites of the legged tables with L; otherwise every index is its
+    own representative at degree 0.  A zero stored in a closing table, or
+    an antipode column stored empty, reads as a difference, which costs
+    the sweep speed, never a value."""
     alg, integ = pkg.algebra, pkg.integral
     dim, n = alg.dim, integ.glike_b_order
-    mul, comul, antipode = alg.mul_sc, alg.comul_sc, alg.antipode_sc
     plain = tuple(range(dim)), (0,) * dim
     b = apply(integ.i_b, {integ.glike_b: 1})
     g = next(iter(b), None)
@@ -229,8 +218,8 @@ def _orbits(pkg, closing):
         return plain
     step = []                   # b e_i = e_step(i) = e_i b
     for i in range(dim):
-        col = mul.get((g, i), {})
-        if mul.get((i, g), {}) != col or list(col.values()) != [1]:
+        col = alg.mul({g: 1}, {i: 1})
+        if alg.mul({i: 1}, {g: 1}) != col or list(col.values()) != [1]:
             return plain
         step.extend(col)
     rep, deg = [None] * dim, [0] * dim
@@ -242,15 +231,13 @@ def _orbits(pkg, closing):
             rep[j], deg[j], j = i, t, step[j]
         if j != i:
             return plain
-    back = {j: i for i, j in enumerate(step)}
-    for i, j in enumerate(step):
-        if (any(table[j] != {(t + 1) % n: c for t, c in table[i].items()}
-                for table in closing.values())
-                or comul.get(j, {}) != {(step[x], step[y]): c for (x, y), c
-                                        in comul.get(i, {}).items()}
-                or antipode.get(j, {}) != {back[x]: c for x, c
-                                           in antipode.get(i, {}).items()}):
-            return plain
+    left = {(i,): {(j,): 1} for i, j in enumerate(step)}
+    dl, s = legged(alg.comul_sc), legged(alg.antipode_sc)
+    if (any(table[j] != {(t + 1) % n: c for t, c in table[i].items()}
+            for table in closing.values() for i, j in enumerate(step))
+            or compose(dl, left) != compose(left, compose(left, dl), 1)
+            or compose(left, compose(s, left)) != s):
+        return plain
     return tuple(rep), tuple(deg)
 
 
@@ -346,19 +333,17 @@ def _expand(alg, rep, deg, rem, lt, rt, neg, last, closing):
     log of the product's image, when ``closing``, the beta's table of
     :func:`_closing`, completes it.  The terms depend on the package
     alone, so the sweep keeps them in :attr:`_Rules.terms`."""
-    par, mul = alg.parity, alg.mul_sc
-    comul, antipode = alg.comul_sc, alg.antipode_sc
-    acc = {}
-    splits = (((rem, None), 1),) if last else comul.get(rem, {}).items()
+    par, acc = alg.parity, {}
+    splits = (((rem, None), 1),) if last else alg.comul_sc.get(rem, {}).items()
     for (slot, rest), c in splits:
-        images = antipode.get(slot, {}).items() if neg else ((slot, 1),)
-        for s, cs in images:
-            lhs = {s: 1} if lt is None else mul.get((lt, s), {})
-            for u, cu in lhs.items():
-                prod = {u: 1} if rt is None else mul.get((u, rt), {})
-                for m, cm in prod.items():
-                    k = (rest, m, par[s])
-                    acc[k] = acc.get(k, 0) + c * cs * cu * cm
+        images = alg.antipode({slot: 1}) if neg else {slot: 1}
+        for s, cs in images.items():
+            prod = {s: cs} if lt is None else alg.mul({lt: 1}, {s: cs})
+            if rt is not None:
+                prod = alg.mul(prod, {rt: 1})
+            for m, cm in prod.items():
+                k = (rest, m, par[s])
+                acc[k] = acc.get(k, 0) + c * cm
     polys = {}
     for (rest, m, odd), c in acc.items():
         r, a = (None, 0) if rest is None else (rep[rest], deg[rest])

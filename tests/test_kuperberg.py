@@ -695,6 +695,22 @@ def test_the_sweep_stops_at_an_empty_frontier(monkeypatch):
     assert evaluate(fox_determinant(diag), chars.h1).is_zero()
 
 
+def test_odd_elements_that_commute_do_not_supercommute():
+    """The exterior fixture with y x = x y, not -x y: two odd elements
+    whose product is nonzero and commutes fail m = m o tau, so the sweep
+    takes each beta's own order, and gives the term walk's value."""
+    pkg = exterior_package()
+    mul_sc = {**pkg.algebra.mul_sc, (2, 1): {3: 1}}
+    pkg = dataclasses.replace(pkg, algebra=dataclasses.replace(
+        pkg.algebra, mul_sc=mul_sc))
+    assert not _rules(pkg).supercommutes
+    for name in ("hopf", "trefoil", "figure8", "lens_2_1"):
+        diag = based_at_first(load(name))
+        for based in (diag, apply_move(diag, ReverseCurve("b1"))):
+            assert contract(based, pkg, CharacterAssignment.trivial()) == \
+                CyclotomicScalar.integer(walked(based, pkg), 1), name
+
+
 def test_both_product_orders_agree_on_hn():
     """H_2 and H_3 at every character, on every corpus diagram, seeded move
     copies and rotations of them: the sweep in arrival order gives what

@@ -9,16 +9,19 @@ from suturant import (Character, CharacterAssignment, CyclotomicScalar,
                       FreeWord, GroupRingElement, Multipoint,
                       alexander_from_torsion, all_characters, alpha_word,
                       basepoint_shift, beta_word, build_hn, class_equal,
-                      determinant, divide_by_element_minus_one, homology,
-                      invariant_h0, invariant_hn_values, multipoint_sign,
-                      torsion_class)
+                      contract, determinant, divide_by_element_minus_one,
+                      fox_determinant, fox_matrix, homology, invariant_h0,
+                      invariant_hn_values, multipoint_expansion,
+                      multipoint_sign, rebase, torsion_class)
 from suturant.errors import (ArcCurveError, CharacterMismatchError,
                              CyclotomicArithmeticError, GroupMismatchError,
                              InvalidCharacterError, InvalidMultipointError,
                              InvalidReferenceError, NonSquareError,
                              NotDivisibleError, UnknownCurveError,
                              UnknownGeneratorError)
+from suturant.foxcalc import crossing_classes, multipoint_class
 from suturant.invariant import SpincRelative, anchor_multipoint
+from suturant.kuperberg import check_admissible
 
 from conftest import load
 from test_kuperberg import based_at_first, meridian_assignment
@@ -32,6 +35,29 @@ def test_a_reference_with_too_few_picks_is_refused(hopf):
         multipoint_sign(hopf, short)
     with pytest.raises(InvalidReferenceError, match="not a multipoint"):
         invariant_h0(hopf, SpincRelative(short))
+
+
+def test_a_reference_that_is_no_multipoint_is_refused(hopf):
+    """None, what ``anchor_multipoint`` gives a diagram without
+    multipoints, and a bare crossing id, on both engines."""
+    s1s2 = load("s1s2")
+    assert anchor_multipoint(s1s2) is None
+    for ref in (None, "x1"):
+        for call in (multipoint_sign, rebase):
+            with pytest.raises(InvalidMultipointError,
+                               match="is not a Multipoint"):
+                call(hopf, ref)
+        for diag in (s1s2, hopf):
+            spinc = SpincRelative(ref)
+            with pytest.raises(InvalidReferenceError, match="not a multi"):
+                invariant_h0(diag, spinc)
+            chars = [CharacterAssignment.from_character(
+                all_characters(homology(diag), 2)[0])]
+            for engine in ("fox", "tensor"):
+                with pytest.raises(InvalidReferenceError,
+                                   match="not a multipoint"):
+                    invariant_hn_values(diag, 2, chars, spinc,
+                                        engine=engine)
 
 
 def test_a_word_of_the_other_family_is_refused(trefoil):
@@ -56,6 +82,20 @@ def test_group_ring_arithmetic_across_groups_is_refused(trefoil, hopf):
             op(other)
 
 
+def test_a_group_other_than_the_diagrams_h1_is_refused(trefoil, hopf):
+    """Hopf's H_1 passed for the trefoil's, to every Fox-path function
+    that takes a group; the trefoil's H_1 computed again, on a copy of
+    the diagram, is the same group and passes."""
+    foreign, picks = homology(hopf), anchor_multipoint(trefoil).picks
+    for call in (fox_determinant, fox_matrix, multipoint_expansion,
+                 crossing_classes,
+                 lambda diag, g: multipoint_class(diag, g, picks)):
+        with pytest.raises(GroupMismatchError, match="not the diagram's"):
+            call(trefoil, foreign)
+        assert call(trefoil, homology(dataclasses.replace(trefoil))) == \
+            call(trefoil, None)
+
+
 def test_the_empty_determinant_of_elements_is_refused():
     with pytest.raises(NonSquareError, match="no ring context"):
         determinant([])
@@ -65,6 +105,20 @@ def test_a_character_with_the_wrong_exponent_count_is_refused(hopf):
     group = homology(hopf)
     with pytest.raises(InvalidCharacterError, match="1 exponents for 3"):
         Character(group, 2, (1,))
+
+
+def test_a_character_of_order_below_one_is_refused(trefoil):
+    """Built alone, or listed: unchecked, order 0 listed none on the
+    trefoil's Z and failed on a zero range step on L(3, 1)'s Z/3."""
+    group, lens = homology(trefoil), homology(load("lens_3_1"))
+    for order in (0, -3):
+        with pytest.raises(InvalidCharacterError,
+                           match=f"order {order} is below 1"):
+            Character(group, order, (1,))
+        for g in (group, lens):
+            with pytest.raises(InvalidCharacterError,
+                               match=f"order {order} is below 1"):
+                all_characters(g, order)
 
 
 def test_classes_of_different_shapes_are_not_compared(trefoil, hopf):
@@ -107,6 +161,39 @@ def test_an_assignment_unlike_its_character_is_refused(trefoil):
                                     engine=engine)
 
 
+def test_an_offset_that_is_no_element_of_the_diagrams_h1_is_refused(
+        trefoil, hopf):
+    """An int, and an element of Hopf's H_1 on the trefoil, on both
+    engines: unchecked, the first has no terms to read and the second is
+    cut to the trefoil's one coordinate."""
+    foreign = homology(hopf)
+    chars = [CharacterAssignment.from_character(
+        all_characters(homology(trefoil), 3)[1])]
+    for offset in (1, GroupRingElement.monomial(foreign, (1, 0, 0))):
+        spinc = SpincRelative(anchor_multipoint(trefoil), offset)
+        with pytest.raises(InvalidReferenceError, match="diagram's H_1"):
+            invariant_h0(trefoil, spinc)
+        for engine in ("fox", "tensor"):
+            with pytest.raises(InvalidReferenceError, match="diagram's H_1"):
+                invariant_hn_values(trefoil, 3, chars, spinc, engine=engine)
+
+
+def test_an_n_below_one_is_refused_alike_on_both_engines(trefoil):
+    """At the order-3 character t=1, where unchecked the Fox engine gave a
+    value at n = 0 and the tensor engine failed to build H_0."""
+    chars = [CharacterAssignment.from_character(
+        all_characters(homology(trefoil), 3)[1])]
+    spinc = SpincRelative(anchor_multipoint(trefoil))
+    for n in (0, -2):
+        texts = set()
+        for engine in ("fox", "tensor"):
+            with pytest.raises(CharacterMismatchError,
+                               match=f"n = {n} is below 1") as err:
+                invariant_hn_values(trefoil, n, chars, spinc, engine=engine)
+            texts.add(str(err.value))
+        assert len(texts) == 1
+
+
 def test_alexander_needs_free_homology_and_single_meridians(hopf):
     lens = load("lens_3_1")
     one = GroupRingElement.one(homology(lens))
@@ -127,6 +214,19 @@ def test_a_basepoint_shift_past_the_curve_is_refused(trefoil):
     k = len(based.curve("a1").order)
     with pytest.raises(ArcCurveError, match=f"position {k} out of range"):
         basepoint_shift(based, "a1", k, build_hn(2), chars)
+
+
+def test_an_assignment_of_order_below_one_is_refused(trefoil):
+    """By the admissibility rule, which the Fox engine applies as it is
+    and the tensor engine before its sweep."""
+    for order in (0, -2):
+        chars = CharacterAssignment(order=order, psi={"b1": 1})
+        with pytest.raises(CharacterMismatchError,
+                           match=f"order {order} is below 1"):
+            check_admissible(trefoil, 2, chars)
+        with pytest.raises(CharacterMismatchError,
+                           match=f"order {order} is below 1"):
+            contract(trefoil, build_hn(2), chars)
 
 
 def test_a_beta_shift_needs_the_a_star_order_to_divide(trefoil):
