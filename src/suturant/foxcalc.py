@@ -214,6 +214,12 @@ class AbelianGroup:
     def same_shape(self, other):
         return self.rank == other.rank and self.torsion == other.torsion
 
+    def check_same(self, other, message):
+        """The one rule for two values to share an H_1: one group object or
+        equal ones, identity first, so a memoized H_1 compares nothing."""
+        if self is not other and self != other:
+            raise GroupMismatchError(message)
+
 
 def presented_group(gens, relation_rows):
     """The abelian group on the given generators modulo the relation rows,
@@ -240,12 +246,10 @@ def homology(diag):
 
 
 def _group(diag, group):
-    """The diagram's H_1, which ``group`` must be unless it is None:
-    another group is refused.  The H_1 that :func:`homology` keeps passes
-    as it is, so callers that pass it compare no groups."""
+    """The diagram's H_1, which ``group`` must be unless it is None."""
     h1 = homology(diag)
-    if group is not None and group is not h1 and group != h1:
-        raise GroupMismatchError("the group is not the diagram's H_1")
+    if group is not None:
+        h1.check_same(group, "the group is not the diagram's H_1")
     return h1
 
 
@@ -292,10 +296,7 @@ class GroupRingElement:
         return cls(group, {tuple(coords): coeff})
 
     def _check(self, other):
-        if self.group is not other.group and not (
-                self.group.same_shape(other.group)
-                and self.group.gens == other.group.gens):
-            raise GroupMismatchError("elements live in different groups")
+        self.group.check_same(other.group, "elements live in different groups")
 
     def __add__(self, other):
         self._check(other)
@@ -319,9 +320,10 @@ class GroupRingElement:
         return self * self.monomial(self.group, coords, sign)
 
     def __eq__(self, other):
-        return (isinstance(other, GroupRingElement)
-                and self.group.same_shape(other.group)
-                and self.terms == other.terms)
+        if not isinstance(other, GroupRingElement):
+            return False
+        self._check(other)
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -508,11 +510,13 @@ def determinant(mat):
     det M = (-1)^(p+q) u det M' and no division, then the Kronecker-packed
     fraction-free elimination of what is left."""
     n = len(mat)
+    if n == 0:
+        raise NonSquareError("empty matrix has no ring context here")
     for row in mat:
         if len(row) != n:
             raise NonSquareError(f"{len(row)} columns in a {n}-row matrix")
-    if n == 0:
-        raise NonSquareError("empty matrix has no ring context here")
+        for el in row:
+            el._check(mat[0][0])
     group = mat[0][0].group
     return GroupRingElement(group, _det([[el.terms for el in row]
                                          for row in mat], group))
@@ -758,10 +762,10 @@ class Character:
     def exponent(self, coords):
         return sum(map(mul, self.exps, coords)) % self.order
 
-    def on_generator(self, gen):
-        """Exponent assigned to a beta-dual generator."""
-        return self.exponent(
-            self.group.projection[self.group.gens.index(gen)])
+    def on_generators(self):
+        """Beta-dual generator -> the exponent the character assigns it."""
+        return dict(zip(self.group.gens,
+                        map(self.exponent, self.group.projection)))
 
     def is_trivial(self):
         return all(e % self.order == 0 for e in self.exps)
@@ -786,8 +790,7 @@ def all_characters(group, order):
 def evaluate(el, chi):
     """Ring-homomorphic evaluation of a group-ring element into the
     cyclotomic ring of the character's order."""
-    if not el.group.same_shape(chi.group):
-        raise GroupMismatchError("character on a different group")
+    el.group.check_same(chi.group, "character on a different group")
     coeffs = [0] * chi.order
     for key, coeff in el.terms.items():
         coeffs[chi.exponent(key)] += coeff

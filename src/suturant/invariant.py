@@ -215,7 +215,6 @@ def invariant_hn_values(diag, n, assignments, spinc,
     is refused first."""
     if n < 1:
         raise CharacterMismatchError(f"n = {n} is below 1")
-    betas = diag.family("beta")
     for chars in assignments:
         chi, psi, order = chars.h1, chars.psi, chars.order
         if chi is None:
@@ -224,11 +223,9 @@ def invariant_hn_values(diag, n, assignments, spinc,
                 "(use CharacterAssignment.from_character)")
         # from_character's exponents, compared beta by beta only when the
         # dicts differ, as they do not for an assignment built by it
-        induced = dict(zip(chi.group.gens,
-                           map(chi.exponent, chi.group.projection)))
+        induced = chi.on_generators()
         if order != chi.order or psi != induced and any(
-                (psi.get(c.id, 0) - induced.get(c.id, 0)) % order
-                for c in betas):
+                (psi.get(g, 0) - e) % order for g, e in induced.items()):
             raise InvalidCharacterError(
                 "the assignment's order or beta exponents differ from "
                 "those of its character of H_1")
@@ -284,6 +281,7 @@ def alexander_from_torsion(cls_, meridians):
         terms = m.sorted_terms() if isinstance(m, GroupRingElement) else None
         if terms is None or len(terms) != 1 or terms[0][1] != 1:
             raise NotDivisibleError("meridians must be single group elements")
+        group.check_same(m.group, "a meridian is not in the class's H_1")
         coords.append(terms[0][0])
     factors, _, _ = smith_normal_form([list(c) for c in coords],
                                       group.ncoords)

@@ -150,9 +150,7 @@ class CharacterAssignment:
     @classmethod
     def from_character(cls, chi):
         """Induce beta-level exponents from a character of H_1."""
-        group = chi.group
-        psi = dict(zip(group.gens, map(chi.exponent, group.projection)))
-        return cls(order=chi.order, psi=psi, h1=chi)
+        return cls(order=chi.order, psi=chi.on_generators(), h1=chi)
 
     def psi_exponent(self, beta_id):
         return self.psi.get(beta_id, 0) % self.order

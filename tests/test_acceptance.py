@@ -33,7 +33,7 @@ def _meridian_characters(group, n):
     corpus files) to a primitive n-th root."""
     out = []
     for chi in all_characters(group, n):
-        e = chi.on_generator(group.gens[-1])
+        e = chi.on_generators()[group.gens[-1]]
         if math.gcd(e, n) == 1:
             out.append(chi)
     return out
@@ -48,7 +48,7 @@ def test_criterion_01_trefoil_value():
     checked = 0
     for n in range(2, 9):
         for chi in _meridian_characters(g, n):
-            e = chi.on_generator(g.gens[-1])       # q = zeta^e, primitive
+            e = chi.on_generators()[g.gens[-1]]       # q = zeta^e, primitive
             want = (CyclotomicScalar.one(n)
                     - CyclotomicScalar.root_power(e, n)
                     + CyclotomicScalar.root_power(2 * e, n))

@@ -5,12 +5,13 @@ files live in temporary copies, never in ``corpus/``."""
 import random
 import re
 
-from suturant import (apply_move, parse_diagram, random_move_sequence,
-                      serialize_diagram)
+from suturant import (apply_move, class_equal, parse_diagram,
+                      random_move_sequence, serialize_diagram, torsion_class)
 from suturant.cli import run
 from suturant.errors import SuturantError
 
 from conftest import CORPUS, SEED, corpus_path
+from test_symmetry import mirrored
 
 CORRUPTIONS = ("drop", "repeat", "add", "sign", "rename")
 FLAG_SETS = ((), ("--char", "t=1"), ("--offset", "t"), ("--sign", "canonical"),
@@ -138,7 +139,8 @@ def test_moved_and_corrupted_diagrams_through_compare_and_compute(
     ``random_move_sequence``, then corrupted.  Each corrupted file is
     compared both ways with its uncorrupted source, with the same status
     and stdout each way, and goes through ``through_flags``; so does each
-    moved copy, which compares EQUAL with its corpus file."""
+    moved copy, which compares EQUAL with its corpus file and whose class
+    is symmetric under inversion (``test_symmetry.mirrored``)."""
     rng = random.Random(SEED + 1)
     names = sorted(CORPUS.glob("*.hd"))
     for t in range(100):
@@ -148,6 +150,8 @@ def test_moved_and_corrupted_diagrams_through_compare_and_compute(
             diag = parse_diagram(text)
             for mv in random_move_sequence(diag, rng.randrange(2**32), 4):
                 diag = apply_move(diag, mv)
+            cls_ = torsion_class(diag)
+            assert class_equal(mirrored(cls_), cls_), (source, str(cls_))
             text = serialize_diagram(diag)
             moved = tmp_path / f"v{t}.hd"
             moved.write_text(text)

@@ -24,7 +24,7 @@ from conftest import (SEED, corpus_names, load, moved_and_rotated,
 
 def meridian_character(group, n):
     for chi in all_characters(group, n):
-        if chi.on_generator(group.gens[-1]) == 1 % n:
+        if chi.on_generators()[group.gens[-1]] == 1 % n:
             return chi
     raise AssertionError
 

@@ -33,7 +33,7 @@ def meridian_assignment(diag, n):
     primitive n-th root; the other exponents are forced by H_1."""
     g = homology(diag)
     for chi in all_characters(g, n):
-        if chi.on_generator(g.gens[-1]) == 1 % n:
+        if chi.on_generators()[g.gens[-1]] == 1 % n:
             return CharacterAssignment.from_character(chi)
     raise AssertionError("no such character")
 

@@ -10,8 +10,8 @@ from suturant import (Character, CharacterAssignment, CyclotomicScalar,
                       alexander_from_torsion, all_characters, alpha_word,
                       basepoint_shift, beta_word, build_hn, class_equal,
                       contract, determinant, divide_by_element_minus_one,
-                      fox_determinant, fox_matrix, homology, invariant_h0,
-                      invariant_hn_values, multipoint_expansion,
+                      evaluate, fox_determinant, fox_matrix, homology,
+                      invariant_h0, invariant_hn_values, multipoint_expansion,
                       multipoint_sign, rebase, torsion_class)
 from suturant.errors import (ArcCurveError, CharacterMismatchError,
                              CyclotomicArithmeticError, GroupMismatchError,
@@ -23,7 +23,7 @@ from suturant.foxcalc import crossing_classes, multipoint_class
 from suturant.invariant import SpincRelative, anchor_multipoint
 from suturant.kuperberg import check_admissible
 
-from conftest import load
+from conftest import load, slid_and_back
 from test_kuperberg import based_at_first, meridian_assignment
 
 
@@ -74,12 +74,30 @@ def test_a_word_in_an_unknown_generator_is_refused(trefoil):
         homology(trefoil).project_word(FreeWord((("b1", 1), ("z9", -1))))
 
 
-def test_group_ring_arithmetic_across_groups_is_refused(trefoil, hopf):
+def test_group_ring_arithmetic_across_groups_is_refused(trefoil, hopf,
+                                                        figure8):
+    """Hopf's H_1, and figure8's, which has the trefoil's shape and
+    generator names: unchecked, there ``+`` gave 2 t and ``==`` True."""
     one = GroupRingElement.one(homology(trefoil))
-    other = GroupRingElement.one(homology(hopf))
-    for op in (one.__add__, one.__sub__, one.__mul__):
-        with pytest.raises(GroupMismatchError, match="different groups"):
-            op(other)
+    for diag in (hopf, figure8):
+        other = GroupRingElement.one(homology(diag))
+        for op in (one.__add__, one.__sub__, one.__mul__, one.__eq__):
+            with pytest.raises(GroupMismatchError, match="different groups"):
+                op(other)
+
+
+def test_a_character_or_an_entry_of_another_h1_is_refused(trefoil, figure8):
+    """Figure8's H_1 met by the trefoil's determinant: unchecked, its
+    order-3 character t=1 gave -2*x, and a matrix mixing the two groups'
+    elements had the determinant -1 + t^2."""
+    chi = all_characters(homology(figure8), 3)[1]
+    with pytest.raises(GroupMismatchError, match="character on a differ"):
+        evaluate(fox_determinant(trefoil), chi)
+    t, u = (GroupRingElement.monomial(homology(diag), (1,))
+            for diag in (trefoil, figure8))
+    one = GroupRingElement.one(t.group)
+    with pytest.raises(GroupMismatchError, match="different groups"):
+        determinant([[t, one], [one, u]])
 
 
 def test_a_group_other_than_the_diagrams_h1_is_refused(trefoil, hopf):
@@ -178,6 +196,23 @@ def test_an_offset_that_is_no_element_of_the_diagrams_h1_is_refused(
                 invariant_hn_values(trefoil, 3, chars, spinc, engine=engine)
 
 
+def test_a_character_of_another_h1_is_refused_alike_on_both_engines(
+        trefoil, figure8):
+    """Figure8's order-3 character t=1 on the trefoil, whose H_1 has the
+    same shape and generator names: unchecked, the Fox engine gave -2*x
+    and the tensor engine 0."""
+    chars = [CharacterAssignment.from_character(
+        all_characters(homology(figure8), 3)[1])]
+    spinc = SpincRelative(anchor_multipoint(trefoil))
+    texts = set()
+    for engine in ("fox", "tensor"):
+        with pytest.raises(GroupMismatchError,
+                           match="character on a different group") as err:
+            invariant_hn_values(trefoil, 3, chars, spinc, engine=engine)
+        texts.add(str(err.value))
+    assert len(texts) == 1
+
+
 def test_an_n_below_one_is_refused_alike_on_both_engines(trefoil):
     """At the order-3 character t=1, where unchecked the Fox engine gave a
     value at n = 0 and the tensor engine failed to build H_0."""
@@ -204,6 +239,12 @@ def test_alexander_needs_free_homology_and_single_meridians(hopf):
               for e in ([0, 0, 1, 0], [0, 0, 0, 1]))
     with pytest.raises(NotDivisibleError, match="single group elements"):
         alexander_from_torsion(torsion_class(hopf), [t1 + t2, t2])
+    # t2's coordinates in the H_1 of Hopf slid and back, the same shape:
+    # unchecked, they were divided out as t2
+    stray = GroupRingElement.monomial(homology(slid_and_back(hopf, 3)),
+                                      t2.sorted_terms()[0][0])
+    with pytest.raises(GroupMismatchError, match="class's H_1"):
+        alexander_from_torsion(torsion_class(hopf), [t1, stray])
 
 
 # -- kuperberg ----------------------------------------------------------------

@@ -14,16 +14,12 @@ which must agree between checkouts.  The rows are not gated.
 """
 
 import dataclasses
-import hashlib
 import json
-import statistics
 import sys
-import time
-from pathlib import Path
 
-ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else
-            Path(__file__).resolve().parents[1]).resolve()
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+from reference_rows import checkout, cpu_s, digest
+
+ROOT = checkout("perfbench")
 
 import grow  # noqa: E402
 from suturant import foxcalc, invariant  # noqa: E402
@@ -35,12 +31,7 @@ REPEATS = 5
 
 
 def cpu_ms(call):
-    times = []
-    for _ in range(REPEATS):
-        start = time.process_time()
-        call()
-        times.append(time.process_time() - start)
-    return round(statistics.median(times) * 1e3, 3)
+    return round(cpu_s(call, REPEATS) * 1e3, 3)
 
 
 def main():
@@ -58,8 +49,7 @@ def main():
                     lambda: foxcalc.fox_determinant(diag, group)),
                 "torsion_class_ms": cpu_ms(
                     lambda: invariant.torsion_class(dataclasses.replace(diag))),
-                "digest": hashlib.sha256(
-                    repr(det.sorted_terms()).encode()).hexdigest()[:16],
+                "digest": digest(det.sorted_terms()),
             })
     json.dump(rows, sys.stdout, indent=1)
     print()

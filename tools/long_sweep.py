@@ -18,16 +18,12 @@ values and builds the package's rules) and a digest of the values, which
 must agree between checkouts.  The rows are not gated.
 """
 
-import hashlib
 import json
-import statistics
 import sys
-import time
-from pathlib import Path
 
-ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else
-            Path(__file__).resolve().parents[1]).resolve()
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+from reference_rows import checkout, cpu_s, digest
+
+checkout("tests")
 
 from conftest import load, slid_and_back  # noqa: E402
 from test_kuperberg import exterior_package, in_beta_order  # noqa: E402
@@ -40,23 +36,12 @@ DEPTHS = (1000, 2500, 4000, 10000)
 REPEATS = 3
 
 
-def cpu_s(call):
-    times = []
-    for _ in range(REPEATS):
-        start = time.process_time()
-        call()
-        times.append(time.process_time() - start)
-    return round(statistics.median(times), 3)
-
-
 def row(label, diag, pkg, chars):
     def sweep():
         return contract_values(diag, pkg, chars)
     values = sweep()
-    return {"input": label, "cpu_s": cpu_s(sweep),
-            "digest": hashlib.sha256(repr(
-                [(v.order, v.coeffs) for v in values]).encode()
-            ).hexdigest()[:16]}
+    return {"input": label, "cpu_s": round(cpu_s(sweep, REPEATS), 3),
+            "digest": digest([(v.order, v.coeffs) for v in values])}
 
 
 def main():

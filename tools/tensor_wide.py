@@ -15,16 +15,12 @@ memo are built), and a digest of the values, which must agree between
 checkouts.  The rows are not gated.
 """
 
-import hashlib
 import json
-import statistics
 import sys
-import time
-from pathlib import Path
 
-ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else
-            Path(__file__).resolve().parents[1]).resolve()
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+from reference_rows import checkout, cpu_s, digest
+
+checkout("tests")
 
 from conftest import load, slid_and_back  # noqa: E402
 from suturant import foxcalc, invariant  # noqa: E402
@@ -36,12 +32,7 @@ REPEATS = 7
 
 
 def cpu_ms(call):
-    times = []
-    for _ in range(REPEATS):
-        start = time.process_time()
-        call()
-        times.append(time.process_time() - start)
-    return round(statistics.median(times) * 1e3, 3)
+    return round(cpu_s(call, REPEATS) * 1e3, 3)
 
 
 def main():
@@ -62,9 +53,7 @@ def main():
             "h1_rank": group.rank, "h1_torsion": list(group.torsion),
             "characters": len(chars),
             "tensor_all_chars_ms": cpu_ms(sweep),
-            "digest": hashlib.sha256(repr(
-                [(v.order, v.coeffs) for v in values]).encode()
-            ).hexdigest()[:16],
+            "digest": digest([(v.order, v.coeffs) for v in values]),
         })
     json.dump(rows, sys.stdout, indent=1)
     print()
