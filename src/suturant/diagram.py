@@ -13,7 +13,9 @@ order and once on its beta's.  :func:`validate` reports from it, and the
 index both engines read (``ExtendedDiagram.ordered``) raises from it.  The
 balanced rule (:func:`check_balanced`), as many closed betas as closed
 alphas, and the ordering convention (:func:`closed_first`), closed curves
-before arcs, are each stated once here too.
+before arcs, are each stated once here too.  So is the tensor sweep's
+schedule (:class:`Schedule`), the combinatorics of its slots, which the
+diagram builds once per slot order and keeps beside its other indexes.
 
 File format (UTF-8, line oriented, ``#`` starts a comment):
 
@@ -28,8 +30,10 @@ File format (UTF-8, line oriented, ``#`` starts a comment):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import (BudgetExceededError, DuplicateIdError,
                      InvalidMultipointError, NonSquareError, ParseError,
@@ -194,17 +198,35 @@ class ExtendedDiagram:
                 place.setdefault(x.id, [0, 0])[c.family == "beta"] = i
         return place
 
+    def schedule(self, arrival):
+        """The tensor sweep's :class:`Schedule` for one slot order, each
+        slot at the next free position of its beta (``arrival``) or at its
+        home position; built on first use per order and kept, like the
+        indexes above.  Frame data in the sense of :attr:`memo`: the
+        combinatorics of the sweep, never a value."""
+        kept = self._schedules
+        if arrival not in kept:
+            kept[arrival] = _schedule(self, arrival)
+        return kept[arrival]
+
+    @cached_property
+    def _schedules(self):
+        return {}
+
     @cached_property
     def memo(self):
         """The diagram's frame, filled on first use by the code that reads
         it: H_1 (``foxcalc.homology``), the anchor multipoint and the
         anchor's class (``invariant``), each keyed by a private name of the
-        module that writes it.  Frame data only, never a value: the Fox
-        matrix, its determinant and every contraction are computed on each
-        call.  Every entry is immutable and only a successful result is
-        stored, so a diagram that breaks the order rule raises every time.
-        Not a field: a ``replace``, ``with_curves``, move or ``rebase`` copy
-        starts with an empty memo, and == and hash skip it."""
+        module that writes it.  The indexes above (``ordered``, ``place``
+        and the sweep's :meth:`schedule`) are frame data too, kept beside
+        it.  Frame data only, never a value: the Fox matrix, its
+        determinant and every contraction are computed on each call.
+        Every entry is immutable and only a successful result is stored, so
+        a diagram that breaks the order rule raises every time.  Not a
+        field: a ``replace``, ``with_curves``, move or ``rebase`` copy
+        starts with an empty memo and no schedule, and == and hash skip
+        them."""
         return {}
 
     def beta_generators(self):
@@ -213,6 +235,61 @@ class ExtendedDiagram:
 
     def with_curves(self, curves):
         return replace(self, curves=tuple(curves))
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """The combinatorics of one tensor sweep (``kuperberg.contract_values``)
+    over a diagram, in one slot order: ``betas``, the beta curves in family
+    order; ``at``, beta b's runs being digits at[b] to at[b + 1] - 1 of a
+    state's runs, one digit per beta in arrival order and (k + 1) // 2 for
+    a beta of k crossings in home order; and ``alphas``, per alpha curve in
+    family order, (curve, steps) with one step per crossing in the alpha's
+    order: (sign, b, lo, r, hi, last, closes), b the position of its beta
+    in ``betas``, (lo, r, hi) where its slot joins the beta's runs
+    (:func:`_join`), ``last`` whether it is the alpha's last crossing and
+    ``closes`` the ``closed`` flag of the beta it completes, None if it
+    completes none."""
+
+    betas: tuple
+    at: tuple
+    alphas: tuple
+
+
+def _join(spans, j):
+    """Place position j on a beta whose filled positions form the runs
+    ``spans``, (first, last) pairs in order, and return (lo, r, hi): the
+    runs before j are spans[:r], and the slot joins spans[lo:hi], which
+    become one run in ``spans``.  One bisection, so no scan of the beta."""
+    r = bisect_left(spans, (j,))
+    lo = r - (r > 0 and spans[r - 1][1] == j - 1)
+    hi = r + (r < len(spans) and spans[r][0] == j + 1)
+    spans[lo:hi] = [(spans[lo][0] if lo < r else j,
+                     spans[hi - 1][1] if hi > r else j)]
+    return lo, r, hi
+
+
+def _schedule(diag, arrival):
+    """The :class:`Schedule` of :meth:`ExtendedDiagram.schedule`: the sweep
+    replayed once, each slot placed by :func:`_join`."""
+    ordered, place = diag.ordered, diag.place
+    betas = diag.family("beta")
+    pos = {c.id: b for b, c in enumerate(betas)}
+    at = tuple(accumulate((1 if arrival else (len(c.order) + 1) // 2
+                           for c in betas), initial=0))
+    filled, spans, alphas = [0] * len(betas), [[] for _ in betas], []
+    for c in diag.family("alpha"):
+        steps = []
+        for t, x in enumerate(ordered[c.id]):
+            b = pos[x.beta]
+            j = filled[b] if arrival else place[x.id][1]
+            filled[b] += 1
+            done = filled[b] == len(betas[b].order)
+            steps.append((x.sign, b, *_join(spans[b], j),
+                          t == len(c.order) - 1,
+                          betas[b].closed if done else None))
+        alphas.append((c, tuple(steps)))
+    return Schedule(betas, at, tuple(alphas))
 
 
 # ---------------------------------------------------------------------------

@@ -326,7 +326,11 @@ class GroupRingElement:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # the group too, so elements of two H_1 differ before == refuses;
+        # read by its repr, as hash(-1) == hash(-2) makes the trefoil's and
+        # figure8's H_1, whose projections are ((-2,), (1,)) and
+        # ((-1,), (1,)), collide under the tuple hash
+        return hash((repr(self.group), frozenset(self.terms.items())))
 
     def is_zero(self):
         return not self.terms

@@ -32,6 +32,7 @@ checks of the normalization run on every call.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from operator import sub
 
@@ -43,8 +44,9 @@ from .diagram import (Multipoint, _check_multipoint, canonical_sign,
 # suturant.invariant.epsilon_class and suturant.invariant.rebase.
 from .diagram import enumerate_multipoints, epsilon_class, rebase  # noqa: F401
 from .errors import (AmbiguousOrientationError, CharacterMismatchError,
-                     InvalidCharacterError, InvalidMultipointError,
-                     InvalidReferenceError, NotDivisibleError)
+                     GroupMismatchError, InvalidCharacterError,
+                     InvalidMultipointError, InvalidReferenceError,
+                     NotDivisibleError)
 from .foxcalc import (GroupRingElement, InvariantClass, canonical_class,
                       class_equal, divide_by_element_minus_one, evaluate,
                       fox_determinant, homology, multipoint_class,
@@ -70,11 +72,16 @@ class SpincRelative:
     offset: GroupRingElement | None = None
 
     def offset_coords(self, group):
+        """The offset's coordinates in ``group``, the diagram's H_1, which
+        it must share by the one group rule (``AbelianGroup.check_same``);
+        any other offset is no reference, InvalidReferenceError."""
         if self.offset is None:
             return group.identity()
-        terms = (self.offset.sorted_terms()
-                 if isinstance(self.offset, GroupRingElement)
-                 and self.offset.group == group else ())
+        terms = ()
+        if isinstance(self.offset, GroupRingElement):
+            with suppress(GroupMismatchError):
+                group.check_same(self.offset.group, "")
+                terms = self.offset.sorted_terms()
         if len(terms) != 1 or terms[0][1] != 1:
             raise InvalidReferenceError(
                 "offset must be a single group element of the diagram's "

@@ -9,22 +9,25 @@ or the projection (arc), and evaluates its character there.
 
 The contraction evaluates the network in one fixed order, a sweep over the
 alpha curves in family order and each alpha's crossings in its own order,
-and merges equal frontier states after every crossing.  A state is keyed
-by the orbit representative (see below) of the current alpha's
-not-yet-split coproduct factor, a parity word whose bit b is the parity of
-what beta b holds, and one integer of runs, in which beta b owns cap_b
-digits of w = dim.bit_length() bits: each of its maximal runs of placed
-slots is one digit, its representative + 1 (0 for none), and it has none
-before its first slot or after its last.  When the package supercommutes
-(see below) a beta's slots are placed in the order they arrive, each at
-the right end of what the beta holds, so an open beta holds one run and
-cap_b = 1; otherwise cap_b = (k + 1) // 2, the most runs of k slots.  At a
-crossing the factor is split by the coproduct (the last crossing of an
-alpha takes it whole, an alpha without crossings contributes the counit of
-its seed), the antipode acts if the crossing is negative, and the slot is
-multiplied into its beta as left run * slot * right run.  Completing a
-beta evaluates it; a beta without crossings is evaluated on the unit at
-the start.
+and merges equal frontier states after every crossing.  Where each slot
+goes on its beta depends on the diagram alone, so the sweep reads it from
+the diagram's schedule (``ExtendedDiagram.schedule``), built once per
+diagram and slot order.  A state is keyed by the orbit representative (see
+below) of the current alpha's not-yet-split coproduct factor, a parity
+word whose bit b is the parity of what beta b holds, and one integer of
+runs, in which beta b owns cap_b digits of w = dim.bit_length() bits:
+each of its maximal runs of placed slots is one digit, its representative
++ 1 (0 for none), and it has none before its first slot or after its
+last.  When the package supercommutes (see below) a beta's slots are
+placed in the order they arrive, each at the right end of what the beta
+holds, so an open beta holds one run and cap_b = 1; otherwise
+cap_b = (k + 1) // 2, the most runs of k slots.  At a crossing the factor
+is split by the coproduct (the last crossing of an alpha takes it whole,
+an alpha without crossings contributes the counit of its seed), the
+antipode acts if the crossing is negative, and the slot is multiplied
+into its beta as left run * slot * right run.  Completing a beta
+evaluates it; a beta without crossings is evaluated on the unit at the
+start.
 
 Orbits of b: let b = i_B(glike_b), of order n = ``glike_b_order``, and
 suppose that b is an even basis element and central, and that left
@@ -121,7 +124,6 @@ rational cointegral prefactor is applied.  Everything is exact.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -357,32 +359,24 @@ def _expand(alg, rep, deg, rem, lt, rt, neg, last, closing):
     return any(term[2] for term in terms), terms
 
 
-def _join(spans, j):
-    """Place position j on a beta whose filled positions form the runs
-    ``spans``, (first, last) pairs in order, and return (lo, r, hi): the
-    runs before j are spans[:r], and the slot joins spans[lo:hi], which
-    become one run in ``spans``.  One bisection, so no scan of the beta."""
-    r = bisect_left(spans, (j,))
-    lo = r - (r > 0 and spans[r - 1][1] == j - 1)
-    hi = r + (r < len(spans) and spans[r][0] == j + 1)
-    spans[lo:hi] = [(spans[lo][0] if lo < r else j,
-                     spans[hi - 1][1] if hi > r else j)]
-    return lo, r, hi
-
-
-def _cross(states, alg, rules, b, at, lo, r, hi, neg, last, kind, dead,
-           blocks):
-    """The frontier after placing the next slot of the current alpha on
-    beta b, between its runs r - 1 and r, joining runs lo..hi - 1 (see
-    :func:`_join`); b's runs are digits at[b] to at[b + 1] - 1 of a key's
-    runs.  ``kind`` is b's ``closed`` if this completes b, else None;
-    ``dead`` holds the representatives whose runs b's table kills (empty
-    if this completes b), ``blocks`` the crossing's blocks for :func:`_add`.
-    A state's local triple is looked up in the table of ``rules`` for
-    (``neg``, ``last``, ``kind``), which :func:`_expand` fills on first use."""
-    par, w = alg.parity, alg.dim.bit_length()
-    memo = rules.terms.setdefault((neg, last, kind), {})
-    table = None if kind is None else rules.closing[kind]
+def _cross(states, alg, rules, plan, step, blocks):
+    """The frontier after placing the next slot of the current alpha, at
+    the crossing's ``step`` of ``plan``, the diagram's
+    :class:`diagram.Schedule`: the slot goes on beta b, between its runs
+    r - 1 and r, joining runs lo..hi - 1, and b's runs are digits at[b] to
+    at[b + 1] - 1 of a key's runs.  ``closes`` is b's ``closed`` if this
+    completes b, else None; while b stays open, a run that b's table kills
+    is dropped.  ``blocks`` are the crossing's blocks for :func:`_add`.  A
+    state's local triple is looked up in the table of ``rules`` for
+    (negative, last, ``closes``), which :func:`_expand` fills on first
+    use."""
+    sign, b, lo, r, hi, last, closes = step
+    par, w, at = alg.parity, alg.dim.bit_length(), plan.at
+    memo = rules.terms.setdefault((sign < 0, last, closes), {})
+    if closes is None:
+        table, dead = None, rules.dead[plan.betas[b].closed]
+    else:
+        table, dead = rules.closing[closes], ()
     left, right = lo < r, hi > r
     # b's runs from lo on are ``top``, digit 0 the left run if any
     put, mask = w * (at[b] + lo), (1 << w * (at[b + 1] - at[b] - lo)) - 1
@@ -396,7 +390,7 @@ def _cross(states, alg, rules, b, at, lo, r, hi, neg, last, kind, dead,
         expansion = memo.get(local)
         if expansion is None:
             expansion = memo[local] = _expand(
-                alg, rules.rep, rules.deg, *local, neg, last, table)
+                alg, rules.rep, rules.deg, *local, sign < 0, last, table)
         has_odd, terms = expansion
         # the Koszul tail, only for odd slots: later betas, b's runs from r
         tail, after = has_odd and (word >> b + 1).bit_count(), top >> rsh
@@ -409,7 +403,7 @@ def _cross(states, alg, rules, b, at, lo, r, hi, neg, last, kind, dead,
             if part in dead:
                 continue
             new = ((rest, word ^ par[part] << b, kept + ((part + 1) << put))
-                   if kind is None else (rest, word ^ part << b, kept))
+                   if closes is None else (rest, word ^ part << b, kept))
             _add(out.get(new) or out.setdefault(new, [0] * len(vec)), vec,
                  poly, blocks, -1 if odd and tail % 2 else 1)
     return {key: vec for key, vec in out.items() if any(vec)}
@@ -425,79 +419,69 @@ def contract_values(based, pkg, assignments):
     """The unnormalized scalar at each of ``assignments``, in their order,
     from one sweep whose state values hold one block per assignment.  What
     depends on the package alone comes from its :func:`_rules`, shared by
-    every call with the same package; each crossing's blocks for
-    :func:`_add`, which depend on the diagram and the characters, are
-    listed as the sweep reaches it.  When the rules say the product
-    supercommutes, each slot goes to the next free position of its beta,
-    not its home position (the module docstring says why the values are
-    the same).  An empty frontier stays empty, so the sweep stops at one,
-    and every value is then 0.  An unbalanced diagram is refused first
-    (:func:`diagram.check_balanced`)."""
+    every call with the same package; what depends on the diagram alone,
+    the betas and alphas, each crossing's beta and where its slot joins
+    the beta's runs, comes from the diagram's :class:`diagram.Schedule`
+    (``based.schedule``), built on its first sweep in each slot order and
+    kept.  Each call computes the rest: the exponents, each crossing's
+    blocks for :func:`_add`, the seeding and the sweep itself.  When the
+    rules say the product supercommutes, the schedule places each slot at
+    the next free position of its beta, not its home position (the module
+    docstring says why the values are the same).  An empty frontier stays
+    empty, so the sweep stops at one, and every value is then 0.  An
+    unbalanced diagram is refused first (:func:`diagram.check_balanced`)."""
     check_balanced(based)
     for chars in assignments:
         check_admissible(based, pkg.integral.glike_b_order, chars)
-    alg, integ, coint = pkg.algebra, pkg.integral, pkg.cointegral
+    alg, integ = pkg.algebra, pkg.integral
     rules = _rules(pkg)
-    ordered, place = based.ordered, based.place
-    alphas, betas = based.family("alpha"), based.family("beta")
-    beta_pos = {c.id: b for b, c in enumerate(betas)}
+    plan = based.schedule(rules.supercommutes)
     orders = [chars.order for chars in assignments]
     starts = list(accumulate(orders, initial=0))
-    # per beta, the exponent of each block
-    exps = {c.id: [chars.psi_exponent(c.id) for chars in assignments]
-            for c in betas}
-    zero = [0] * len(orders)
+    # per beta, in family order, the exponent of each block
+    exps = [[chars.psi_exponent(c.id) for chars in assignments]
+            for c in plan.betas]
+    zero = (0,) * len(orders)
 
     vec, word = [0] * starts[-1], 0
     for lo in starts[:-1]:
         vec[lo] = 1
-    for b, c in enumerate(betas):
+    for b, c in enumerate(plan.betas):
         if not c.order:
             unit = rules.closing[c.closed][alg.unit_index]
             vec = _add([0] * len(vec), vec,
                        {(t, 0): v for t, v in unit.items()},
-                       list(zip(starts, orders, exps[c.id], zero)))
+                       list(zip(starts, orders, exps[b], zero)))
             word |= alg.parity[alg.unit_index] << b
-    # beta b's runs are digits at[b] to at[b + 1] - 1 of a key's runs
-    at = list(accumulate((1 if rules.supercommutes else (len(c.order) + 1) // 2
-                          for c in betas), initial=0))
     states = {(None, word, 0): vec}
-    filled, spans = [0] * len(betas), [[] for _ in betas]
-    for c in alphas:
+    for c, steps in plan.alphas:
         if not states:                  # an empty frontier stays empty
             break
-        if not c.order:
+        if not steps:
             k = rules.counits[c.closed]
             states = {key: [k * v for v in vec]
                       for key, vec in states.items()}
             continue
-        # rests[t]: per block, the signed exponent sum over crossings t..
-        rests = [tuple(zero)]
-        for x in reversed(ordered[c.id]):
-            rests.append(tuple((f + x.sign * e) % n for f, e, n
-                               in zip(rests[-1], exps[x.beta], orders)))
-        rests.reverse()
-        blocks, seeded = list(zip(starts, orders, zero, rests[0])), {}
+        # each crossing's blocks, last first: its beta's exponents and
+        # ``rest``, the signed exponent sum over the alpha's later crossings
+        blocks, rest = [], zero
+        for step in reversed(steps):
+            sign, es = step[0], exps[step[1]]
+            blocks.append(list(zip(starts, orders, es, rest)))
+            rest = [(f + sign * e) % n for f, e, n in zip(rest, es, orders)]
+        seeding, seeded = list(zip(starts, orders, zero, rest)), {}
         for key, vec in states.items():
             for r, poly in rules.seeds[c.closed].items():
                 _add(seeded.setdefault((r,) + key[1:], [0] * len(vec)),
-                     vec, poly, blocks)
+                     vec, poly, seeding)
         states = seeded
-        for t, x in enumerate(ordered[c.id]):
-            b = beta_pos[x.beta]
-            j = filled[b] if rules.supercommutes else place[x.id][1]
-            filled[b] += 1
-            done = filled[b] == len(betas[b].order)
-            states = _cross(states, alg, rules, b, at, *_join(spans[b], j),
-                            x.sign < 0, t == len(c.order) - 1,
-                            betas[b].closed if done else None,
-                            () if done else rules.dead[betas[b].closed],
-                            list(zip(starts, orders, exps[x.beta],
-                                     rests[t + 1])))
+        for step in steps:
+            states = _cross(states, alg, rules, plan, step, blocks.pop())
             if not states:
                 break
 
-    functional_parity = sum(integ.mu_parity for c in betas if c.closed)
+    # the closed betas are as many as the closed alphas, d
+    functional_parity = integ.mu_parity * based.d
     total = [0] * starts[-1]
     for key, vec in states.items():
         if (functional_parity + key[1].bit_count()) % 2 == 0:
@@ -507,7 +491,7 @@ def contract_values(based, pkg, assignments):
             raise OddScalarError(
                 "nonzero contribution with odd total parity; "
                 "the package data is corrupt")
-    prefactor = coint.iota_prefactor ** sum(1 for c in alphas if c.closed)
+    prefactor = pkg.cointegral.iota_prefactor ** based.d
     return [CyclotomicScalar.from_coeffs(total[lo:lo + n], n).scale(prefactor)
             for lo, n in zip(starts, orders)]
 

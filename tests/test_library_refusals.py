@@ -86,6 +86,28 @@ def test_group_ring_arithmetic_across_groups_is_refused(trefoil, hopf,
                 op(other)
 
 
+def test_elements_of_two_h1_are_two_members_of_a_set(trefoil, figure8):
+    """Figure8's H_1 and the trefoil's have one shape and generator names,
+    and projections ((-1,), (1,)) and ((-2,), (1,)), which collide under
+    the tuple hash: an element hashes its group, so a set keeps the two
+    ones apart instead of comparing them, which raises."""
+    ones = {GroupRingElement.one(homology(diag)) for diag in (trefoil,
+                                                              figure8)}
+    assert len(ones) == 2
+
+
+def test_equal_elements_of_one_h1_are_one_member_of_a_set(trefoil):
+    """The trefoil's H_1 and the equal group computed again on a copy of
+    the diagram, another object."""
+    group, again = homology(trefoil), homology(dataclasses.replace(trefoil))
+    assert group is not again and group == again
+    t = GroupRingElement.monomial(group, (1,))
+    assert len({t, GroupRingElement.monomial(again, (1,)),
+                t * GroupRingElement.one(again),
+                GroupRingElement(group, {(1,): 1, (0,): 0})}) == 1
+    assert len({t, GroupRingElement.one(group)}) == 2
+
+
 def test_a_character_or_an_entry_of_another_h1_is_refused(trefoil, figure8):
     """Figure8's H_1 met by the trefoil's determinant: unchecked, its
     order-3 character t=1 gave -2*x, and a matrix mixing the two groups'
@@ -194,6 +216,27 @@ def test_an_offset_that_is_no_element_of_the_diagrams_h1_is_refused(
         for engine in ("fox", "tensor"):
             with pytest.raises(InvalidReferenceError, match="diagram's H_1"):
                 invariant_hn_values(trefoil, 3, chars, spinc, engine=engine)
+
+
+def test_an_offset_on_an_equal_copy_of_the_diagrams_h1_is_accepted(
+        trefoil):
+    """The counterpart of the refusal above: the trefoil's H_1 computed
+    again on a copy of the diagram is equal to it but another object, and
+    an offset on it gives, on both engines, what the same offset on the
+    diagram's own H_1 gives, which is not the value without offset."""
+    group, again = homology(trefoil), homology(dataclasses.replace(trefoil))
+    assert group is not again and group == again
+    chars = [CharacterAssignment.from_character(chi)
+             for chi in all_characters(group, 3)]
+    ref = anchor_multipoint(trefoil)
+    spincs = [SpincRelative(ref, GroupRingElement.monomial(g, (1,)))
+              for g in (group, again)]
+    assert invariant_h0(trefoil, spincs[1]) == \
+        invariant_h0(trefoil, spincs[0])
+    for engine in ("fox", "tensor"):
+        got = [invariant_hn_values(trefoil, 3, chars, spinc, engine=engine)
+               for spinc in spincs + [SpincRelative(ref)]]
+        assert got[1] == got[0] != got[2], engine
 
 
 def test_a_character_of_another_h1_is_refused_alike_on_both_engines(
