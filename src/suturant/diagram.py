@@ -216,12 +216,13 @@ class ExtendedDiagram:
     @cached_property
     def memo(self):
         """The diagram's frame, filled on first use by the code that reads
-        it: H_1 (``foxcalc.homology``), the anchor multipoint and the
-        anchor's class (``invariant``), each keyed by a private name of the
-        module that writes it.  The indexes above (``ordered``, ``place``
-        and the sweep's :meth:`schedule`) are frame data too, kept beside
-        it.  Frame data only, never a value: the Fox matrix, its
-        determinant and every contraction are computed on each call.
+        it: H_1 (``foxcalc.homology``), each alpha's crossings' classes in
+        H_1 (``foxcalc._classes``), the anchor multipoint and the anchor's
+        class (``invariant``), each keyed by a private name of the module
+        that writes it.  The indexes above (``ordered``, ``place`` and the
+        sweep's :meth:`schedule`) are frame data too, kept beside it.
+        Frame data only, never a value: the Fox matrix, its determinant and
+        every contraction are computed on each call.
         Every entry is immutable and only a successful result is stored, so
         a diagram that breaks the order rule raises every time.  Not a
         field: a ``replace``, ``with_curves``, move or ``rebase`` copy

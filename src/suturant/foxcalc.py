@@ -18,12 +18,14 @@ integer, and fraction-free elimination runs on the integers
 (:func:`_packed_det`), within a stated bit budget.
 
 The Fox matrix reads each closed alpha's crossings from the diagram's index
-twice: once for its relator (:func:`homology`, once per diagram), and once
-in one walk (:func:`_walk`, the only statement of the class rule) that
-classes each crossing and adds its sign to entry (a, b) = sum sign *
-t^class over the crossings of a with b, keyed already in normal form;
-:func:`fox_determinant` hands those rows to the kernel as they are.  The
-word-level :func:`fox_derivative` uses the closed occurrence formula
+twice, each once per diagram: for its relator (:func:`homology`), and in
+one walk (:func:`_walk`, the only statement of the class rule) that classes
+each crossing in normal form (:func:`_classes`).  Both depend on the
+diagram alone and are kept in its memo.  Each call then adds each
+crossing's sign at its class to entry (a, b) = sum sign * t^class over the
+crossings of a with b, in sparse rows that :func:`fox_determinant` hands to
+the kernel as they are.  The word-level :func:`fox_derivative` uses the
+closed occurrence formula
 
     dw/dx = sum_j m_j (A_j x^{-eps_j})
 
@@ -447,56 +449,77 @@ def render_group_ring(el):
 # Fox matrix, determinant, multipoint expansion
 # ---------------------------------------------------------------------------
 
-def _walk(group, crossings, cols):
-    """The one walk along a closed alpha from its basepoint, for its
-    crossings' classes in H_1 and its Fox row.  The class rule: a
-    crossing's class is that of the word up to its own basepoint, which
-    sits before a positive crossing and after a negative one.  The running
-    class is kept in normal form; each crossing's sign is added at its
-    class to the row's entry at column ``cols[beta]``, if any."""
+def _walk(group, crossings):
+    """The one walk along an alpha from its basepoint, for its crossings'
+    classes in H_1, in its order.  The class rule: a crossing's class is
+    that of the word up to its own basepoint, which sits before a positive
+    crossing and after a negative one.  The running class is kept in
+    normal form."""
     step = dict(zip(group.gens, group.projection))
     tidy = group.normalize if group.torsion else tuple
-    acc, classes, row = group.identity(), [], [{} for _ in cols]
+    acc, classes = group.identity(), []
     for x in crossings:
         if x.sign > 0:
             k, acc = acc, tidy(map(add, acc, step[x.beta]))
         else:
             k = acc = tidy(map(sub, acc, step[x.beta]))
         classes.append(k)
-        if x.beta in cols:
-            entry = row[cols[x.beta]]
-            entry[k] = entry.get(k, 0) + x.sign
-    return classes, row
+    return tuple(classes)
+
+
+def _classes(diag, group):
+    """Alpha id -> its crossings' classes in the diagram's H_1 ``group``,
+    in its order: one :func:`_walk` per alpha curve (arcs too, for a pick
+    on an arc), run once per diagram and kept in its memo.  The class rule
+    makes each class a function of the diagram and H_1 alone, so the
+    classes are frame data, like H_1."""
+    classes = diag.memo.get(_classes)
+    if classes is None:
+        classes = diag.memo[_classes] = {
+            c.id: _walk(group, diag.ordered[c.id])
+            for c in diag.family("alpha")}
+    return classes
 
 
 def crossing_classes(diag, group):
-    """Crossing id -> class in H_1 (:func:`_walk`) on the closed alphas."""
+    """Crossing id -> class in H_1 (:func:`_classes`) on the closed
+    alphas."""
     group = _group(diag, group)
-    return {x.id: k for c in diag.closed_alphas for x, k in zip(
-        diag.ordered[c.id], _walk(group, diag.ordered[c.id], {})[0])}
+    classes = _classes(diag, group)
+    return {x.id: k for c in diag.closed_alphas
+            for x, k in zip(diag.ordered[c.id], classes[c.id])}
 
 
 def multipoint_class(diag, group, picks):
-    """The sum in H_1 of the picks' crossing classes, each pick's alpha
-    walked only up to the pick."""
+    """The sum in H_1 of the picks' crossing classes (:func:`_classes`),
+    each looked up by its position on its alpha."""
     group = _group(diag, group)
-    total = group.identity()
+    classes, total = _classes(diag, group), group.identity()
     for xid in picks:
-        upto = diag.ordered[diag.crossing(xid).alpha][:diag.place[xid][0] + 1]
-        total = tuple(map(add, total, _walk(group, upto, {})[0][-1]))
+        k = classes[diag.crossing(xid).alpha][diag.place[xid][0]]
+        total = tuple(map(add, total, k))
     return group.normalize(total)
 
 
 def _fox_rows(diag, group):
-    """The Fox matrix as term dicts: rows the closed alpha words, columns
-    the closed beta duals, one :func:`_walk` per row.  Its classes are in
-    normal form, so the entries are taken as they are, zero sums
-    dropped."""
-    rows = []
+    """The Fox matrix as sparse rows, column -> term dict, zero entries and
+    zero terms dropped: rows the closed alpha words, columns the closed
+    beta duals.  Built on every call from the crossings' signs and their
+    classes (:func:`_classes`), which are in normal form, so each sign is
+    added at its class as it is."""
+    classes, column, rows = _classes(diag, group), diag.column, []
     for a in diag.closed_alphas:
-        row = _walk(group, diag.ordered[a.id], diag.column)[1]
-        rows.append([e if all(e.values()) else {k: c for k, c in e.items()
-                                                 if c} for e in row])
+        row = {}
+        for x, k in zip(diag.ordered[a.id], classes[a.id]):
+            j = column.get(x.beta)
+            if j is not None:
+                entry = row.setdefault(j, {})
+                c = entry.get(k, 0) + x.sign
+                if c:
+                    entry[k] = c
+                else:
+                    del entry[k]
+        rows.append({j: e for j, e in row.items() if e})
     return rows
 
 
@@ -504,7 +527,8 @@ def fox_matrix(diag, group=None):
     """Matrix of abelianized Fox derivatives over Z[H_1]
     (:func:`_fox_rows`)."""
     group = _group(diag, group)
-    return [[GroupRingElement(group, e) for e in row]
+    return [[GroupRingElement(group, row.get(j, {}))
+             for j in range(len(diag.column))]
             for row in _fox_rows(diag, group)]
 
 
@@ -522,13 +546,15 @@ def determinant(mat):
         for el in row:
             el._check(mat[0][0])
     group = mat[0][0].group
-    return GroupRingElement(group, _det([[el.terms for el in row]
-                                         for row in mat], group))
+    return GroupRingElement(group, _det([
+        {j: el.terms for j, el in enumerate(row) if el.terms}
+        for row in mat], group))
 
 
 def _det(rows, group):
-    """det of a square matrix of term dicts over Z[H_1] (keys in normal
-    form, no zero coefficient), as terms: the one determinant kernel.
+    """det of a square matrix over Z[H_1] given by sparse rows, column ->
+    term dict (keys in normal form, no zero coefficient, no empty entry),
+    as terms: the one determinant kernel.
 
     Unit pivots come first.  While more than one row is left and some
     entry is a unit u = +-g (one term, coefficient +-1), take the unit
@@ -550,14 +576,17 @@ def _det(rows, group):
     entry, an empty one is 1, and a zero row or column gives 0.  Fill-in
     can make the remainder dearer to pack than M: when it has more terms
     than M and packs in no fewer bits (:func:`_width`), M is packed as it
-    is.  Hopf slid and back to d = 8 has one unit, in a full row and
-    column, and its 7 x 7 remainder would pack in 28,160 bits against
+    is, dense.  Hopf slid and back to d = 8 has one unit, in a full row
+    and column, and its 7 x 7 remainder would pack in 28,160 bits against
     M's 1,344."""
     tidy = group.normalize if group.torsion else tuple
+    n = len(rows)
     # the nonzero entries of each row by column, and each column's count
-    mat = [{j: e for j, e in enumerate(row) if e} for row in rows]
-    in_col = [sum(1 for row in rows if row[j]) for j in range(len(rows))]
-    live_r, live_c = list(range(len(rows))), list(range(len(rows)))
+    mat, in_col = [dict(row) for row in rows], [0] * n
+    for row in rows:
+        for j in row:
+            in_col[j] += 1
+    live_r, live_c = list(range(n)), list(range(n))
     sign, unit = 1, group.identity()
     while len(live_r) > 1:
         best = min((((len(mat[i]) - 1) * (in_col[j] - 1), i, j)
@@ -602,10 +631,11 @@ def _det(rows, group):
         box = _box(rest)
         if box is None:                         # a zero row or column
             return {}
-        if _terms(rest) > _terms(rows):         # fill-in: is M cheaper?
-            start = _box(rows)
+        if _terms(rest) > _terms(row.values() for row in rows):  # fill-in
+            dense = [[row.get(j, {}) for j in range(n)] for row in rows]
+            start = _box(dense)                 # is M cheaper to pack?
             if _width(start) <= _width(box):
-                rest, box, sign, unit = rows, start, 1, group.identity()
+                rest, box, sign, unit = dense, start, 1, group.identity()
         rest = _packed_det(rest, box)
     elif live_r:
         rest = mat[live_r[0]].get(live_c[0], {})

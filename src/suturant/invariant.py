@@ -24,10 +24,11 @@ through the Fox engine, which is symbolic by construction.  Both engines
 read the diagram at its own basepoints and share one normalization, the
 unit delta * t^h with h the offset minus the anchor's class: rotating a
 basepoint changes the contraction and the Fox determinant by the same unit,
-so neither engine rebases at the reference.  H_1, the anchor and the
-anchor's class depend on the diagram alone and are kept in its memo
-(``ExtendedDiagram.memo``), so each is computed once per diagram; the
-checks of the normalization run on every call.
+so neither engine rebases at the reference.  H_1, the crossings' classes,
+the anchor and the anchor's class depend on the diagram alone and are kept
+in its memo (``ExtendedDiagram.memo``), so each is computed once per
+diagram; the checks of the normalization, the Fox matrix, its determinant
+and every contraction run on every call.
 """
 
 from __future__ import annotations

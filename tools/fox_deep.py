@@ -10,7 +10,10 @@ recipe (base, d, cap, recipe seed) with flip seed 1.  A row holds the
 shape of H_1, the median CPU time of ``fox_determinant`` (H_1 given) and
 of ``torsion_class`` on a copy with an empty memo (so H_1 is computed
 too, as ``suturant class`` does), and a digest of the determinant's terms,
-which must agree between checkouts.  The rows are not gated.
+which must agree between checkouts.  The rows are not gated.  Where the
+crossings' classes are kept in the diagram's memo, the ``fox_determinant``
+column times calls on a diagram whose classes are already kept, while the
+``torsion_class`` column stays cold (empty memo).
 """
 
 import dataclasses
